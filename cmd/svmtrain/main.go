@@ -136,7 +136,6 @@ func run() error {
 
 		linVariant = flag.String("linear-variant", "dcd", `linear solver variant: "dcd" (dual coordinate descent, hinge) or "miso" (incremental primal, squared hinge)`)
 		linEpochs  = flag.Int("linear-epochs", 0, "linear solver epoch cap (0 = variant default)")
-		linNoShrnk = flag.Bool("linear-no-shrink", false, "disable active-set shrinking in the linear dcd variant")
 
 		taskSel    = flag.String("task", "", `task variant: "svr" (epsilon-SVR regression) or "oneclass" (nu one-class anomaly detection); empty = binary classification. Task models train with the "tasks" engine; -data labels are regression targets for svr and ignored for oneclass`)
 		svrEps     = flag.Float64("svr-epsilon", 0.1, "epsilon tube half-width (-task svr)")
@@ -348,7 +347,7 @@ func run() error {
 			Clusters: *dcClusters, Levels: *dcLevels, KernelSpace: *dcKernelSpace,
 			SubSolver: *dcSubSolver, PolishFull: *dcPolishFull, SubFaultCluster: *crashCluster,
 		},
-		Linear: solver.LinearOptions{Variant: *linVariant, MaxEpochs: *linEpochs, NoShrink: *linNoShrnk},
+		Linear: solver.LinearOptions{Variant: *linVariant, MaxEpochs: *linEpochs},
 	}
 	if caps.Has(solver.CapHeuristics) {
 		opts.Heuristic = *heuristic
@@ -569,18 +568,14 @@ func runTaskMode(o taskModeOpts) error {
 				}
 			}
 		}
-		res, err := tasks.Update(base, x, labels, tasks.Config{
-			Kernel: kp, Eps: o.eps, Workers: o.workers,
-			CacheBytes: 1 << 30, Shrinking: true, SecondOrder: true,
+		res, err := tasks.Update(base, x, labels, solver.Options{
+			Eps: o.eps, Workers: o.workers,
 			Checkpoint: ckptW, CheckpointEvery: o.ckptEvery,
 		})
 		if err != nil {
 			return err
 		}
-		m = res.Model
-		summary = fmt.Sprintf("converged=%v iterations=%d objective=%.6g SVs=%d (%.1f%% of samples)",
-			res.Converged, res.Iterations, res.Objective,
-			m.NumSV(), 100*float64(m.NumSV())/float64(x.Rows()))
+		m, summary = res.Model, res.Summary
 
 	case o.task == "svr", o.task == "oneclass":
 		taskKind := model.TaskSVR

@@ -22,6 +22,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/kernel"
 	"repro/internal/perfmodel"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -34,7 +35,7 @@ func main() {
 	fmt.Printf("calibrated kernel evaluation cost: %.0f ns\n\n", machine.Lambda*1e9)
 
 	heuristics := []core.Heuristic{core.Original, core.Single50pc, core.Multi5pc}
-	traces := make(map[string]*core.Trace)
+	traces := make(map[string]*trace.Trace)
 	for _, h := range heuristics {
 		cfg := core.Config{
 			Kernel: kernel.FromSigma2(ds.Sigma2), C: ds.C, Eps: 1e-3,

@@ -10,6 +10,7 @@ import (
 	"repro/internal/dcsvm"
 	"repro/internal/kernel"
 	"repro/internal/smo"
+	"repro/internal/solver"
 )
 
 // RunCkpt measures the cost of crash-consistent checkpointing for every
@@ -70,13 +71,12 @@ func RunCkpt(o Options) (*Report, error) {
 			return int64(res.Iterations), nil
 		}},
 		{name: "dc", run: func(w *ckpt.Writer, resume []float64) (int64, error) {
-			cfg := dcsvm.Config{
-				Kernel: kp, C: ds.C, Eps: o.Eps, Heuristic: core.Multi5pc,
-				Clusters: 4, Seed: 7, SubSolver: "smo", Workers: o.BaselineWorkers,
-				PolishFull: true,
-				Checkpoint: w, CheckpointEvery: every, ResumeAlpha: resume,
+			opts := solver.Options{
+				C: ds.C, Eps: o.Eps, Heuristic: core.Multi5pc.Name, Seed: 7, Workers: o.BaselineWorkers,
+				Checkpoint: w, CheckpointEvery: every, InitialAlpha: resume,
+				DC: solver.DCOptions{Clusters: 4, SubSolver: "smo", PolishFull: true},
 			}
-			_, st, err := dcsvm.Train(ds.X, ds.Y, cfg)
+			_, st, err := dcsvm.Train(ds.X, ds.Y, kp, opts)
 			if err != nil {
 				return 0, err
 			}

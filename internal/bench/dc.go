@@ -9,6 +9,7 @@ import (
 	"repro/internal/dcsvm"
 	"repro/internal/kernel"
 	"repro/internal/smo"
+	"repro/internal/solver"
 )
 
 // RunDCSVM measures divide-and-conquer training against both exact
@@ -70,9 +71,9 @@ func RunDCSVM(o Options) (*Report, error) {
 
 	dcRun := func(name string, clusters int, polishCap int64) error {
 		t0 := time.Now()
-		m, st, err := dcsvm.Train(ds.X, ds.Y, dcsvm.Config{
-			Kernel: kp, C: ds.C, Eps: o.Eps, Heuristic: core.Multi5pc,
-			Clusters: clusters, Seed: 11, PolishMaxIter: polishCap,
+		m, st, err := dcsvm.Train(ds.X, ds.Y, kp, solver.Options{
+			C: ds.C, Eps: o.Eps, Heuristic: core.Multi5pc.Name, Seed: 11,
+			DC: solver.DCOptions{Clusters: clusters, PolishMaxIter: polishCap},
 		})
 		if err != nil {
 			return err

@@ -10,6 +10,7 @@ import (
 	"repro/internal/linear"
 	"repro/internal/model"
 	"repro/internal/smo"
+	"repro/internal/solver"
 	"repro/internal/sparse"
 )
 
@@ -73,9 +74,9 @@ func RunLinear(o Options) (*Report, error) {
 
 		// Kernel baseline 2: divide-and-conquer over the same linear kernel.
 		t0 = time.Now()
-		dm, _, err := dcsvm.Train(trainX, trainY, dcsvm.Config{
-			Kernel: kp, C: ds.C, Eps: o.Eps, Heuristic: core.Multi5pc,
-			Clusters: 8, Seed: 11,
+		dm, _, err := dcsvm.Train(trainX, trainY, kp, solver.Options{
+			C: ds.C, Eps: o.Eps, Heuristic: core.Multi5pc.Name, Seed: 11,
+			DC: solver.DCOptions{Clusters: 8},
 		})
 		if err != nil {
 			return nil, fmt.Errorf("dcsvm on %s: %w", name, err)
@@ -89,8 +90,8 @@ func RunLinear(o Options) (*Report, error) {
 		// The fast path, both variants.
 		for _, v := range []linear.Variant{linear.DCD, linear.MISO} {
 			t0 = time.Now()
-			lres, err := linear.Train(trainX, trainY, linear.Config{
-				Variant: v, C: ds.C, Eps: o.Eps, Seed: 11,
+			lres, err := linear.Train(trainX, trainY, solver.Options{
+				C: ds.C, Eps: o.Eps, Seed: 11, Linear: solver.LinearOptions{Variant: v.String()},
 			})
 			if err != nil {
 				return nil, fmt.Errorf("linear/%s on %s: %w", v, name, err)

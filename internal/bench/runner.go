@@ -10,6 +10,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/perfmodel"
 	"repro/internal/smo"
+	"repro/internal/trace"
 )
 
 // defaultScales are per-dataset generation scales tuned so a figure
@@ -149,7 +150,7 @@ func newExtrapolation(o Options, ds *dataset.Dataset, base *baselineResult, work
 
 // modeledSpeedup returns modeled_baseline / modeled_time(p), both at full
 // dataset scale.
-func (e extrapolation) modeledSpeedup(tr *core.Trace, p int) (float64, perfmodel.Breakdown, error) {
+func (e extrapolation) modeledSpeedup(tr *trace.Trace, p int) (float64, perfmodel.Breakdown, error) {
 	b, err := perfmodel.Evaluate(tr.ScaledUp(e.factor), p, e.machine)
 	if err != nil {
 		return 0, b, err

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/linear"
+	"repro/internal/solver"
 )
 
 // RunStream measures the out-of-core streaming data path against the
@@ -44,7 +45,7 @@ func RunStream(o Options) (*Report, error) {
 		if err := dataset.SaveLibsvmFile(path, ds.X, ds.Y); err != nil {
 			return nil, err
 		}
-		cfg := linear.Config{C: ds.C, Eps: o.Eps, Seed: 11}
+		opts := solver.Options{C: ds.C, Eps: o.Eps, Seed: 11}
 
 		// In-memory reference: plain load, plain train.
 		runtime.GC()
@@ -54,7 +55,7 @@ func RunStream(o Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		memRes, err := linear.Train(x, y, cfg)
+		memRes, err := linear.Train(x, y, opts)
 		if err != nil {
 			return nil, fmt.Errorf("linear on %s: %w", name, err)
 		}
@@ -78,7 +79,7 @@ func RunStream(o Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		oocRes, err := linear.Train(ooc, oy, cfg)
+		oocRes, err := linear.Train(ooc, oy, opts)
 		if err != nil {
 			ooc.Close()
 			return nil, fmt.Errorf("linear/ooc on %s: %w", name, err)

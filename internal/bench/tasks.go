@@ -9,6 +9,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/model"
 	"repro/internal/oracle"
+	"repro/internal/solver"
 	"repro/internal/tasks"
 )
 
@@ -33,7 +34,7 @@ func RunTasks(o Options) (*Report, error) {
 	}
 	nFull := nBase + nBase/20 // +5% appended rows, the incremental-batch regime
 	kp := kernel.Params{Type: kernel.Gaussian, Gamma: 0.5}
-	cfg := tasks.Config{Kernel: kp, Eps: o.Eps, Shrinking: true, SecondOrder: true, CacheBytes: 1 << 28}
+	opts := solver.Options{Eps: o.Eps, CacheBytes: 1 << 28}
 
 	type caseResult struct {
 		task             string
@@ -52,6 +53,8 @@ func RunTasks(o Options) (*Report, error) {
 			c       = 10.0
 			epsilon = 0.1
 		)
+		svr := opts
+		svr.C, svr.Task.Epsilon = c, epsilon
 		xFull, zFull, err := dataset.GenerateRegression(nFull, 6, 0.05, 17)
 		if err != nil {
 			return nil, err
@@ -61,20 +64,20 @@ func RunTasks(o Options) (*Report, error) {
 			return nil, err
 		}
 		o.logf("tasks/svr: base %d rows, full %d rows", nBase, nFull)
-		base, err := tasks.TrainSVR(xBase, zFull[:nBase], c, epsilon, cfg, nil)
+		base, err := tasks.TrainSVR(xBase, zFull[:nBase], kp, svr)
 		if err != nil {
 			return nil, fmt.Errorf("svr base: %w", err)
 		}
 
 		t0 := time.Now()
-		cold, err := tasks.TrainSVR(xFull, zFull, c, epsilon, cfg, nil)
+		cold, err := tasks.TrainSVR(xFull, zFull, kp, svr)
 		if err != nil {
 			return nil, fmt.Errorf("svr cold: %w", err)
 		}
 		coldT := time.Since(t0)
 
 		t0 = time.Now()
-		incr, err := tasks.Update(base.Model, xFull, zFull, cfg)
+		incr, err := tasks.Update(base.Model, xFull, zFull, opts)
 		if err != nil {
 			return nil, fmt.Errorf("svr update: %w", err)
 		}
@@ -91,6 +94,8 @@ func RunTasks(o Options) (*Report, error) {
 	// One-class: the box shrinks with n, so the warm start is projected.
 	{
 		const nu = 0.1
+		oc := opts
+		oc.Task.Nu = nu
 		xFull, _, err := dataset.GenerateOneClass(nFull, 6, 0.05, 17)
 		if err != nil {
 			return nil, err
@@ -100,20 +105,20 @@ func RunTasks(o Options) (*Report, error) {
 			return nil, err
 		}
 		o.logf("tasks/oneclass: base %d rows, full %d rows", nBase, nFull)
-		base, err := tasks.TrainOneClass(xBase, nu, cfg, nil)
+		base, err := tasks.TrainOneClass(xBase, kp, oc)
 		if err != nil {
 			return nil, fmt.Errorf("oneclass base: %w", err)
 		}
 
 		t0 := time.Now()
-		cold, err := tasks.TrainOneClass(xFull, nu, cfg, nil)
+		cold, err := tasks.TrainOneClass(xFull, kp, oc)
 		if err != nil {
 			return nil, fmt.Errorf("oneclass cold: %w", err)
 		}
 		coldT := time.Since(t0)
 
 		t0 = time.Now()
-		incr, err := tasks.Update(base.Model, xFull, nil, cfg)
+		incr, err := tasks.Update(base.Model, xFull, nil, opts)
 		if err != nil {
 			return nil, fmt.Errorf("oneclass update: %w", err)
 		}

@@ -5,9 +5,10 @@
 // failure mid-training is the expected case, not the exception. A solver
 // that loses its dual state (alpha), gradients and shrink bookkeeping on a
 // crash must restart from zero; with the warm-start entry points the engines
-// already expose (smo.Config.InitialAlpha, core.Config.InitialAlpha,
-// dcsvm.Config.ResumeAlpha), a periodically persisted alpha vector is enough
-// to re-enter any engine and converge to the same eps-approximate optimum —
+// already expose (smo.Config.InitialAlpha, core.Config.InitialAlpha, and
+// solver.Options.InitialAlpha for dcsvm), a periodically persisted alpha
+// vector is enough to re-enter any engine and converge to the same
+// eps-approximate optimum —
 // a claim the correctness oracle (internal/oracle) can then verify instead
 // of assume.
 //

@@ -24,6 +24,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/oracle"
 	"repro/internal/smo"
+	"repro/internal/solver"
 	"repro/internal/sparse"
 )
 
@@ -217,13 +218,12 @@ func TestSMOCheckpointResume(t *testing.T) {
 // the whole divide-and-conquer run from the merged partial checkpoint.
 func TestDCSVMKillResume(t *testing.T) {
 	rp := loadRecoveryProblem(t, 0.1)
-	cfg := dcsvm.Config{
-		Kernel: rp.kp, C: rp.c, Eps: rp.eps, Heuristic: core.Multi5pc,
-		Clusters: 4, Seed: 7, SubSolver: "core", P: 2,
-		PolishFull: true,
+	opts := solver.Options{
+		C: rp.c, Eps: rp.eps, Heuristic: core.Multi5pc.Name, Seed: 7, P: 2,
+		DC: solver.DCOptions{Clusters: 4, SubSolver: "core", PolishFull: true},
 	}
 
-	m0, _, err := dcsvm.Train(rp.x, rp.y, cfg)
+	m0, _, err := dcsvm.Train(rp.x, rp.y, rp.kp, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,17 +234,16 @@ func TestDCSVMKillResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	killed := cfg
+	killed := opts
 	killed.Checkpoint = w
 	killed.CheckpointEvery = 50
-	killed.CheckpointSeed = 7
 	// Workers = 1 serializes the cluster solves, so clusters 0..2 complete
 	// (each writing a progress checkpoint) before cluster 3's distributed
 	// sub-solve is crashed by the fault plan.
 	killed.Workers = 1
-	killed.SubFaultCluster = 3
-	killed.SubFaults = mpi.FaultPlan{CrashRank: 1, CrashAtOp: 50}
-	_, _, err = dcsvm.Train(rp.x, rp.y, killed)
+	killed.DC.SubFaultCluster = 3
+	killed.Faults = mpi.FaultPlan{CrashRank: 1, CrashAtOp: 50}
+	_, _, err = dcsvm.Train(rp.x, rp.y, rp.kp, killed)
 	if err == nil {
 		t.Fatal("run with an injected crash reported success")
 	}
@@ -265,9 +264,9 @@ func TestDCSVMKillResume(t *testing.T) {
 	if err := st.Matches(rp.x, rp.y); err != nil {
 		t.Fatal(err)
 	}
-	resumed := cfg
-	resumed.ResumeAlpha = st.Alpha
-	m1, rst, err := dcsvm.Train(rp.x, rp.y, resumed)
+	resumed := opts
+	resumed.InitialAlpha = st.Alpha
+	m1, rst, err := dcsvm.Train(rp.x, rp.y, rp.kp, resumed)
 	if err != nil {
 		t.Fatal(err)
 	}

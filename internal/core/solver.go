@@ -114,7 +114,7 @@ type Stats struct {
 	FinalActive     int // global active-set size at termination
 	KernelEvals     uint64
 	Objective       float64
-	Trace           *Trace
+	Trace           *trace.Trace
 }
 
 // pairHalf carries one selected sample (x_up or x_low) from its owner to
@@ -233,7 +233,7 @@ type rankState struct {
 	// multi-reconstruction phase: 1 = converging to 20*eps, 2 = to 2*eps.
 	phase int
 
-	trace *Trace
+	trace *trace.Trace
 }
 
 func newRankState(c *mpi.Comm, pt *Partition, cfg Config) *rankState {

@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/smo"
+	"repro/internal/solver"
 )
 
 // The benchmarks compare a full exact solve against divide-and-conquer at
@@ -40,15 +41,15 @@ func BenchmarkSMOFull(b *testing.B) {
 	}
 }
 
-func benchmarkDC(b *testing.B, clusters int, mut func(*Config)) {
+func benchmarkDC(b *testing.B, clusters int, mut func(*solver.Options)) {
 	ds := benchData(b)
-	cfg := Config{Kernel: testKernel(ds), C: ds.C, Clusters: clusters, Seed: 11}
+	opts := solver.Options{C: ds.C, Seed: 11, DC: solver.DCOptions{Clusters: clusters}}
 	if mut != nil {
-		mut(&cfg)
+		mut(&opts)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Train(ds.X, ds.Y, cfg); err != nil {
+		if _, _, err := Train(ds.X, ds.Y, testKernel(ds), opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -58,8 +59,8 @@ func BenchmarkDCClusters4(b *testing.B)  { benchmarkDC(b, 4, nil) }
 func BenchmarkDCClusters8(b *testing.B)  { benchmarkDC(b, 8, nil) }
 func BenchmarkDCClusters16(b *testing.B) { benchmarkDC(b, 16, nil) }
 func BenchmarkDCEarlyStop8(b *testing.B) {
-	benchmarkDC(b, 8, func(c *Config) { c.PolishMaxIter = 50 })
+	benchmarkDC(b, 8, func(o *solver.Options) { o.DC.PolishMaxIter = 50 })
 }
 func BenchmarkDCTwoLevel8(b *testing.B) {
-	benchmarkDC(b, 8, func(c *Config) { c.Levels = 2 })
+	benchmarkDC(b, 8, func(o *solver.Options) { o.DC.Levels = 2 })
 }

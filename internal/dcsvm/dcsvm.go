@@ -32,133 +32,48 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/linear"
 	"repro/internal/model"
-	"repro/internal/mpi"
 	"repro/internal/smo"
 	"repro/internal/solver"
 	"repro/internal/sparse"
 )
 
-// Config controls a divide-and-conquer training run.
-type Config struct {
-	Kernel kernel.Params
-	C      float64
-	Eps    float64 // tolerance epsilon; 0 means 1e-3
-
-	// Heuristic is the Table II shrinking strategy used by core
-	// sub-solves; the zero value means core's default (Original).
-	Heuristic core.Heuristic
-
-	// Clusters is the number of k-means clusters at the finest level;
-	// 0 means 8. Clusters = 1 degenerates to a single full solve.
-	Clusters int
-	// Levels is the depth of the hierarchy; 0 or 1 means a single
-	// divide level. Level l (0-based) uses max(2, Clusters>>l) clusters
-	// over the support-vector union coalesced from level l-1, so each
-	// coarser level halves the cluster count, cascade-style.
-	Levels int
-	// Seed makes clustering (and therefore the whole run) deterministic.
-	Seed int64
-	// KernelSpace clusters in the kernel feature space (where the
-	// sub-problems are solved) instead of Euclidean input space.
-	KernelSpace bool
-
-	// SubSolver names the registered engine for finest-level sub-solves;
-	// "" means "core" (the paper's distributed solver). Any non-composite
-	// registered classifier with kernel support qualifies — "core", "smo",
-	// "smo2", and future registrations — resolved through the solver
-	// registry. Coarser levels and the polish always use smo, whose warm
-	// start consumes the coalesced alphas.
-	SubSolver string
-	// DisableLinearFastPath turns off the automatic routing of cold
-	// (no-warm-start) linear-kernel sub-solves through internal/linear's
-	// dual coordinate descent, which solves them in the primal weight
-	// vector with zero kernel evaluations. The fast path is also skipped
-	// when a fault plan targets the core sub-solver, so crash-recovery
-	// runs exercise the engine they mean to test.
-	DisableLinearFastPath bool
-	// P is the rank count per core sub-solve (capped at the cluster
-	// size); 0 means 1.
-	P int
-	// Workers bounds the number of clusters solved concurrently;
-	// 0 means GOMAXPROCS.
-	Workers int
-	// CacheBytes is the kernel-row cache budget per smo solve;
-	// 0 means 64 MiB.
-	CacheBytes int64
-	// SubMaxIter caps each cluster sub-solve; 0 means the solver default.
-	SubMaxIter int64
-
-	// PolishMaxIter caps the polish solve's iterations — the early-stop
-	// mode. The polish's gradient reconstruction from the coalesced warm
-	// start already yields a coherent global decision function (raw
-	// per-cluster alphas do not aggregate: each sub-model carries its own
-	// threshold, so a flat union without a stitch solve is only usable
-	// when clusters heavily overlap), and a bounded number of stitching
-	// iterations recovers most of the accuracy at a fraction of the exact
-	// polish cost. 0 runs the polish to convergence.
-	PolishMaxIter int64
-
-	// PolishFull makes the polish solve the full training problem
-	// (warm-started from the coalesced union solution) instead of the
-	// support-vector union only. The union polish — the default — can leave
-	// samples outside the union violating KKT on the full QP, so its result
-	// is near-exact but not eps-optimal; the full polish is the refinement
-	// step that restores true eps-optimality, at the cost of a solve over
-	// all n samples (still warm-started, so far cheaper than a cold solve).
-	PolishFull bool
-
-	// Checkpoint, when non-nil, persists divide-and-conquer progress as
-	// crash-consistent generations in full-problem coordinates: after each
-	// finished level-0 cluster solve, after each completed level, and —
-	// when the polish runs over the full training set — every
-	// CheckpointEvery polish iterations. Every snapshot's alpha vector is
-	// projected onto the dual constraints first, so any engine can resume
-	// from it. CheckpointSeed is recorded for provenance.
-	Checkpoint      *ckpt.Writer
-	CheckpointEvery int64
-	CheckpointSeed  int64
-
-	// ResumeAlpha restarts a previous run from a checkpoint's full-length
-	// alpha vector: the divide levels are skipped and the run goes
-	// straight to a full-problem polish warm-started from the (re-
-	// balanced) vector. The result is eps-optimal on the full QP, like a
-	// PolishFull run.
-	ResumeAlpha []float64
-
-	// SubFaults applies an mpi fault plan to the level-0 core sub-solve
-	// of cluster SubFaultCluster (crash-recovery testing). Ignored unless
-	// the plan injects something and SubSolver is "core".
-	SubFaults       mpi.FaultPlan
-	SubFaultCluster int
+// withDefaults fills the zero-value defaults of the options dc reads (see
+// Train).
+func withDefaults(opts solver.Options) solver.Options {
+	if opts.Eps <= 0 {
+		opts.Eps = 1e-3
+	}
+	if opts.DC.Clusters <= 0 {
+		opts.DC.Clusters = 8
+	}
+	if opts.DC.Levels <= 0 {
+		opts.DC.Levels = 1
+	}
+	if opts.DC.SubSolver == "" {
+		opts.DC.SubSolver = "core"
+	}
+	if opts.Heuristic == "" {
+		opts.Heuristic = core.Original.Name
+	}
+	if opts.P <= 0 {
+		opts.P = 1
+	}
+	if opts.Workers <= 0 {
+		opts.Workers = runtime.GOMAXPROCS(0)
+	}
+	if opts.CacheBytes <= 0 {
+		opts.CacheBytes = 64 << 20
+	}
+	return opts
 }
 
-func (c Config) withDefaults() Config {
-	if c.Eps <= 0 {
-		c.Eps = 1e-3
-	}
-	if c.Clusters <= 0 {
-		c.Clusters = 8
-	}
-	if c.Levels <= 0 {
-		c.Levels = 1
-	}
-	if c.SubSolver == "" {
-		c.SubSolver = "core"
-	}
-	if c.Heuristic.Name == "" {
-		c.Heuristic = core.Original
-	}
-	if c.P <= 0 {
-		c.P = 1
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.CacheBytes <= 0 {
-		c.CacheBytes = 64 << 20
-	}
-	return c
-}
+// linearFastPath routes cold (no-warm-start) linear-kernel sub-solves
+// through internal/linear's dual coordinate descent, which solves them in
+// the primal weight vector with zero kernel evaluations. Tests turn it off
+// to get the kernel-path reference. The fast path is also skipped when a
+// fault plan targets the sub-solver, so crash-recovery runs exercise the
+// engine they mean to test.
+var linearFastPath = true
 
 // LevelStats reports what one hierarchy level did; slices are indexed by
 // cluster in level-local order.
@@ -247,8 +162,43 @@ func (ck *checkpointer) saveLocked() error {
 }
 
 // Train runs divide-and-conquer training on (x, y) with labels in {+1,-1}
-// and returns the final model plus per-level statistics.
-func Train(x *sparse.Matrix, y []float64, cfg Config) (*model.Model, *Stats, error) {
+// and kernel k, and returns the final model plus per-level statistics. It
+// reads these options (zero values in parentheses):
+//
+//   - C, Eps (1e-3): the QP every sub-solve and the polish solve.
+//   - DC.Clusters (8) k-means clusters at the finest level, and DC.Levels
+//     (1) hierarchy levels: level l uses max(2, Clusters>>l) clusters over
+//     the support-vector union coalesced from level l-1, cascade-style.
+//     Clusters = 1 degenerates to a single full solve.
+//   - DC.KernelSpace clusters in kernel feature space instead of input
+//     space; Seed makes the clustering, and so the whole run, deterministic.
+//   - DC.SubSolver ("core") names the registered engine for finest-level
+//     sub-solves: any non-composite kernel classifier. Coarser levels and
+//     the polish always use smo, whose warm start consumes the coalesced
+//     alphas. Heuristic (Original), P (1, capped at the cluster size) and
+//     MaxIter (solver default) apply to each sub-solve whose engine takes
+//     them; Workers (GOMAXPROCS) bounds the clusters solved concurrently;
+//     CacheBytes (64 MiB) is the kernel cache of each smo solve.
+//   - DC.PolishMaxIter caps the polish (early stop; 0 runs it to
+//     convergence). The polish's gradient reconstruction from the coalesced
+//     warm start already yields a coherent global decision function, and a
+//     bounded number of stitching iterations recovers most of the accuracy.
+//   - DC.PolishFull polishes over the full training set, warm-started from
+//     the coalesced union solution, instead of the support-vector union
+//     only. The union polish can leave samples outside the union violating
+//     KKT on the full QP, so it is near-exact but not eps-optimal; the full
+//     polish restores eps-optimality at the cost of a warm solve over all n.
+//   - Checkpoint persists progress as crash-consistent generations in
+//     full-problem coordinates: after each finished level-0 cluster, after
+//     each level, and every CheckpointEvery polish iterations when the
+//     polish runs over the full training set. Every snapshot's alpha is
+//     projected onto the dual constraints, so any engine can resume from it.
+//   - InitialAlpha restarts a previous run from a checkpoint's full-length
+//     alpha: the divide levels are skipped and the run goes straight to a
+//     full-problem polish from the (re-balanced) vector.
+//   - Faults applies an mpi fault plan to the level-0 sub-solve of cluster
+//     DC.SubFaultCluster when the sub-solver accepts fault plans.
+func Train(x *sparse.Matrix, y []float64, k kernel.Params, opts solver.Options) (*model.Model, *Stats, error) {
 	n := x.Rows()
 	if n < 2 {
 		return nil, nil, fmt.Errorf("dcsvm: need at least 2 samples, got %d", n)
@@ -256,13 +206,14 @@ func Train(x *sparse.Matrix, y []float64, cfg Config) (*model.Model, *Stats, err
 	if len(y) != n {
 		return nil, nil, fmt.Errorf("dcsvm: %d labels for %d samples", len(y), n)
 	}
-	if cfg.C <= 0 {
-		return nil, nil, fmt.Errorf("dcsvm: C must be positive, got %v", cfg.C)
+	if opts.C <= 0 {
+		return nil, nil, fmt.Errorf("dcsvm: C must be positive, got %v", opts.C)
 	}
-	if err := cfg.Kernel.Validate(); err != nil {
+	if err := k.Validate(); err != nil {
 		return nil, nil, err
 	}
-	if err := cfg.Heuristic.Validate(); err != nil {
+	opts = withDefaults(opts)
+	if _, err := core.HeuristicByName(opts.Heuristic); err != nil {
 		return nil, nil, err
 	}
 	hasPos, hasNeg := false, false
@@ -279,31 +230,29 @@ func Train(x *sparse.Matrix, y []float64, cfg Config) (*model.Model, *Stats, err
 	if !hasPos || !hasNeg {
 		return nil, nil, errors.New("dcsvm: training set must contain both classes")
 	}
-	if _, err := subEngine(cfg.SubSolver); err != nil {
+	if _, err := subEngine(opts.DC.SubSolver); err != nil {
 		return nil, nil, err
 	}
-	cfg = cfg.withDefaults()
-
-	if cfg.ResumeAlpha != nil && len(cfg.ResumeAlpha) != n {
-		return nil, nil, fmt.Errorf("dcsvm: resume alpha holds %d entries for %d samples", len(cfg.ResumeAlpha), n)
+	if opts.InitialAlpha != nil && len(opts.InitialAlpha) != n {
+		return nil, nil, fmt.Errorf("dcsvm: resume alpha holds %d entries for %d samples", len(opts.InitialAlpha), n)
 	}
 
 	start := time.Now()
 	st := &Stats{}
 	var ck *checkpointer
-	if cfg.Checkpoint != nil {
-		ck = newCheckpointer(cfg.Checkpoint, x, y, cfg.C, cfg.CheckpointSeed)
+	if opts.Checkpoint != nil {
+		ck = newCheckpointer(opts.Checkpoint, x, y, opts.C, opts.Seed)
 	}
 	curX, curY := x, y
 	var curA []float64 // nil = cold (level 0 input is the raw data)
 
-	if cfg.ResumeAlpha == nil {
-		for l := 0; l < cfg.Levels && curX.Rows() >= 2; l++ {
-			k := cfg.Clusters >> l
-			if k < 2 {
-				k = 2
+	if opts.InitialAlpha == nil {
+		for l := 0; l < opts.DC.Levels && curX.Rows() >= 2; l++ {
+			kl := opts.DC.Clusters >> l
+			if kl < 2 {
+				kl = 2
 			}
-			nx, ny, na, ls, err := runLevel(curX, curY, curA, k, l, cfg, ck)
+			nx, ny, na, ls, err := runLevel(curX, curY, curA, kl, l, k, opts, ck)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -320,7 +269,7 @@ func Train(x *sparse.Matrix, y []float64, cfg Config) (*model.Model, *Stats, err
 			if ck != nil {
 				// Level boundary: scatter the coalesced union solution back
 				// onto full-problem coordinates and persist it.
-				full, err := scatterAlpha(x, y, curX, curY, warmStartAlpha(curA, curY, cfg.C))
+				full, err := scatterAlpha(x, y, curX, curY, warmStartAlpha(curA, curY, opts.C))
 				if err != nil {
 					return nil, nil, err
 				}
@@ -340,42 +289,36 @@ func Train(x *sparse.Matrix, y []float64, cfg Config) (*model.Model, *Stats, err
 	// (On the degenerate fallback the polish is a cold solve of the
 	// current level's input.)
 	t0 := time.Now()
-	sc := smo.Config{
-		Kernel: cfg.Kernel, C: cfg.C, Eps: cfg.Eps,
-		CacheBytes: cfg.CacheBytes, Shrinking: true,
-		MaxIter: cfg.PolishMaxIter,
-	}
+	po := solver.Options{C: opts.C, Eps: opts.Eps, CacheBytes: opts.CacheBytes, MaxIter: opts.DC.PolishMaxIter}
 	polishX, polishY := curX, curY
 	switch {
-	case cfg.ResumeAlpha != nil:
+	case opts.InitialAlpha != nil:
 		// Re-balance rather than trust the file: balanceAlpha only scales
 		// down, so any loaded vector becomes a feasible warm start.
-		sc.InitialAlpha = balanceAlpha(cfg.ResumeAlpha, y, cfg.C)
+		po.InitialAlpha = balanceAlpha(opts.InitialAlpha, y, opts.C)
 		polishX, polishY = x, y
-	case cfg.PolishFull:
+	case opts.DC.PolishFull:
 		if curA != nil {
-			sc.InitialAlpha = warmStartAlpha(curA, curY, cfg.C)
-			full, err := scatterAlpha(x, y, curX, curY, sc.InitialAlpha)
+			full, err := scatterAlpha(x, y, curX, curY, warmStartAlpha(curA, curY, opts.C))
 			if err != nil {
 				return nil, nil, err
 			}
-			sc.InitialAlpha = full
+			po.InitialAlpha = full
 		}
 		polishX, polishY = x, y
 	case curA != nil:
-		sc.InitialAlpha = warmStartAlpha(curA, curY, cfg.C)
+		po.InitialAlpha = warmStartAlpha(curA, curY, opts.C)
 	}
 	if ck != nil && polishX.Rows() == n {
 		// The polish runs in full-problem coordinates, so smo's periodic
 		// checkpoints are directly resumable; union-sized polish snapshots
 		// would carry the wrong N and fingerprint, so those stay with the
 		// level-boundary generations instead.
-		sc.Checkpoint = cfg.Checkpoint
-		sc.CheckpointEvery = cfg.CheckpointEvery
-		sc.CheckpointSeed = cfg.CheckpointSeed
-		sc.CheckpointLabel = ckpt.SolverDCSVM
-		sc.CheckpointFingerprint = ck.fp
+		po.Checkpoint, po.CheckpointEvery = opts.Checkpoint, opts.CheckpointEvery
+		po.Seed, po.CheckpointFingerprint = opts.Seed, ck.fp
 	}
+	sc := smo.FromOptions(k, po)
+	sc.CheckpointLabel = ckpt.SolverDCSVM
 	res, err := smo.Train(polishX, polishY, sc)
 	if err != nil {
 		return nil, nil, fmt.Errorf("dcsvm: polish: %w", err)
@@ -394,10 +337,10 @@ func Train(x *sparse.Matrix, y []float64, cfg Config) (*model.Model, *Stats, err
 // runLevel partitions the current problem into k clusters, solves each in
 // its own goroutine, and returns the coalesced support-vector union
 // (rows, labels, alphas) forming the next level's warm-started problem.
-func runLevel(x *sparse.Matrix, y, alpha []float64, k, level int, cfg Config, ck *checkpointer) (*sparse.Matrix, []float64, []float64, *LevelStats, error) {
+func runLevel(x *sparse.Matrix, y, alpha []float64, k, level int, kp kernel.Params, opts solver.Options, ck *checkpointer) (*sparse.Matrix, []float64, []float64, *LevelStats, error) {
 	ls := &LevelStats{Level: level + 1}
 	t0 := time.Now()
-	cl, err := clusterRows(x, k, cfg.Seed+int64(level), cfg.KernelSpace, cfg.Kernel)
+	cl, err := clusterRows(x, k, opts.Seed+int64(level), opts.DC.KernelSpace, kp)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
@@ -441,7 +384,7 @@ func runLevel(x *sparse.Matrix, y, alpha []float64, k, level int, cfg Config, ck
 		err   error
 	}
 	results := make([]subResult, cl.K)
-	sem := make(chan struct{}, cfg.Workers)
+	sem := make(chan struct{}, opts.Workers)
 	var wg sync.WaitGroup
 	t1 := time.Now()
 	for c := 0; c < cl.K; c++ {
@@ -451,7 +394,7 @@ func runLevel(x *sparse.Matrix, y, alpha []float64, k, level int, cfg Config, ck
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			results[c] = solveCluster(px, py, pa, c, lo, hi, level, cfg)
+			results[c] = solveCluster(px, py, pa, c, lo, hi, level, kp, opts)
 			r := &results[c]
 			if ck == nil || level > 0 || r.err != nil || r.model == nil {
 				return
@@ -513,7 +456,7 @@ func runLevel(x *sparse.Matrix, y, alpha []float64, k, level int, cfg Config, ck
 }
 
 // solveCluster trains one cluster's rows [lo, hi) of the permuted problem.
-func solveCluster(px *sparse.Matrix, py, pa []float64, cluster, lo, hi, level int, cfg Config) (r struct {
+func solveCluster(px *sparse.Matrix, py, pa []float64, cluster, lo, hi, level int, kp kernel.Params, opts solver.Options) (r struct {
 	model *model.Model
 	iters int64
 	svs   int
@@ -563,21 +506,25 @@ func solveCluster(px *sparse.Matrix, py, pa []float64, cluster, lo, hi, level in
 		return r
 	}
 	yv := py[lo:hi]
-	sub, err := subEngine(cfg.SubSolver)
+	sub, err := subEngine(opts.DC.SubSolver)
 	if err != nil {
 		r.err = err
 		return r
 	}
 	subCaps := sub.Capabilities()
-	if cfg.Kernel.Type == kernel.Linear && !cfg.DisableLinearFastPath && pa == nil &&
-		!(cfg.SubFaults.Enabled() && subCaps.Has(solver.CapFaultInject)) {
+	if kp.Type == kernel.Linear && linearFastPath && pa == nil &&
+		!(opts.Faults.Enabled() && subCaps.Has(solver.CapFaultInject)) {
 		// Linear kernels admit a much cheaper sub-solve: dual coordinate
 		// descent on the primal weight vector (internal/linear), touching
 		// no kernel rows at all. Only cold solves route here — a warm
 		// start carries equality-constrained alphas the bias-free linear
 		// dual cannot consume, so warm levels stay on SMO.
-		r.model, r.iters, r.svs, r.err = solveLinearCluster(view, yv, cluster, level, cfg)
+		r.model, r.iters, r.svs, r.err = solveLinearCluster(view, yv, cluster, level, kp, opts)
 		return r
+	}
+	sopts := solver.Options{
+		C: opts.C, Eps: opts.Eps,
+		Workers: 1, CacheBytes: opts.CacheBytes, MaxIter: opts.MaxIter,
 	}
 	if level == 0 && pa == nil {
 		// Cold finest-level sub-solve: the configured engine, resolved
@@ -585,26 +532,18 @@ func solveCluster(px *sparse.Matrix, py, pa []float64, cluster, lo, hi, level in
 		// capabilities declare. For "core" and "smo" this reproduces the
 		// historical configs bit-for-bit; any other registered kernel
 		// classifier (smo2, future engines) slots in the same way.
-		sopts := solver.Options{
-			C: cfg.C, Eps: cfg.Eps,
-			Workers: 1, CacheBytes: cfg.CacheBytes, MaxIter: cfg.SubMaxIter,
-		}
 		if subCaps.Has(solver.CapHeuristics) {
-			sopts.Heuristic = cfg.Heuristic.Name
+			sopts.Heuristic = opts.Heuristic
 		}
 		if subCaps.Has(solver.CapDistributed) {
-			p := cfg.P
-			if p > size {
-				p = size
-			}
-			sopts.P = p
+			sopts.P = min(opts.P, size)
 		}
-		if cfg.SubFaults.Enabled() && cluster == cfg.SubFaultCluster && subCaps.Has(solver.CapFaultInject) {
+		if opts.Faults.Enabled() && cluster == opts.DC.SubFaultCluster && subCaps.Has(solver.CapFaultInject) {
 			// Crash-recovery testing: inject the fault plan into exactly one
 			// cluster's distributed sub-solve.
-			sopts.Faults = cfg.SubFaults
+			sopts.Faults = opts.Faults
 		}
-		sres, err := sub.Train(context.Background(), solver.Problem{X: view, Y: yv, Kernel: cfg.Kernel}, sopts)
+		sres, err := sub.Train(context.Background(), solver.Problem{X: view, Y: yv, Kernel: kp}, sopts)
 		if err != nil {
 			r.err = err
 			return r
@@ -612,15 +551,10 @@ func solveCluster(px *sparse.Matrix, py, pa []float64, cluster, lo, hi, level in
 		r.model, r.iters, r.svs, r.evals = sres.Model, sres.Iterations, sres.Model.NumSV(), sres.KernelEvals
 		return r
 	}
-	sc := smo.Config{
-		Kernel: cfg.Kernel, C: cfg.C, Eps: cfg.Eps,
-		Workers: 1, CacheBytes: cfg.CacheBytes, Shrinking: true,
-		MaxIter: cfg.SubMaxIter,
-	}
 	if pa != nil {
-		sc.InitialAlpha = warmStartAlpha(pa[lo:hi], yv, cfg.C)
+		sopts.InitialAlpha = warmStartAlpha(pa[lo:hi], yv, opts.C)
 	}
-	res, err := smo.Train(view, yv, sc)
+	res, err := smo.Train(view, yv, smo.FromOptions(kp, sopts))
 	if err != nil {
 		r.err = err
 		return r
@@ -636,11 +570,11 @@ func solveCluster(px *sparse.Matrix, py, pa []float64, cluster, lo, hi, level in
 // model's SV rows are content copies of the cluster view (SelectRows
 // preserves row bytes), so checkpoint scatter matches them exactly. The
 // solve performs zero kernel evaluations.
-func solveLinearCluster(view *sparse.Matrix, yv []float64, cluster, level int, cfg Config) (*model.Model, int64, int, error) {
-	res, err := linear.Train(view, yv, linear.Config{
-		C:    cfg.C,
-		Eps:  cfg.Eps,
-		Seed: cfg.Seed + 1000003*int64(level+1) + int64(cluster),
+func solveLinearCluster(view *sparse.Matrix, yv []float64, cluster, level int, kp kernel.Params, opts solver.Options) (*model.Model, int64, int, error) {
+	res, err := linear.Train(view, yv, solver.Options{
+		C:    opts.C,
+		Eps:  opts.Eps,
+		Seed: opts.Seed + 1000003*int64(level+1) + int64(cluster),
 	})
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("linear fast path: %w", err)
@@ -658,8 +592,8 @@ func solveLinearCluster(view *sparse.Matrix, yv []float64, cluster, level int, c
 		return nil, 0, 0, fmt.Errorf("linear fast path: %w", err)
 	}
 	m := &model.Model{
-		Kernel:       cfg.Kernel,
-		C:            cfg.C,
+		Kernel:       kp,
+		C:            opts.C,
 		SV:           sx,
 		Coef:         coef,
 		Beta:         0, // bias-free LIBLINEAR convention, same as res.Model
@@ -762,14 +696,11 @@ func balanceAlpha(alpha, y []float64, c float64) []float64 {
 	return out
 }
 
-// subEngine resolves the configured sub-solver name ("" means core)
-// through the solver registry and checks it can actually sub-solve a
-// cluster: a non-composite kernel classifier. The composite exclusion
-// prevents dc-inside-dc recursion through the registry.
+// subEngine resolves the configured sub-solver name through the solver
+// registry and checks it can actually sub-solve a cluster: a non-composite
+// kernel classifier. The composite exclusion prevents dc-inside-dc
+// recursion through the registry.
 func subEngine(name string) (solver.Engine, error) {
-	if name == "" {
-		name = "core"
-	}
 	e, err := solver.Lookup(name)
 	if err != nil {
 		return nil, fmt.Errorf("dcsvm: sub-solver: %w", err)

@@ -16,16 +16,12 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/serve"
 	"repro/internal/smo"
+	"repro/internal/solver"
 	"repro/internal/sparse"
 )
 
-func blobCfg(ds *dataset.Dataset) Config {
-	return Config{
-		Kernel:   testKernel(ds),
-		C:        ds.C,
-		Clusters: 4,
-		Seed:     11,
-	}
+func blobOpts(ds *dataset.Dataset) solver.Options {
+	return solver.Options{C: ds.C, Seed: 11, DC: solver.DCOptions{Clusters: 4}}
 }
 
 // TestDCAccuracyParity: divide-and-conquer with polish must match the exact
@@ -46,18 +42,18 @@ func TestDCAccuracyParity(t *testing.T) {
 
 	cases := []struct {
 		name string
-		mut  func(*Config)
+		mut  func(*solver.Options)
 	}{
-		{"core-subsolver", func(c *Config) {}},
-		{"smo-subsolver", func(c *Config) { c.SubSolver = "smo" }},
-		{"kernel-space", func(c *Config) { c.KernelSpace = true }},
-		{"two-level", func(c *Config) { c.Clusters = 8; c.Levels = 2 }},
+		{"core-subsolver", func(o *solver.Options) {}},
+		{"smo-subsolver", func(o *solver.Options) { o.DC.SubSolver = "smo" }},
+		{"kernel-space", func(o *solver.Options) { o.DC.KernelSpace = true }},
+		{"two-level", func(o *solver.Options) { o.DC.Clusters = 8; o.DC.Levels = 2 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := blobCfg(ds)
-			tc.mut(&cfg)
-			m, st, err := Train(ds.X, ds.Y, cfg)
+			opts := blobOpts(ds)
+			tc.mut(&opts)
+			m, st, err := Train(ds.X, ds.Y, testKernel(ds), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,7 +88,7 @@ func TestDCWarmStartCheapensPolish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, st, err := Train(ds.X, ds.Y, blobCfg(ds))
+	_, st, err := Train(ds.X, ds.Y, testKernel(ds), blobOpts(ds))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,12 +103,12 @@ func TestDCWarmStartCheapensPolish(t *testing.T) {
 
 func TestDCDeterministic(t *testing.T) {
 	ds := dataset.MustGenerate("blobs", 0.25)
-	cfg := blobCfg(ds)
-	a, _, err := Train(ds.X, ds.Y, cfg)
+	opts := blobOpts(ds)
+	a, _, err := Train(ds.X, ds.Y, testKernel(ds), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := Train(ds.X, ds.Y, cfg)
+	b, _, err := Train(ds.X, ds.Y, testKernel(ds), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,9 +128,9 @@ func TestDCDeterministic(t *testing.T) {
 // coalesced warm start does most of the work.
 func TestDCEarlyStop(t *testing.T) {
 	ds := dataset.MustGenerate("blobs", 0.5)
-	cfg := blobCfg(ds)
-	cfg.PolishMaxIter = 50
-	m, st, err := Train(ds.X, ds.Y, cfg)
+	opts := blobOpts(ds)
+	opts.DC.PolishMaxIter = 50
+	m, st, err := Train(ds.X, ds.Y, testKernel(ds), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,29 +153,33 @@ func TestDCEarlyStop(t *testing.T) {
 
 func TestDCValidation(t *testing.T) {
 	ds := dataset.MustGenerate("blobs", 0.1)
-	good := blobCfg(ds)
+	kp, good := testKernel(ds), blobOpts(ds)
 
 	bad := good
 	bad.C = 0
-	if _, _, err := Train(ds.X, ds.Y, bad); err == nil {
+	if _, _, err := Train(ds.X, ds.Y, kp, bad); err == nil {
 		t.Error("C=0 accepted")
 	}
 
 	bad = good
-	bad.SubSolver = "quantum"
-	if _, _, err := Train(ds.X, ds.Y, bad); err == nil {
+	bad.DC.SubSolver = "quantum"
+	if _, _, err := Train(ds.X, ds.Y, kp, bad); err == nil {
 		t.Error("unknown sub-solver accepted")
 	}
 
 	bad = good
-	bad.Kernel = kernel.Params{Type: kernel.Gaussian, Gamma: -1}
-	if _, _, err := Train(ds.X, ds.Y, bad); err == nil {
+	bad.Heuristic = "Clairvoyant"
+	if _, _, err := Train(ds.X, ds.Y, kp, bad); err == nil {
+		t.Error("unknown heuristic accepted")
+	}
+
+	if _, _, err := Train(ds.X, ds.Y, kernel.Params{Type: kernel.Gaussian, Gamma: -1}, good); err == nil {
 		t.Error("invalid kernel accepted")
 	}
 
 	y := append([]float64(nil), ds.Y...)
 	y[0] = 3
-	if _, _, err := Train(ds.X, y, good); err == nil {
+	if _, _, err := Train(ds.X, y, kp, good); err == nil {
 		t.Error("non-±1 label accepted")
 	}
 
@@ -187,16 +187,16 @@ func TestDCValidation(t *testing.T) {
 	for i := range ones {
 		ones[i] = 1
 	}
-	if _, _, err := Train(ds.X, ones, good); err == nil {
+	if _, _, err := Train(ds.X, ones, kp, good); err == nil {
 		t.Error("single-class training set accepted")
 	}
 
-	if _, _, err := Train(ds.X, ds.Y[:5], good); err == nil {
+	if _, _, err := Train(ds.X, ds.Y[:5], kp, good); err == nil {
 		t.Error("label/sample length mismatch accepted")
 	}
 
 	tiny := sparse.FromDense([][]float64{{1}})
-	if _, _, err := Train(tiny, []float64{1}, good); err == nil {
+	if _, _, err := Train(tiny, []float64{1}, kp, good); err == nil {
 		t.Error("single-sample training set accepted")
 	}
 }
@@ -273,7 +273,7 @@ func TestBalanceAlpha(t *testing.T) {
 // through save/load and serves predictions via the svmserve handler.
 func TestDCModelServes(t *testing.T) {
 	ds := dataset.MustGenerate("blobs", 0.25)
-	m, _, err := Train(ds.X, ds.Y, blobCfg(ds))
+	m, _, err := Train(ds.X, ds.Y, testKernel(ds), blobOpts(ds))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/model"
 	"repro/internal/smo"
+	"repro/internal/solver"
 	"repro/internal/sparse"
 )
 
@@ -28,9 +29,9 @@ func modelBytes(t *testing.T, m *model.Model) []byte {
 
 func trainOnce(t *testing.T, x *sparse.Matrix, y []float64, kp kernel.Params, c float64) ([]byte, []byte) {
 	t.Helper()
-	dm, _, err := dcsvm.Train(x, y, dcsvm.Config{
-		Kernel: kp, C: c, Eps: 1e-3,
-		Clusters: 4, Seed: 42, SubSolver: "smo", Workers: 4,
+	dm, _, err := dcsvm.Train(x, y, kp, solver.Options{
+		C: c, Eps: 1e-3, Seed: 42, Workers: 4,
+		DC: solver.DCOptions{Clusters: 4, SubSolver: "smo"},
 	})
 	if err != nil {
 		t.Fatal(err)

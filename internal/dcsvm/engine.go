@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/solver"
 	"repro/internal/sparse"
 )
@@ -37,27 +36,7 @@ func (e dcEngine) Train(ctx context.Context, prob solver.Problem, opts solver.Op
 	if !ok {
 		return solver.Result{}, fmt.Errorf("dcsvm: engine needs an in-memory matrix, got %T", prob.X)
 	}
-	cfg := Config{
-		Kernel: prob.Kernel, C: opts.C, Eps: opts.Eps,
-		Clusters: opts.DC.Clusters, Levels: opts.DC.Levels, Seed: opts.Seed,
-		KernelSpace: opts.DC.KernelSpace,
-		SubSolver:   opts.DC.SubSolver, P: opts.P, Workers: opts.Workers,
-		CacheBytes: opts.CacheBytes, SubMaxIter: opts.MaxIter,
-		PolishMaxIter: opts.DC.PolishMaxIter, PolishFull: opts.DC.PolishFull,
-		DisableLinearFastPath: opts.DC.DisableLinearFastPath,
-		Checkpoint:            opts.Checkpoint, CheckpointEvery: opts.CheckpointEvery,
-		CheckpointSeed: opts.Seed,
-		ResumeAlpha:    opts.InitialAlpha,
-		SubFaults:      opts.Faults, SubFaultCluster: opts.DC.SubFaultCluster,
-	}
-	if opts.Heuristic != "" {
-		h, err := core.HeuristicByName(opts.Heuristic)
-		if err != nil {
-			return solver.Result{}, err
-		}
-		cfg.Heuristic = h
-	}
-	m, st, err := Train(x, prob.Y, cfg)
+	m, st, err := Train(x, prob.Y, prob.Kernel, opts)
 	if err != nil {
 		return solver.Result{}, err
 	}

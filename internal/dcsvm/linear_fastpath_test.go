@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/kernel"
+	"repro/internal/solver"
 )
 
 // TestLinearFastPathParity: cold linear-kernel sub-solves route through
@@ -17,21 +18,16 @@ func TestLinearFastPathParity(t *testing.T) {
 	// PolishFull makes both runs eps-optimal on the same full QP, so the
 	// comparison is between converged solutions, not between the slightly
 	// different support-vector unions the two sub-solvers produce.
-	base := Config{
-		Kernel:     kernel.Params{Type: kernel.Linear},
-		C:          ds.C,
-		Clusters:   4,
-		Seed:       11,
-		PolishFull: true,
-	}
+	lin := kernel.Params{Type: kernel.Linear}
+	opts := solver.Options{C: ds.C, Seed: 11, DC: solver.DCOptions{Clusters: 4, PolishFull: true}}
 
-	fast, fastStats, err := Train(ds.X, ds.Y, base)
+	fast, fastStats, err := Train(ds.X, ds.Y, lin, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow := base
-	slow.DisableLinearFastPath = true
-	ref, refStats, err := Train(ds.X, ds.Y, slow)
+	linearFastPath = false
+	ref, refStats, err := Train(ds.X, ds.Y, lin, opts)
+	linearFastPath = true
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,8 +63,7 @@ func TestLinearFastPathParity(t *testing.T) {
 // linear kernels — the fast path only replaces cold level-0 solves.
 func TestLinearFastPathSkippedForKernelModels(t *testing.T) {
 	ds := dataset.MustGenerate("blobs", 0.25)
-	cfg := blobCfg(ds) // Gaussian kernel
-	_, st, err := Train(ds.X, ds.Y, cfg)
+	_, st, err := Train(ds.X, ds.Y, testKernel(ds), blobOpts(ds)) // Gaussian kernel
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,14 +71,8 @@ func TestLinearFastPathSkippedForKernelModels(t *testing.T) {
 		t.Fatal("Gaussian divide level reports zero kernel evals — fast path leaked into kernel models")
 	}
 
-	lin := Config{
-		Kernel:   kernel.Params{Type: kernel.Linear},
-		C:        ds.C,
-		Clusters: 8,
-		Levels:   2,
-		Seed:     11,
-	}
-	_, st2, err := Train(ds.X, ds.Y, lin)
+	lin := solver.Options{C: ds.C, Seed: 11, DC: solver.DCOptions{Clusters: 8, Levels: 2}}
+	_, st2, err := Train(ds.X, ds.Y, kernel.Params{Type: kernel.Linear}, lin)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/dcsvm"
 	"repro/internal/kernel"
 	"repro/internal/oracle"
+	"repro/internal/solver"
 )
 
 func TestOracleParityFullPolish(t *testing.T) {
@@ -20,9 +21,9 @@ func TestOracleParityFullPolish(t *testing.T) {
 	kp := kernel.FromSigma2(ds.Sigma2)
 	prob := oracle.Problem{X: ds.X, Y: ds.Y, Kernel: kp, C: ds.C, Eps: 1e-3}
 	for _, sub := range []string{"core", "smo"} {
-		m, st, err := dcsvm.Train(ds.X, ds.Y, dcsvm.Config{
-			Kernel: kp, C: ds.C, Eps: 1e-3,
-			Clusters: 4, Seed: 7, SubSolver: sub, PolishFull: true,
+		m, st, err := dcsvm.Train(ds.X, ds.Y, kp, solver.Options{
+			C: ds.C, Eps: 1e-3, Seed: 7,
+			DC: solver.DCOptions{Clusters: 4, SubSolver: sub, PolishFull: true},
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", sub, err)
@@ -45,9 +46,8 @@ func TestOracleReportsUnionPolishGap(t *testing.T) {
 	kp := kernel.FromSigma2(ds.Sigma2)
 	prob := oracle.Problem{X: ds.X, Y: ds.Y, Kernel: kp, C: ds.C, Eps: 1e-3}
 
-	m, _, err := dcsvm.Train(ds.X, ds.Y, dcsvm.Config{
-		Kernel: kp, C: ds.C, Eps: 1e-3, Clusters: 4, Seed: 7, SubSolver: "smo",
-	})
+	opts := solver.Options{C: ds.C, Eps: 1e-3, Seed: 7, DC: solver.DCOptions{Clusters: 4, SubSolver: "smo"}}
+	m, _, err := dcsvm.Train(ds.X, ds.Y, kp, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,10 +58,8 @@ func TestOracleReportsUnionPolishGap(t *testing.T) {
 	// The union-only model must still be verifiable (gap and violations are
 	// reported even when Check fails), and the full polish from the same
 	// configuration must strictly improve — or match — its duality gap.
-	full, _, err := dcsvm.Train(ds.X, ds.Y, dcsvm.Config{
-		Kernel: kp, C: ds.C, Eps: 1e-3, Clusters: 4, Seed: 7, SubSolver: "smo",
-		PolishFull: true,
-	})
+	opts.DC.PolishFull = true
+	full, _, err := dcsvm.Train(ds.X, ds.Y, kp, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,17 +106,15 @@ func TestEngineParityWithDirectAPIs(t *testing.T) {
 	})
 
 	t.Run("dc", func(t *testing.T) {
-		direct, _, err := dcsvm.Train(ds.X, ds.Y, dcsvm.Config{
-			Kernel: prob.Kernel, C: ds.C, Eps: 1e-3,
-			Clusters: 4, Seed: 42, PolishFull: true,
-		})
+		opts := solver.Options{
+			C: ds.C, Eps: 1e-3, Seed: 42,
+			DC: solver.DCOptions{Clusters: 4, PolishFull: true},
+		}
+		direct, _, err := dcsvm.Train(ds.X, ds.Y, prob.Kernel, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := solver.Train(ctx, "dc", prob, solver.Options{
-			C: ds.C, Eps: 1e-3, Seed: 42,
-			DC: solver.DCOptions{Clusters: 4, PolishFull: true},
-		})
+		res, err := solver.Train(ctx, "dc", prob, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,15 +124,13 @@ func TestEngineParityWithDirectAPIs(t *testing.T) {
 	})
 
 	t.Run("linear", func(t *testing.T) {
-		direct, err := linear.Train(ds.X, ds.Y, linear.Config{
-			Variant: linear.DCD, C: ds.C, Eps: 1e-3, Seed: 7,
-		})
+		opts := solver.Options{C: ds.C, Eps: 1e-3, Seed: 7}
+		direct, err := linear.Train(ds.X, ds.Y, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		res, err := solver.Train(ctx, "linear",
-			solver.Problem{X: ds.X, Y: ds.Y, Kernel: kernel.Params{Type: kernel.Linear}},
-			solver.Options{C: ds.C, Eps: 1e-3, Seed: 7})
+			solver.Problem{X: ds.X, Y: ds.Y, Kernel: kernel.Params{Type: kernel.Linear}}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,14 +145,13 @@ func TestEngineParityWithDirectAPIs(t *testing.T) {
 			t.Fatal(err)
 		}
 		kp := kernel.FromSigma2(2)
-		cfg := tasks.Config{Kernel: kp, Eps: 1e-3, CacheBytes: 1 << 30, Shrinking: true, SecondOrder: true}
-		direct, err := tasks.TrainSVR(x, z, 10, 0.1, cfg, nil)
+		opts := solver.Options{C: 10, Eps: 1e-3, Task: solver.TaskOptions{Epsilon: 0.1}}
+		direct, err := tasks.TrainSVR(x, z, kp, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		res, err := solver.Train(ctx, "tasks",
-			solver.Problem{X: x, Y: z, Kernel: kp, Task: model.TaskSVR},
-			solver.Options{C: 10, Eps: 1e-3, Task: solver.TaskOptions{Epsilon: 0.1}})
+			solver.Problem{X: x, Y: z, Kernel: kp, Task: model.TaskSVR}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

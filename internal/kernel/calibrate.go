@@ -4,46 +4,11 @@ import (
 	"time"
 )
 
-// Lambda estimates the average wall-clock cost of one kernel evaluation on
-// the bound dataset (the paper's symbol lambda in Table I) through the
-// pairwise At path. This is the legacy estimate, kept for the kernelrow
-// ablation table; the solvers now execute the batched dense-scratch path,
-// which LambdaBatched measures and which perfmodel.Calibrate uses.
-//
-// The estimate times a deterministic sweep of row pairs and divides by the
-// number of evaluations. minDuration bounds how long calibration runs;
-// pass 0 for the default of 20ms.
-func (e *Evaluator) Lambda(minDuration time.Duration) float64 {
-	if minDuration <= 0 {
-		minDuration = 20 * time.Millisecond
-	}
-	n := e.X.Rows()
-	if n == 0 {
-		return 0
-	}
-	// Stride through pairs so both short and long rows are sampled.
-	var sink float64
-	evals := 0
-	start := time.Now()
-	for time.Since(start) < minDuration {
-		for k := 0; k < 1024; k++ {
-			i := (k * 2654435761) % n
-			j := (k*40503 + 12345) % n
-			sink += e.At(i, j)
-			evals++
-		}
-	}
-	elapsed := time.Since(start).Seconds()
-	_ = sink
-	if evals == 0 {
-		return 0
-	}
-	return elapsed / float64(evals)
-}
-
-// LambdaBatched estimates lambda through the batched dense-scratch row
-// path — the path every solver hot loop actually executes — so perfmodel
-// projections track the real per-evaluation cost. Pivot rows are strided
+// LambdaBatched estimates the average wall-clock cost of one kernel
+// evaluation on the bound dataset (the paper's symbol lambda in Table I)
+// through the batched dense-scratch row path — the path every solver hot
+// loop actually executes — so perfmodel projections track the real
+// per-evaluation cost. Pivot rows are strided
 // deterministically (sampling short and long rows alike) and each is
 // evaluated against a contiguous block of rows, amortizing the scatter the
 // way a gradient pass does. minDuration bounds calibration time; pass 0

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"repro/internal/sparse"
 )
@@ -196,15 +195,6 @@ func TestGaussianPSDQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestLambdaCalibration(t *testing.T) {
-	m := randomMatrix(6, 100, 50, 0.2)
-	ev := NewEvaluator(Params{Type: Gaussian, Gamma: 0.5}, m)
-	l := ev.Lambda(5 * time.Millisecond)
-	if l <= 0 || l > 1e-3 {
-		t.Fatalf("implausible lambda: %v", l)
 	}
 }
 

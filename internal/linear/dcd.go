@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 
+	"repro/internal/solver"
 	"repro/internal/sparse"
 )
 
@@ -19,9 +20,9 @@ import (
 // bound are shrunk out and only re-examined on the final full-set
 // verification pass, exactly as LIBLINEAR's Algorithm 3 does with its
 // (M-bar, m-bar) thresholds.
-func trainDCD(x sparse.RowMatrix, y []float64, cfg Config) (*Result, error) {
+func trainDCD(x sparse.RowMatrix, y []float64, opts solver.Options, shrink bool) *Result {
 	n := x.Rows()
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(opts.Seed))
 
 	w := make([]float64, x.Dim())
 	alpha := make([]float64, n)
@@ -42,7 +43,7 @@ func trainDCD(x sparse.RowMatrix, y []float64, cfg Config) (*Result, error) {
 	mBarUp, mBarLow := math.Inf(1), math.Inf(-1)
 
 	res := &Result{Alpha: alpha}
-	for res.Epochs = 0; res.Epochs < cfg.MaxEpochs; res.Epochs++ {
+	for res.Epochs = 0; res.Epochs < opts.Linear.MaxEpochs; res.Epochs++ {
 		rng.Shuffle(nActive, func(i, j int) {
 			active[i], active[j] = active[j], active[i]
 		})
@@ -57,7 +58,7 @@ func trainDCD(x sparse.RowMatrix, y []float64, cfg Config) (*Result, error) {
 			var pg float64
 			switch {
 			case a == 0:
-				if !cfg.DisableShrink && g > mBarUp {
+				if shrink && g > mBarUp {
 					nActive--
 					active[t], active[nActive] = active[nActive], active[t]
 					continue
@@ -65,8 +66,8 @@ func trainDCD(x sparse.RowMatrix, y []float64, cfg Config) (*Result, error) {
 				if g < 0 {
 					pg = g
 				}
-			case a == cfg.C:
-				if !cfg.DisableShrink && g < mBarLow {
+			case a == opts.C:
+				if shrink && g < mBarLow {
 					nActive--
 					active[t], active[nActive] = active[nActive], active[t]
 					continue
@@ -86,7 +87,7 @@ func trainDCD(x sparse.RowMatrix, y []float64, cfg Config) (*Result, error) {
 				minPG = pg
 			}
 			if math.Abs(pg) > 1e-12 {
-				na := math.Min(math.Max(a-g/qii[i], 0), cfg.C)
+				na := math.Min(math.Max(a-g/qii[i], 0), opts.C)
 				if na != a {
 					sparse.AddScaledTo(r, w, (na-a)*y[i])
 					alpha[i] = na
@@ -101,7 +102,7 @@ func trainDCD(x sparse.RowMatrix, y []float64, cfg Config) (*Result, error) {
 		if nActive > 0 && maxPG > minPG {
 			spread = maxPG - minPG
 		}
-		if spread < cfg.Eps {
+		if spread < opts.Eps {
 			if nActive == n {
 				res.Converged = true
 				res.Epochs++
@@ -125,7 +126,7 @@ func trainDCD(x sparse.RowMatrix, y []float64, cfg Config) (*Result, error) {
 
 	// Ship a drift-free w rebuilt from the final dual point.
 	res.W = rebuildW(x, y, alpha, x.Dim())
-	res.Primal, res.Dual = hingeObjectives(x, y, res.W, alpha, cfg.C)
+	res.Primal, res.Dual = hingeObjectives(x, y, res.W, alpha, opts.C)
 	res.Gap = res.Primal - res.Dual
-	return res, nil
+	return res
 }

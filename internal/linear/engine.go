@@ -29,19 +29,11 @@ func (e linearEngine) Train(ctx context.Context, prob solver.Problem, opts solve
 	if err := solver.Validate(e, prob, opts); err != nil {
 		return solver.Result{}, err
 	}
-	variant := DCD
-	if opts.Linear.Variant != "" {
-		var err error
-		if variant, err = ParseVariant(opts.Linear.Variant); err != nil {
-			return solver.Result{}, err
-		}
+	variant, err := variantOf(opts)
+	if err != nil {
+		return solver.Result{}, err
 	}
-	cfg := Config{
-		Variant: variant, C: opts.C, Eps: opts.Eps,
-		MaxEpochs: opts.Linear.MaxEpochs, Seed: opts.Seed,
-		DisableShrink: opts.Linear.NoShrink,
-	}
-	res, err := Train(prob.X, prob.Y, cfg)
+	res, err := Train(prob.X, prob.Y, opts)
 	if err != nil {
 		return solver.Result{}, err
 	}

@@ -7,7 +7,7 @@
 // solver that maintains w explicitly updates it in O(nnz(x_i)) per sample
 // instead of paying an O(n * nnz) kernel row per working-set step.
 //
-// Two variants share one Config/Train API:
+// Two variants share one Train API over solver.Options:
 //
 //   - DCD: LIBLINEAR-style dual coordinate descent for L2-regularized
 //     L1-hinge loss (Hsieh et al., "A Dual Coordinate Descent Method for
@@ -23,7 +23,7 @@
 //
 // Both return a model.Model carrying the dense weight vector, so prediction
 // is one sparse-dense dot product — no support vectors, no kernel sweep.
-// Training is deterministic in (data, Config): the only randomness is the
+// Training is deterministic in (data, options): the only randomness is the
 // seeded permutation/index stream.
 package linear
 
@@ -32,6 +32,7 @@ import (
 
 	"repro/internal/kernel"
 	"repro/internal/model"
+	"repro/internal/solver"
 	"repro/internal/sparse"
 )
 
@@ -68,43 +69,30 @@ func ParseVariant(s string) (Variant, error) {
 	return 0, fmt.Errorf("linear: unknown variant %q (valid: dcd, miso)", s)
 }
 
-// Config controls one linear training run.
-type Config struct {
-	// Variant selects the solver: DCD (default) or MISO.
-	Variant Variant
-	// C is the box constraint of the hinge loss (DCD) or the weight of the
-	// squared-hinge loss (MISO, internally mapped to lambda = 1/(C*n)).
-	C float64
-	// Eps is the termination tolerance. DCD stops when the spread of the
-	// projected gradients over a full epoch drops below Eps; MISO stops when
-	// the duality gap of the scaled objective drops below Eps. 0 means 1e-3.
-	Eps float64
-	// MaxEpochs bounds the number of passes over the data; 0 means a
-	// per-variant default (1000 for DCD, 500 for MISO).
-	MaxEpochs int
-	// Seed drives the per-epoch random permutation (DCD) or the sample
-	// index stream (MISO). 0 means 1. Equal seeds give byte-identical runs.
-	Seed int64
-	// DisableShrink turns off projected-gradient shrinking (DCD only);
-	// useful for parity testing the shrinking bookkeeping.
-	DisableShrink bool
-}
-
-func (c Config) withDefaults() Config {
-	if c.Eps <= 0 {
-		c.Eps = 1e-3
+// withDefaults fills the zero-value defaults of the options the family
+// reads: C is the box constraint of the hinge loss (DCD) or the weight of
+// the squared-hinge loss (MISO, internally mapped to lambda = 1/(C*n)); Eps
+// is the termination tolerance (DCD stops when the spread of the projected
+// gradients over a full epoch drops below it, MISO when the duality gap of
+// the scaled objective does), 0 meaning 1e-3; Linear.MaxEpochs bounds the
+// passes over the data, 0 meaning 1000 for DCD and 500 for MISO; Seed
+// drives the per-epoch permutation (DCD) or the sample index stream (MISO),
+// 0 meaning 1. Equal seeds give byte-identical runs.
+func withDefaults(opts solver.Options, v Variant) solver.Options {
+	if opts.Eps <= 0 {
+		opts.Eps = 1e-3
 	}
-	if c.MaxEpochs <= 0 {
-		if c.Variant == MISO {
-			c.MaxEpochs = 500
+	if opts.Linear.MaxEpochs <= 0 {
+		if v == MISO {
+			opts.Linear.MaxEpochs = 500
 		} else {
-			c.MaxEpochs = 1000
+			opts.Linear.MaxEpochs = 1000
 		}
 	}
-	if c.Seed == 0 {
-		c.Seed = 1
+	if opts.Seed == 0 {
+		opts.Seed = 1
 	}
-	return c
+	return opts
 }
 
 // Result carries the trained model and the solver's own account of the
@@ -129,7 +117,7 @@ type Result struct {
 	Primal, Dual, Gap float64
 }
 
-func validate(x sparse.RowMatrix, y []float64, cfg Config) error {
+func validate(x sparse.RowMatrix, y []float64, c float64) error {
 	// A nil *sparse.Matrix arrives as a non-nil interface; catch it before
 	// Rows dereferences it.
 	if m, ok := x.(*sparse.Matrix); x == nil || (ok && m == nil) || x.Rows() == 0 {
@@ -143,49 +131,61 @@ func validate(x sparse.RowMatrix, y []float64, cfg Config) error {
 			return fmt.Errorf("linear: label %d is %v, want +1 or -1", i, v)
 		}
 	}
-	if cfg.C <= 0 {
-		return fmt.Errorf("linear: C must be positive, got %v", cfg.C)
-	}
-	if cfg.Variant != DCD && cfg.Variant != MISO {
-		return fmt.Errorf("linear: unknown variant %d", int(cfg.Variant))
+	if c <= 0 {
+		return fmt.Errorf("linear: C must be positive, got %v", c)
 	}
 	return nil
 }
 
-// Train fits a linear SVM on labels in {+1, -1} with the configured variant.
-// The returned model carries the dense weight vector (Model.W) and no
-// support vectors; its decision function is w'x (the bias-free LIBLINEAR
-// convention, Beta = 0).
+// Train fits a linear SVM on labels in {+1, -1} with the variant named by
+// opts.Linear.Variant ("" means DCD), reading C, Eps, Seed and
+// Linear.MaxEpochs from opts. The returned model carries the dense weight
+// vector (Model.W) and no support vectors; its decision function is w'x
+// (the bias-free LIBLINEAR convention, Beta = 0).
 //
 // x is any row-iterable matrix: the usual in-memory CSR, or an out-of-core
 // sparse.OOCMatrix when the dataset exceeds RAM. The solvers touch data
-// only row-at-a-time, and training is deterministic in (data, Config), so
+// only row-at-a-time, and training is deterministic in (data, opts), so
 // the out-of-core path produces a byte-identical model.
-func Train(x sparse.RowMatrix, y []float64, cfg Config) (*Result, error) {
-	if err := validate(x, y, cfg); err != nil {
+func Train(x sparse.RowMatrix, y []float64, opts solver.Options) (*Result, error) {
+	return train(x, y, opts, true)
+}
+
+// train is Train with DCD's projected-gradient shrinking switchable; the
+// no-shrink path is the reference the shrinking bookkeeping is tested
+// against.
+func train(x sparse.RowMatrix, y []float64, opts solver.Options, shrink bool) (*Result, error) {
+	if err := validate(x, y, opts.C); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
-	var res *Result
-	var err error
-	switch cfg.Variant {
-	case MISO:
-		res, err = trainMISO(x, y, cfg)
-	default:
-		res, err = trainDCD(x, y, cfg)
-	}
+	v, err := variantOf(opts)
 	if err != nil {
 		return nil, err
 	}
+	opts = withDefaults(opts, v)
+	var res *Result
+	if v == MISO {
+		res = trainMISO(x, y, opts)
+	} else {
+		res = trainDCD(x, y, opts, shrink)
+	}
 	res.Model = &model.Model{
 		Kernel:       kernel.Params{Type: kernel.Linear},
-		C:            cfg.C,
+		C:            opts.C,
 		W:            res.W,
 		Beta:         0,
 		TrainSamples: x.Rows(),
 		Iterations:   res.Updates,
 	}
 	return res, nil
+}
+
+// variantOf parses opts.Linear.Variant; the empty name is DCD.
+func variantOf(opts solver.Options) (Variant, error) {
+	if opts.Linear.Variant == "" {
+		return DCD, nil
+	}
+	return ParseVariant(opts.Linear.Variant)
 }
 
 // rebuildW recomputes w = sum_i alpha_i*y_i*x_i from scratch, removing the

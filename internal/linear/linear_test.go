@@ -8,6 +8,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/kernel"
 	"repro/internal/smo"
+	"repro/internal/solver"
 	"repro/internal/sparse"
 )
 
@@ -31,7 +32,7 @@ func textProblem(t *testing.T, scale float64) (trainX *sparse.Matrix, trainY []f
 
 func TestDCDConverges(t *testing.T) {
 	x, y, tx, ty := textProblem(t, 0.05)
-	res, err := Train(x, y, Config{C: 10, Seed: 3})
+	res, err := Train(x, y, solver.Options{C: 10, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestDCDConverges(t *testing.T) {
 
 func TestMISOConverges(t *testing.T) {
 	x, y, tx, ty := textProblem(t, 0.05)
-	res, err := Train(x, y, Config{Variant: MISO, C: 10, Seed: 3})
+	res, err := Train(x, y, solver.Options{C: 10, Seed: 3, Linear: solver.LinearOptions{Variant: "miso"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +91,11 @@ func TestMISOConverges(t *testing.T) {
 func TestDeterministic(t *testing.T) {
 	x, y, _, _ := textProblem(t, 0.03)
 	for _, v := range []Variant{DCD, MISO} {
-		a, err := Train(x, y, Config{Variant: v, C: 10, Seed: 42})
+		a, err := Train(x, y, solver.Options{C: 10, Seed: 42, Linear: solver.LinearOptions{Variant: v.String()}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Train(x, y, Config{Variant: v, C: 10, Seed: 42})
+		b, err := Train(x, y, solver.Options{C: 10, Seed: 42, Linear: solver.LinearOptions{Variant: v.String()}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +129,7 @@ func TestMatchesSMOAccuracy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range []Variant{DCD, MISO} {
-		res, err := Train(x, y, Config{Variant: v, C: 10, Seed: 3})
+		res, err := Train(x, y, solver.Options{C: 10, Seed: 3, Linear: solver.LinearOptions{Variant: v.String()}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,11 +148,11 @@ func TestMatchesSMOAccuracy(t *testing.T) {
 // agree on every holdout prediction.
 func TestShrinkParity(t *testing.T) {
 	x, y, tx, _ := textProblem(t, 0.05)
-	shr, err := Train(x, y, Config{C: 10, Seed: 7})
+	shr, err := Train(x, y, solver.Options{C: 10, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Train(x, y, Config{C: 10, Seed: 7, DisableShrink: true})
+	plain, err := train(x, y, solver.Options{C: 10, Seed: 7}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,17 +178,17 @@ func TestTrainValidation(t *testing.T) {
 		name string
 		x    *sparse.Matrix
 		y    []float64
-		cfg  Config
+		opts solver.Options
 		want string
 	}{
-		{"nil matrix", nil, y, Config{C: 1}, "empty training matrix"},
-		{"label mismatch", x, []float64{1}, Config{C: 1}, "labels"},
-		{"bad label", x, []float64{1, 2}, Config{C: 1}, "want +1 or -1"},
-		{"bad C", x, y, Config{C: 0}, "C must be positive"},
-		{"bad variant", x, y, Config{C: 1, Variant: Variant(9)}, "unknown variant"},
+		{"nil matrix", nil, y, solver.Options{C: 1}, "empty training matrix"},
+		{"label mismatch", x, []float64{1}, solver.Options{C: 1}, "labels"},
+		{"bad label", x, []float64{1, 2}, solver.Options{C: 1}, "want +1 or -1"},
+		{"bad C", x, y, solver.Options{C: 0}, "C must be positive"},
+		{"bad variant", x, y, solver.Options{C: 1, Linear: solver.LinearOptions{Variant: "sgd"}}, "unknown variant"},
 	}
 	for _, tc := range cases {
-		if _, err := Train(tc.x, tc.y, tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, err := Train(tc.x, tc.y, tc.opts); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: error = %v, want %q", tc.name, err, tc.want)
 		}
 	}
@@ -208,7 +209,7 @@ func TestZeroRowHandled(t *testing.T) {
 	x := b.Build()
 	y := []float64{1, 1, -1, -1}
 	for _, v := range []Variant{DCD, MISO} {
-		res, err := Train(x, y, Config{Variant: v, C: 1, Seed: 5})
+		res, err := Train(x, y, solver.Options{C: 1, Seed: 5, Linear: solver.LinearOptions{Variant: v.String()}})
 		if err != nil {
 			t.Fatalf("%s: %v", v, err)
 		}
@@ -253,7 +254,7 @@ func BenchmarkTrainDCD(b *testing.B) {
 	x, y := benchProblem(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Train(x, y, Config{C: 10, Seed: 3}); err != nil {
+		if _, err := Train(x, y, solver.Options{C: 10, Seed: 3}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -263,7 +264,7 @@ func BenchmarkTrainMISO(b *testing.B) {
 	x, y := benchProblem(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Train(x, y, Config{Variant: MISO, C: 10, Seed: 3}); err != nil {
+		if _, err := Train(x, y, solver.Options{C: 10, Seed: 3, Linear: solver.LinearOptions{Variant: "miso"}}); err != nil {
 			b.Fatal(err)
 		}
 	}

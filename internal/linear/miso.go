@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 
+	"repro/internal/solver"
 	"repro/internal/sparse"
 )
 
@@ -24,11 +25,11 @@ import (
 // the true duality gap is evaluated; the run stops when the scaled gap
 // drops below Eps (equivalently, the unscaled gap below Eps*C*n) or the
 // dual stops improving.
-func trainMISO(x sparse.RowMatrix, y []float64, cfg Config) (*Result, error) {
+func trainMISO(x sparse.RowMatrix, y []float64, opts solver.Options) *Result {
 	n := x.Rows()
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(opts.Seed))
 
-	lambda := 1 / (cfg.C * float64(n))
+	lambda := 1 / (opts.C * float64(n))
 	norms := sparse.SquaredNormsOf(x)
 	var r float64
 	for _, v := range norms {
@@ -45,8 +46,8 @@ func trainMISO(x sparse.RowMatrix, y []float64, cfg Config) (*Result, error) {
 
 	res := &Result{}
 	dualOld := math.Inf(-1)
-	tol := gapTolerance(n, cfg.C, cfg.Eps)
-	for res.Epochs = 0; res.Epochs < cfg.MaxEpochs; res.Epochs++ {
+	tol := gapTolerance(n, opts.C, opts.Eps)
+	for res.Epochs = 0; res.Epochs < opts.Linear.MaxEpochs; res.Epochs++ {
 		for t := 0; t < n; t++ {
 			i := rng.Intn(n)
 			xi := x.RowView(i)
@@ -64,7 +65,7 @@ func trainMISO(x sparse.RowMatrix, y []float64, cfg Config) (*Result, error) {
 		// Periodic drift-free recompute, as the exemplar does before each
 		// objective evaluation.
 		w = rebuildMISOW(x, ab, x.Dim())
-		primal, dual := squaredHingeObjectives(x, y, w, alpha, cfg.C)
+		primal, dual := squaredHingeObjectives(x, y, w, alpha, opts.C)
 		res.Primal, res.Dual, res.Gap = primal, dual, primal-dual
 		if res.Gap < tol {
 			res.Converged = true
@@ -81,10 +82,10 @@ func trainMISO(x sparse.RowMatrix, y []float64, cfg Config) (*Result, error) {
 
 	res.Alpha = scaleDual(ab, y, n)
 	res.W = rebuildW(x, y, res.Alpha, x.Dim())
-	res.Primal, res.Dual = squaredHingeObjectives(x, y, res.W, res.Alpha, cfg.C)
+	res.Primal, res.Dual = squaredHingeObjectives(x, y, res.W, res.Alpha, opts.C)
 	res.Gap = res.Primal - res.Dual
 	res.Converged = res.Converged || res.Gap < tol
-	return res, nil
+	return res
 }
 
 // scaleDual converts the exemplar's signed, n-scaled alphas into the

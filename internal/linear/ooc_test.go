@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/solver"
 	"repro/internal/sparse"
 )
 
@@ -56,12 +57,12 @@ func TestTrainOOCBitParity(t *testing.T) {
 	defer ooc.Close()
 
 	for _, variant := range []Variant{DCD, MISO} {
-		cfg := Config{Variant: variant, C: 1, Seed: 7, MaxEpochs: 40}
-		mem, err := Train(x, y, cfg)
+		opts := solver.Options{C: 1, Seed: 7, Linear: solver.LinearOptions{Variant: variant.String(), MaxEpochs: 40}}
+		mem, err := Train(x, y, opts)
 		if err != nil {
 			t.Fatalf("%v in-memory: %v", variant, err)
 		}
-		got, err := Train(ooc, y, cfg)
+		got, err := Train(ooc, y, opts)
 		if err != nil {
 			t.Fatalf("%v ooc: %v", variant, err)
 		}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/linear"
 	"repro/internal/oracle"
+	"repro/internal/solver"
 )
 
 // The oracle cross-checks: everything the solvers claim (convergence,
@@ -19,7 +20,7 @@ import (
 
 func TestDCDPassesOracle(t *testing.T) {
 	x, y, _, _ := linear.TextProblem(t, 0.05)
-	res, err := linear.Train(x, y, linear.Config{C: 10, Seed: 3})
+	res, err := linear.Train(x, y, solver.Options{C: 10, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestDCDPassesOracle(t *testing.T) {
 
 func TestMISOPassesOracle(t *testing.T) {
 	x, y, _, _ := linear.TextProblem(t, 0.05)
-	res, err := linear.Train(x, y, linear.Config{Variant: linear.MISO, C: 10, Seed: 3})
+	res, err := linear.Train(x, y, solver.Options{C: 10, Seed: 3, Linear: solver.LinearOptions{Variant: "miso"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestMISOPassesOracle(t *testing.T) {
 // rejects a solution that has been quietly damaged.
 func TestOracleCatchesTampering(t *testing.T) {
 	x, y, _, _ := linear.TextProblem(t, 0.03)
-	res, err := linear.Train(x, y, linear.Config{C: 10, Seed: 3})
+	res, err := linear.Train(x, y, solver.Options{C: 10, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/linear"
 	"repro/internal/model"
+	"repro/internal/solver"
 	"repro/internal/sparse"
 )
 
@@ -33,7 +34,7 @@ func ringBlobs(n, k int, seed int64) (*sparse.Matrix, []float64) {
 
 func linearTrainer(seed int64) Trainer {
 	return func(bx *sparse.Matrix, by []float64) (*model.Model, error) {
-		res, err := linear.Train(bx, by, linear.Config{C: 10, Seed: seed})
+		res, err := linear.Train(bx, by, solver.Options{C: 10, Seed: seed})
 		if err != nil {
 			return nil, err
 		}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/dcsvm"
 	"repro/internal/kernel"
 	"repro/internal/model"
+	"repro/internal/solver"
 	"repro/internal/sparse"
 )
 
@@ -16,12 +17,8 @@ import (
 func TestTrainWithDCSVM(t *testing.T) {
 	x, y := threeBlobs(300, 3)
 	m, err := TrainWith(x, y, func(bx *sparse.Matrix, by []float64) (*model.Model, error) {
-		dm, _, err := dcsvm.Train(bx, by, dcsvm.Config{
-			Kernel:   kernel.Params{Type: kernel.Gaussian, Gamma: 0.5},
-			C:        10,
-			Clusters: 3,
-			Seed:     5,
-		})
+		dm, _, err := dcsvm.Train(bx, by, kernel.Params{Type: kernel.Gaussian, Gamma: 0.5},
+			solver.Options{C: 10, Seed: 5, DC: solver.DCOptions{Clusters: 3}})
 		return dm, err
 	})
 	if err != nil {

@@ -1,5 +1,5 @@
 // Package perfmodel evaluates the cost of a recorded training run
-// (core.Trace) on a modeled cluster for an arbitrary process count.
+// (trace.Trace) on a modeled cluster for an arbitrary process count.
 //
 // This is the substitution for the paper's 4096-core PNNL Cascade testbed:
 // since the distributed solver computes the same iterate sequence for any
@@ -23,10 +23,10 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/mpi"
 	"repro/internal/sparse"
+	"repro/internal/trace"
 	"time"
 )
 
@@ -56,8 +56,7 @@ func RowBytes(avgNNZ float64) float64 { return 12*avgNNZ + 16 }
 // the Cascade-interconnect machine for it. budget bounds measurement time.
 // Lambda is measured through the batched dense-scratch row path — the path
 // every solver hot loop executes — so projections track the real
-// per-evaluation cost; Evaluator.Lambda remains available for the legacy
-// pairwise estimate (the kernelrow ablation).
+// per-evaluation cost.
 func Calibrate(params kernel.Params, x *sparse.Matrix, budget time.Duration) Machine {
 	ev := kernel.NewEvaluator(params, x)
 	return Cascade(ev.LambdaBatched(budget), x.AvgRowNNZ())
@@ -152,7 +151,7 @@ func (b Breakdown) CommFraction() float64 {
 }
 
 // Evaluate models a recorded run on p processes of machine m.
-func Evaluate(tr *core.Trace, p int, m Machine) (Breakdown, error) {
+func Evaluate(tr *trace.Trace, p int, m Machine) (Breakdown, error) {
 	if p < 1 {
 		return Breakdown{}, fmt.Errorf("perfmodel: p must be >= 1, got %d", p)
 	}
@@ -218,7 +217,7 @@ func Evaluate(tr *core.Trace, p int, m Machine) (Breakdown, error) {
 // dwarfs a node's memory and the hit probability collapses — the paper's
 // Section III-A2 argument — so the uncached cost is the faithful model at
 // the sizes the figures are drawn for.
-func EvaluateBaseline(tr *core.Trace, workers int, m Machine) (float64, error) {
+func EvaluateBaseline(tr *trace.Trace, workers int, m Machine) (float64, error) {
 	if workers < 1 {
 		return 0, fmt.Errorf("perfmodel: workers must be >= 1, got %d", workers)
 	}
@@ -237,7 +236,7 @@ func EvaluateBaseline(tr *core.Trace, workers int, m Machine) (float64, error) {
 }
 
 // Sweep evaluates the trace over a set of process counts.
-func Sweep(tr *core.Trace, ps []int, m Machine) ([]Breakdown, error) {
+func Sweep(tr *trace.Trace, ps []int, m Machine) ([]Breakdown, error) {
 	out := make([]Breakdown, 0, len(ps))
 	for _, p := range ps {
 		b, err := Evaluate(tr, p, m)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/kernel"
 	"repro/internal/mpi"
+	"repro/internal/trace"
 )
 
 func testMachine() Machine {
@@ -16,10 +17,10 @@ func testMachine() Machine {
 }
 
 // flatTrace builds a trace with constant active count and optional recon.
-func flatTrace(n int, iters int64) *core.Trace {
-	return &core.Trace{
+func flatTrace(n int, iters int64) *trace.Trace {
+	return &trace.Trace{
 		N: n, Iterations: iters, AvgNNZ: 30, Converged: true, SVCount: n / 10,
-		Segments: []core.Segment{{FromIter: 0, Active: n}},
+		Segments: []trace.Segment{{FromIter: 0, Active: n}},
 	}
 }
 
@@ -82,9 +83,9 @@ func TestEvaluateEfficiencyRollsOff(t *testing.T) {
 	// communication share grows with p, and parallel efficiency drops —
 	// but on large datasets speedup keeps improving out to 4096 processes.
 	// Use a HIGGS-scale trace (2.6M samples, 34M iterations).
-	tr := &core.Trace{
+	tr := &trace.Trace{
 		N: 2_600_000, Iterations: 34_000_000, AvgNNZ: 28, SVCount: 300_000,
-		Segments: []core.Segment{
+		Segments: []trace.Segment{
 			{FromIter: 0, Active: 2_600_000},
 			{FromIter: 2_000_000, Active: 800_000},
 			{FromIter: 10_000_000, Active: 350_000},
@@ -126,13 +127,13 @@ func TestReconFractionDecreasesWithScale(t *testing.T) {
 	// the iterative part's larger aggregate, and at large p the iterative
 	// part's fixed communication dominates.
 	// URL-scale trace: 2.3M samples with heavy shrinking.
-	tr := &core.Trace{
+	tr := &trace.Trace{
 		N: 2_300_000, Iterations: 20_000_000, AvgNNZ: 60, SVCount: 120_000,
-		Segments: []core.Segment{
+		Segments: []trace.Segment{
 			{FromIter: 0, Active: 2_300_000},
 			{FromIter: 500_000, Active: 500_000},
 		},
-		Recons: []core.ReconEvent{{Iter: 15_000_000, Shrunk: 1_800_000, SVs: 120_000}},
+		Recons: []trace.ReconEvent{{Iter: 15_000_000, Shrunk: 1_800_000, SVs: 120_000}},
 	}
 	m := testMachine()
 	var prev float64 = math.Inf(1)
@@ -159,7 +160,7 @@ func TestEvaluateErrors(t *testing.T) {
 	if _, err := Evaluate(flatTrace(10, 5), 0, testMachine()); err == nil {
 		t.Fatal("p=0 accepted")
 	}
-	if _, err := Evaluate(&core.Trace{}, 4, testMachine()); err == nil {
+	if _, err := Evaluate(&trace.Trace{}, 4, testMachine()); err == nil {
 		t.Fatal("empty trace accepted")
 	}
 }

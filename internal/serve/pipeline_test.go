@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/linear"
 	"repro/internal/model"
+	"repro/internal/solver"
 	"repro/internal/sparse"
 )
 
@@ -45,7 +46,7 @@ func trainLinear(t *testing.T, c float64, seed int64) *model.Model {
 			y[i] = -1
 		}
 	}
-	res, err := linear.Train(b.Build(), y, linear.Config{C: c, Seed: seed})
+	res, err := linear.Train(b.Build(), y, solver.Options{C: c, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -500,6 +500,56 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 	}
 }
 
+// TestDrainClosesSilentConnections: a client that connects and never sends
+// a request must not hold the drain. net/http treats such a connection as
+// busy for its first 5 s, longer than this DrainTimeout, so without the
+// close the drain fails with a deadline error.
+func TestDrainClosesSilentConnections(t *testing.T) {
+	path := t.TempDir() + "/m.model"
+	saveModel(t, testModel(0), path)
+	reg := NewRegistry()
+	if err := reg.Add("default", path); err != nil {
+		t.Fatal(err)
+	}
+	s := New(reg, Config{DrainTimeout: 2 * time.Second})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(ctx, ln) }()
+
+	// A served request proves the server is up; the silent connection is
+	// then accepted behind it.
+	resp, err := http.Get("http://" + ln.Addr().String() + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	silent, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	time.Sleep(20 * time.Millisecond)
+
+	cancel()
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("Serve returned %v with a silent client connected", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Serve did not return after context cancellation")
+	}
+	// The server closed the silent connection.
+	silent.SetReadDeadline(time.Now().Add(time.Second))
+	if n, err := silent.Read(make([]byte, 1)); err == nil {
+		t.Fatalf("silent connection still open after drain (read %d bytes)", n)
+	}
+}
+
 func TestRegistryAddErrors(t *testing.T) {
 	reg := NewRegistry()
 	if err := reg.Add("x", "/nonexistent/file.model"); err == nil {

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/dataset"
@@ -209,9 +210,11 @@ func (s *Server) Handler() http.Handler {
 // Serve runs the handler on ln until ctx is cancelled, then shuts down
 // gracefully: the listener closes, in-flight requests drain (bounded by
 // DrainTimeout), the coalescing pipelines close, and Serve returns nil on
-// a clean drain.
+// a clean drain. Connections that have sent no request are closed shortly
+// after the drain starts (see closeSilentConnsOnShutdown).
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	hs := &http.Server{Handler: s.Handler()}
+	closeSilentConnsOnShutdown(hs)
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	select {
@@ -229,6 +232,40 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 		}
 		return nil
 	}
+}
+
+// silentGrace is how long a connection may stay silent into a drain before
+// it is closed; a request already on the wire has its headers read by then.
+const silentGrace = 250 * time.Millisecond
+
+// closeSilentConnsOnShutdown makes hs's Shutdown close, silentGrace after
+// it starts, the connections that have not sent a request. net/http counts
+// such a connection as busy for its first 5 s, so one client that connects
+// and stays silent (an HTTP client's spare dial, a TCP health check) would
+// hold the drain that long, and fail it when DrainTimeout is shorter. The
+// connection carries no work, so closing it drops nothing.
+func closeSilentConnsOnShutdown(hs *http.Server) {
+	var mu sync.Mutex
+	silent := map[net.Conn]struct{}{}
+	hs.ConnState = func(c net.Conn, st http.ConnState) {
+		mu.Lock()
+		defer mu.Unlock()
+		if st == http.StateNew {
+			silent[c] = struct{}{}
+		} else {
+			delete(silent, c)
+		}
+	}
+	// Shutdown runs this in its own goroutine once the listeners are closed,
+	// so every connection has joined the set by the time the grace ends.
+	hs.RegisterOnShutdown(func() {
+		time.Sleep(silentGrace)
+		mu.Lock()
+		defer mu.Unlock()
+		for c := range silent {
+			c.Close()
+		}
+	})
 }
 
 // statusRecorder captures the response code for the request counter.

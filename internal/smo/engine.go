@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/kernel"
 	"repro/internal/solver"
 	"repro/internal/sparse"
 )
@@ -37,6 +38,26 @@ func (e smoEngine) Describe() string {
 	return "the libsvm-enhanced single-node baseline: maximal-violating-pair SMO with kernel cache and shrinking"
 }
 
+// FromOptions is the one mapping from the shared solver options to a
+// Config, used by every engine that runs this solver (smo, smo2, tasks, and
+// dc's warm sub-solves and polish). Shrinking is on; a zero CacheBytes
+// means 1 GiB. Knobs Options does not carry — SecondOrder, the QP shape,
+// CheckpointLabel — are left for the caller.
+func FromOptions(k kernel.Params, opts solver.Options) Config {
+	cacheBytes := opts.CacheBytes
+	if cacheBytes == 0 {
+		cacheBytes = 1 << 30
+	}
+	return Config{
+		Kernel: k, C: opts.C, Eps: opts.Eps,
+		Workers: opts.Workers, CacheBytes: cacheBytes, Shrinking: true,
+		InitialAlpha: opts.InitialAlpha, MaxIter: opts.MaxIter,
+		Checkpoint: opts.Checkpoint, CheckpointEvery: opts.CheckpointEvery,
+		CheckpointSeed: opts.Seed, CheckpointFingerprint: opts.CheckpointFingerprint,
+		RecordTrace: opts.RecordTrace, DatasetName: opts.DatasetName,
+	}
+}
+
 func (e smoEngine) Train(ctx context.Context, prob solver.Problem, opts solver.Options) (solver.Result, error) {
 	if err := solver.Validate(e, prob, opts); err != nil {
 		return solver.Result{}, err
@@ -45,19 +66,8 @@ func (e smoEngine) Train(ctx context.Context, prob solver.Problem, opts solver.O
 	if !ok {
 		return solver.Result{}, fmt.Errorf("smo: engine needs an in-memory matrix, got %T", prob.X)
 	}
-	cacheBytes := opts.CacheBytes
-	if cacheBytes == 0 {
-		cacheBytes = 1 << 30
-	}
-	cfg := Config{
-		Kernel: prob.Kernel, C: opts.C, Eps: opts.Eps,
-		Workers: opts.Workers, CacheBytes: cacheBytes,
-		Shrinking: true, SecondOrder: e.secondOrder,
-		InitialAlpha: opts.InitialAlpha, MaxIter: opts.MaxIter,
-		Checkpoint: opts.Checkpoint, CheckpointEvery: opts.CheckpointEvery,
-		CheckpointSeed: opts.Seed, CheckpointFingerprint: opts.CheckpointFingerprint,
-		RecordTrace: opts.RecordTrace, DatasetName: opts.DatasetName,
-	}
+	cfg := FromOptions(prob.Kernel, opts)
+	cfg.SecondOrder = e.secondOrder
 	res, err := Train(x, prob.Y, cfg)
 	if err != nil {
 		return solver.Result{}, err

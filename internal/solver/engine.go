@@ -74,7 +74,7 @@ const (
 	// composite engine cannot itself serve as another engine's sub-solver.
 	CapComposite
 	// CapLinearVariants: the explicit-w linear family's variant knobs
-	// (-linear-variant/-linear-epochs/-linear-no-shrink) apply.
+	// (-linear-variant/-linear-epochs) apply.
 	CapLinearVariants
 
 	capMax
@@ -174,9 +174,10 @@ func (p Problem) rows() int {
 	return p.X.Rows()
 }
 
-// DCOptions are the divide-and-conquer engine's knobs.
+// DCOptions are the divide-and-conquer engine's knobs; dcsvm.Train
+// documents how it reads them together with the shared Options.
 type DCOptions struct {
-	Clusters    int    // k-means clusters at the finest level (0 = engine default)
+	Clusters    int    // k-means clusters at the finest level (0 = 8)
 	Levels      int    // hierarchy depth (0 = 1)
 	KernelSpace bool   // cluster in kernel feature space
 	SubSolver   string // registered engine name for finest-level sub-solves ("" = core)
@@ -189,16 +190,12 @@ type DCOptions struct {
 	// SubFaultCluster selects which cluster's sub-solve receives
 	// Options.Faults.
 	SubFaultCluster int
-	// DisableLinearFastPath opts cold linear-kernel sub-solves out of the
-	// automatic explicit-w routing.
-	DisableLinearFastPath bool
 }
 
 // LinearOptions are the explicit-w linear family's knobs.
 type LinearOptions struct {
 	Variant   string // "dcd" (default) or "miso"
 	MaxEpochs int    // epoch cap (0 = variant default)
-	NoShrink  bool   // disable projected-gradient shrinking (dcd)
 }
 
 // TaskOptions are the task-variant hyper-parameters.

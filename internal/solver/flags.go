@@ -52,7 +52,6 @@ var TrainFlagRules = []FlagRule{
 	{Flag: "dc-subsolver", Need: CapComposite},
 	{Flag: "linear-variant", Need: CapLinearVariants},
 	{Flag: "linear-epochs", Need: CapLinearVariants},
-	{Flag: "linear-no-shrink", Need: CapLinearVariants},
 	{Flag: "svr-epsilon", Need: CapSVR},
 	{Flag: "nu", Need: CapOneClass},
 }

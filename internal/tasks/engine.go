@@ -38,39 +38,12 @@ func (e taskEngine) Train(ctx context.Context, prob solver.Problem, opts solver.
 	if !ok {
 		return solver.Result{}, fmt.Errorf("tasks: engine needs an in-memory matrix, got %T", prob.X)
 	}
-	cacheBytes := opts.CacheBytes
-	if cacheBytes == 0 {
-		cacheBytes = 1 << 30
-	}
-	cfg := Config{
-		Kernel: prob.Kernel, Eps: opts.Eps, Workers: opts.Workers,
-		CacheBytes: cacheBytes, Shrinking: true, SecondOrder: true,
-		MaxIter:    opts.MaxIter,
-		Checkpoint: opts.Checkpoint, CheckpointEvery: opts.CheckpointEvery,
-		CheckpointFingerprint: opts.CheckpointFingerprint,
-	}
-	var res *Result
-	var err error
 	switch prob.Task {
 	case model.TaskSVR:
-		res, err = TrainSVR(x, prob.Y, opts.C, opts.Task.Epsilon, cfg, opts.InitialAlpha)
+		return TrainSVR(x, prob.Y, prob.Kernel, opts)
 	case model.TaskOneClass:
-		res, err = TrainOneClass(x, opts.Task.Nu, cfg, opts.InitialAlpha)
+		return TrainOneClass(x, prob.Kernel, opts)
 	default:
 		return solver.Result{}, fmt.Errorf("tasks: engine does not train task %q", prob.Task)
 	}
-	if err != nil {
-		return solver.Result{}, err
-	}
-	m := res.Model
-	return solver.Result{
-		Model:       m,
-		Iterations:  res.Iterations,
-		KernelEvals: res.KernelEvals,
-		Converged:   res.Converged,
-		Objective:   res.Objective,
-		Summary: fmt.Sprintf("converged=%v iterations=%d objective=%.6g SVs=%d (%.1f%% of samples)",
-			res.Converged, res.Iterations, res.Objective,
-			m.NumSV(), 100*float64(m.NumSV())/float64(x.Rows())),
-	}, nil
 }

@@ -29,86 +29,71 @@ package tasks
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/ckpt"
 	"repro/internal/kernel"
 	"repro/internal/model"
 	"repro/internal/oracle"
 	"repro/internal/smo"
+	"repro/internal/solver"
 	"repro/internal/sparse"
 )
 
-// Config carries the solver knobs shared by every task formulation.
-type Config struct {
-	Kernel      kernel.Params
-	Eps         float64 // solver tolerance (0 = 1e-3)
-	Workers     int
-	CacheBytes  int64
-	Shrinking   bool
-	SecondOrder bool
-	MaxIter     int64
-
-	// Checkpoint wiring, passed through to the underlying solver. The
-	// fingerprint is computed from the task's (data, targets) when zero;
-	// Update binds the base model's content hash into it (ckpt.BindModel).
-	Checkpoint            *ckpt.Writer
-	CheckpointEvery       int64
-	CheckpointFingerprint uint64
+// smoConfig maps opts onto the generalized solver with box boxC: the shared
+// smo mapping plus the constants every task solve uses (second-order
+// working-set selection, the "tasks" checkpoint label). The caller sets the
+// QP shape and the warm start, which task callers give in their own dual
+// coordinates.
+func smoConfig(k kernel.Params, opts solver.Options, boxC float64) smo.Config {
+	opts.C, opts.InitialAlpha = boxC, nil
+	cfg := smo.FromOptions(k, opts)
+	cfg.SecondOrder = true
+	cfg.CheckpointLabel = ckpt.SolverTasks
+	return cfg
 }
 
-func (c Config) smoConfig(boxC float64) smo.Config {
-	return smo.Config{
-		Kernel:                c.Kernel,
-		C:                     boxC,
-		Eps:                   c.Eps,
-		Workers:               c.Workers,
-		CacheBytes:            c.CacheBytes,
-		Shrinking:             c.Shrinking,
-		SecondOrder:           c.SecondOrder,
-		MaxIter:               c.MaxIter,
-		Checkpoint:            c.Checkpoint,
-		CheckpointEvery:       c.CheckpointEvery,
-		CheckpointLabel:       ckpt.SolverTasks,
-		CheckpointFingerprint: c.CheckpointFingerprint,
+// result wraps a trained task model and its solver statistics; n is the
+// task's sample count (half the SVR solver's doubled variables).
+func result(m *model.Model, res *smo.Result, n int) solver.Result {
+	return solver.Result{
+		Model:       m,
+		Iterations:  res.Iterations,
+		KernelEvals: res.KernelEvals,
+		Converged:   res.Converged,
+		Objective:   res.Objective,
+		Summary: fmt.Sprintf("converged=%v iterations=%d objective=%.6g SVs=%d (%.1f%% of samples)",
+			res.Converged, res.Iterations, res.Objective,
+			m.NumSV(), 100*float64(m.NumSV())/float64(n)),
 	}
 }
 
-// Result carries the trained task model and solver statistics.
-type Result struct {
-	Model       *model.Model
-	Iterations  int64
-	KernelEvals uint64
-	Converged   bool
-	Objective   float64 // dual objective of the solved QP at termination
-	Elapsed     time.Duration
-}
-
-// TrainSVR solves the epsilon-SVR dual on (x, z) and assembles a TaskSVR
-// model. initialCoef, when non-nil, warm-starts the solver from a collapsed
-// dual point d (one signed entry per row, |d_i| <= C, sum d_i ~ 0) — the
-// incremental-update path recovers it from a base model.
-func TrainSVR(x *sparse.Matrix, z []float64, c, epsilon float64, cfg Config, initialCoef []float64) (*Result, error) {
+// TrainSVR solves the epsilon-SVR dual on (x, z) with kernel k, box
+// opts.C and tube half-width opts.Task.Epsilon, and assembles a TaskSVR
+// model. opts.InitialAlpha, when non-nil, warm-starts the solver from a
+// collapsed dual point d (one signed entry per row, |d_i| <= C,
+// sum d_i ~ 0) — the incremental-update path recovers it from a base model.
+func TrainSVR(x *sparse.Matrix, z []float64, k kernel.Params, opts solver.Options) (solver.Result, error) {
 	n := x.Rows()
+	c, epsilon, initialCoef := opts.C, opts.Task.Epsilon, opts.InitialAlpha
 	if n == 0 {
-		return nil, fmt.Errorf("tasks: empty training set")
+		return solver.Result{}, fmt.Errorf("tasks: empty training set")
 	}
 	if len(z) != n {
-		return nil, fmt.Errorf("tasks: %d targets for %d samples", len(z), n)
+		return solver.Result{}, fmt.Errorf("tasks: %d targets for %d samples", len(z), n)
 	}
 	if c <= 0 {
-		return nil, fmt.Errorf("tasks: C must be positive, got %v", c)
+		return solver.Result{}, fmt.Errorf("tasks: C must be positive, got %v", c)
 	}
 	if !(epsilon > 0) || math.IsInf(epsilon, 0) {
-		return nil, fmt.Errorf("tasks: epsilon must be positive and finite, got %v", epsilon)
+		return solver.Result{}, fmt.Errorf("tasks: epsilon must be positive and finite, got %v", epsilon)
 	}
 	for i, v := range z {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("tasks: target %d is %v", i, v)
+			return solver.Result{}, fmt.Errorf("tasks: target %d is %v", i, v)
 		}
 	}
 	if initialCoef != nil && len(initialCoef) != n {
-		return nil, fmt.Errorf("tasks: %d initial coefficients for %d samples", len(initialCoef), n)
+		return solver.Result{}, fmt.Errorf("tasks: %d initial coefficients for %d samples", len(initialCoef), n)
 	}
 
 	// Doubled formulation: rows n..2n-1 are the alpha* side of the same data.
@@ -119,13 +104,13 @@ func TrainSVR(x *sparse.Matrix, z []float64, c, epsilon float64, cfg Config, ini
 		y2[i], y2[n+i] = 1, -1
 		p2[i], p2[n+i] = epsilon-z[i], epsilon+z[i]
 	}
-	scfg := cfg.smoConfig(c)
+	scfg := smoConfig(k, opts, c)
 	scfg.LinearTerm = p2
 	if initialCoef != nil {
 		a0 := make([]float64, 2*n)
 		for i, d := range initialCoef {
 			if math.IsNaN(d) || math.Abs(d) > c*(1+1e-9) {
-				return nil, fmt.Errorf("tasks: initial coefficient %d = %v outside [-C, C]", i, d)
+				return solver.Result{}, fmt.Errorf("tasks: initial coefficient %d = %v outside [-C, C]", i, d)
 			}
 			if d > 0 {
 				a0[i] = math.Min(d, c)
@@ -141,52 +126,47 @@ func TrainSVR(x *sparse.Matrix, z []float64, c, epsilon float64, cfg Config, ini
 
 	res, err := smo.TrainQP(x2, y2, scfg)
 	if err != nil {
-		return nil, err
+		return solver.Result{}, err
 	}
 	d := make([]float64, n)
 	for i := 0; i < n; i++ {
 		d[i] = res.Alpha[i] - res.Alpha[n+i]
 	}
 	m, err := assembleModel(x, d, res.Beta, &model.Model{
-		Kernel: cfg.Kernel, C: c, Task: model.TaskSVR, Epsilon: epsilon,
+		Kernel: k, C: c, Task: model.TaskSVR, Epsilon: epsilon,
 		TrainSamples: n, Iterations: res.Iterations,
 	})
 	if err != nil {
-		return nil, err
+		return solver.Result{}, err
 	}
-	return &Result{
-		Model:       m,
-		Iterations:  res.Iterations,
-		KernelEvals: res.KernelEvals,
-		Converged:   res.Converged,
-		Objective:   res.Objective,
-		Elapsed:     res.Elapsed,
-	}, nil
+	return result(m, res, n), nil
 }
 
-// TrainOneClass solves the nu-parameterized one-class QP on x and assembles
-// a TaskOneClass model. initialAlpha, when non-nil, warm-starts from an
-// existing dual point (each entry in [0, 1/(nu*n)], summing to 1).
-func TrainOneClass(x *sparse.Matrix, nu float64, cfg Config, initialAlpha []float64) (*Result, error) {
+// TrainOneClass solves the one-class QP on x with kernel k and outlier
+// bound opts.Task.Nu, and assembles a TaskOneClass model.
+// opts.InitialAlpha, when non-nil, warm-starts from an existing dual point
+// (each entry in [0, 1/(nu*n)], summing to 1).
+func TrainOneClass(x *sparse.Matrix, k kernel.Params, opts solver.Options) (solver.Result, error) {
 	n := x.Rows()
+	nu, initialAlpha := opts.Task.Nu, opts.InitialAlpha
 	if n == 0 {
-		return nil, fmt.Errorf("tasks: empty training set")
+		return solver.Result{}, fmt.Errorf("tasks: empty training set")
 	}
 	if !(nu > 0) || nu > 1 {
-		return nil, fmt.Errorf("tasks: nu must be in (0, 1], got %v", nu)
+		return solver.Result{}, fmt.Errorf("tasks: nu must be in (0, 1], got %v", nu)
 	}
 	boxC := 1 / (nu * float64(n))
 	if initialAlpha == nil {
 		initialAlpha = OneClassInitialAlpha(n, nu)
 	} else if len(initialAlpha) != n {
-		return nil, fmt.Errorf("tasks: %d initial alphas for %d samples", len(initialAlpha), n)
+		return solver.Result{}, fmt.Errorf("tasks: %d initial alphas for %d samples", len(initialAlpha), n)
 	}
 
 	y := make([]float64, n)
 	for i := range y {
 		y[i] = 1
 	}
-	scfg := cfg.smoConfig(boxC)
+	scfg := smoConfig(k, opts, boxC)
 	scfg.LinearTerm = make([]float64, n) // p = 0
 	scfg.EqualityTarget = 1
 	scfg.InitialAlpha = initialAlpha
@@ -196,23 +176,16 @@ func TrainOneClass(x *sparse.Matrix, nu float64, cfg Config, initialAlpha []floa
 
 	res, err := smo.TrainQP(x, y, scfg)
 	if err != nil {
-		return nil, err
+		return solver.Result{}, err
 	}
 	m, err := assembleModel(x, res.Alpha, res.Beta, &model.Model{
-		Kernel: cfg.Kernel, C: boxC, Task: model.TaskOneClass, Nu: nu,
+		Kernel: k, C: boxC, Task: model.TaskOneClass, Nu: nu,
 		TrainSamples: n, Iterations: res.Iterations,
 	})
 	if err != nil {
-		return nil, err
+		return solver.Result{}, err
 	}
-	return &Result{
-		Model:       m,
-		Iterations:  res.Iterations,
-		KernelEvals: res.KernelEvals,
-		Converged:   res.Converged,
-		Objective:   res.Objective,
-		Elapsed:     res.Elapsed,
-	}, nil
+	return result(m, res, n), nil
 }
 
 // OneClassInitialAlpha is the libsvm starting point for the one-class QP:
@@ -271,27 +244,28 @@ func assembleModel(x *sparse.Matrix, coef []float64, beta float64, m *model.Mode
 // over the appended rows, projected back into the (possibly shrunk)
 // feasible set, and handed to the task solver as a warm start. labels are
 // regression targets for TaskSVR, class labels for TaskCSVC, and ignored
-// (may be nil) for TaskOneClass.
+// (may be nil) for TaskOneClass. The kernel and the task hyper-parameters
+// (C, epsilon, nu) come from the base model; opts supplies the solver knobs
+// and its own C, task parameters and warm start are ignored.
 //
 // Checkpoints written during an update are fingerprinted with
 // ckpt.BindModel(dataset, base.ContentHash()), so a crash-resume is
 // rejected unless both the appended dataset and the warm-start base model
 // match.
-func Update(base *model.Model, x *sparse.Matrix, labels []float64, cfg Config) (*Result, error) {
+func Update(base *model.Model, x *sparse.Matrix, labels []float64, opts solver.Options) (solver.Result, error) {
 	if base == nil {
-		return nil, fmt.Errorf("tasks: nil base model")
+		return solver.Result{}, fmt.Errorf("tasks: nil base model")
 	}
 	n := x.Rows()
 	nBase := base.TrainSamples
 	if nBase <= 0 || nBase > n {
-		return nil, fmt.Errorf("tasks: base model trained on %d samples, update set has %d", nBase, n)
+		return solver.Result{}, fmt.Errorf("tasks: base model trained on %d samples, update set has %d", nBase, n)
 	}
 	baseX, err := x.SubMatrix(0, nBase)
 	if err != nil {
-		return nil, fmt.Errorf("tasks: %w", err)
+		return solver.Result{}, fmt.Errorf("tasks: %w", err)
 	}
-	cfg.Kernel = base.Kernel
-	if cfg.Checkpoint != nil && cfg.CheckpointFingerprint == 0 {
+	if opts.Checkpoint != nil && opts.CheckpointFingerprint == 0 {
 		fpLabels := labels
 		if base.TaskKind() == model.TaskOneClass {
 			fpLabels = make([]float64, n)
@@ -299,60 +273,55 @@ func Update(base *model.Model, x *sparse.Matrix, labels []float64, cfg Config) (
 				fpLabels[i] = 1
 			}
 		}
-		cfg.CheckpointFingerprint = ckpt.BindModel(ckpt.Fingerprint(x, fpLabels), base.ContentHash())
+		opts.CheckpointFingerprint = ckpt.BindModel(ckpt.Fingerprint(x, fpLabels), base.ContentHash())
 	}
+	opts.C = base.C
+	opts.Task = solver.TaskOptions{Epsilon: base.Epsilon, Nu: base.Nu}
 
 	switch base.TaskKind() {
 	case model.TaskSVR:
 		if len(labels) != n {
-			return nil, fmt.Errorf("tasks: %d targets for %d samples", len(labels), n)
+			return solver.Result{}, fmt.Errorf("tasks: %d targets for %d samples", len(labels), n)
 		}
 		d0, err := oracle.RecoverCoef(baseX, base)
 		if err != nil {
-			return nil, fmt.Errorf("tasks: base model does not match the leading rows: %w", err)
+			return solver.Result{}, fmt.Errorf("tasks: base model does not match the leading rows: %w", err)
 		}
-		d0 = append(d0, make([]float64, n-nBase)...)
-		return TrainSVR(x, labels, base.C, base.Epsilon, cfg, d0)
+		opts.InitialAlpha = append(d0, make([]float64, n-nBase)...)
+		return TrainSVR(x, labels, base.Kernel, opts)
 
 	case model.TaskOneClass:
 		a0, err := oracle.RecoverCoef(baseX, base)
 		if err != nil {
-			return nil, fmt.Errorf("tasks: base model does not match the leading rows: %w", err)
+			return solver.Result{}, fmt.Errorf("tasks: base model does not match the leading rows: %w", err)
 		}
 		a0 = append(a0, make([]float64, n-nBase)...)
 		// The box shrinks from 1/(nu*nBase) to 1/(nu*n); project the warm
 		// start back into the feasible set while keeping sum alpha = 1.
 		projectOneClass(a0, 1/(base.Nu*float64(n)))
-		return TrainOneClass(x, base.Nu, cfg, a0)
+		opts.InitialAlpha = a0
+		return TrainOneClass(x, base.Kernel, opts)
 
 	case model.TaskCSVC:
 		if len(labels) != n {
-			return nil, fmt.Errorf("tasks: %d labels for %d samples", len(labels), n)
+			return solver.Result{}, fmt.Errorf("tasks: %d labels for %d samples", len(labels), n)
 		}
 		baseY := labels[:nBase]
 		a0, err := oracle.RecoverAlpha(baseX, baseY, base)
 		if err != nil {
-			return nil, fmt.Errorf("tasks: base model does not match the leading rows: %w", err)
+			return solver.Result{}, fmt.Errorf("tasks: base model does not match the leading rows: %w", err)
 		}
-		a0 = append(a0, make([]float64, n-nBase)...)
-		scfg := cfg.smoConfig(base.C)
-		scfg.InitialAlpha = a0
+		scfg := smoConfig(base.Kernel, opts, base.C)
+		scfg.InitialAlpha = append(a0, make([]float64, n-nBase)...)
 		res, err := smo.Train(x, labels, scfg)
 		if err != nil {
-			return nil, err
+			return solver.Result{}, err
 		}
 		res.Model.Task = model.TaskCSVC
-		return &Result{
-			Model:       res.Model,
-			Iterations:  res.Iterations,
-			KernelEvals: res.KernelEvals,
-			Converged:   res.Converged,
-			Objective:   res.Objective,
-			Elapsed:     res.Elapsed,
-		}, nil
+		return result(res.Model, res, n), nil
 
 	default:
-		return nil, fmt.Errorf("tasks: cannot update task kind %q", base.Task)
+		return solver.Result{}, fmt.Errorf("tasks: cannot update task kind %q", base.Task)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/oracle"
 	"repro/internal/smo"
+	"repro/internal/solver"
 	"repro/internal/sparse"
 )
 
@@ -47,13 +48,21 @@ func inlierSet(n, outliers int, seed int64) *sparse.Matrix {
 	return sparse.FromDense(rows)
 }
 
-func svrCfg() Config {
-	return Config{Kernel: kernel.Params{Type: kernel.Gaussian, Gamma: 0.5}, Eps: 1e-3, Workers: 2}
+var testKernel = kernel.Params{Type: kernel.Gaussian, Gamma: 0.5}
+
+// svrOpts is C = 10, epsilon = 0.1.
+func svrOpts() solver.Options {
+	return solver.Options{C: 10, Eps: 1e-3, Workers: 2, Task: solver.TaskOptions{Epsilon: 0.1}}
+}
+
+// ocOpts is the one-class outlier bound nu.
+func ocOpts(nu float64) solver.Options {
+	return solver.Options{Eps: 1e-3, Workers: 2, Task: solver.TaskOptions{Nu: nu}}
 }
 
 func TestTrainSVROracleVerified(t *testing.T) {
 	x, z := regressionSet(120, 1)
-	res, err := TrainSVR(x, z, 10, 0.1, svrCfg(), nil)
+	res, err := TrainSVR(x, z, testKernel, svrOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +93,11 @@ func TestTrainSVROracleVerified(t *testing.T) {
 func TestTrainOneClassOracleVerified(t *testing.T) {
 	x := inlierSet(150, 8, 2)
 	nu := 0.1
-	cfg := svrCfg()
+	opts := ocOpts(nu)
 	// The one-class score range is small (u values ~1/(nu*n)), so a tight
 	// solver tolerance keeps the eps-band from swallowing the boundary.
-	cfg.Eps = 1e-5
-	res, err := TrainOneClass(x, nu, cfg, nil)
+	opts.Eps = 1e-5
+	res, err := TrainOneClass(x, testKernel, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,15 +140,15 @@ func TestSVRUpdateMatchesColdRetrain(t *testing.T) {
 	xAll, zAll := regressionSet(200, 3)
 	nBase := 160
 	xBase, _ := xAll.SubMatrix(0, nBase)
-	base, err := TrainSVR(xBase, zAll[:nBase], 10, 0.1, svrCfg(), nil)
+	base, err := TrainSVR(xBase, zAll[:nBase], testKernel, svrOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	upd, err := Update(base.Model, xAll, zAll, svrCfg())
+	upd, err := Update(base.Model, xAll, zAll, svrOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := TrainSVR(xAll, zAll, 10, 0.1, svrCfg(), nil)
+	cold, err := TrainSVR(xAll, zAll, testKernel, svrOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,15 +175,15 @@ func TestOneClassUpdateMatchesColdRetrain(t *testing.T) {
 	nBase := 150
 	xBase, _ := xAll.SubMatrix(0, nBase)
 	nu := 0.1
-	base, err := TrainOneClass(xBase, nu, svrCfg(), nil)
+	base, err := TrainOneClass(xBase, testKernel, ocOpts(nu))
 	if err != nil {
 		t.Fatal(err)
 	}
-	upd, err := Update(base.Model, xAll, nil, svrCfg())
+	upd, err := Update(base.Model, xAll, nil, ocOpts(nu))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := TrainOneClass(xAll, nu, svrCfg(), nil)
+	cold, err := TrainOneClass(xAll, testKernel, ocOpts(nu))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,16 +217,16 @@ func TestCSVCUpdate(t *testing.T) {
 	xAll := sparse.FromDense(rows)
 	nBase := 120
 	xBase, _ := xAll.SubMatrix(0, nBase)
-	cfg := svrCfg()
-	baseRes, err := smo.Train(xBase, y[:nBase], cfg.smoConfig(10))
+	opts := svrOpts()
+	baseRes, err := smo.Train(xBase, y[:nBase], smoConfig(testKernel, opts, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	upd, err := Update(baseRes.Model, xAll, y, cfg)
+	upd, err := Update(baseRes.Model, xAll, y, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := oracle.Problem{X: xAll, Y: y, Kernel: cfg.Kernel, C: 10, Eps: 1e-3}.VerifyModel(upd.Model)
+	rep, err := oracle.Problem{X: xAll, Y: y, Kernel: testKernel, C: 10, Eps: 1e-3}.VerifyModel(upd.Model)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +239,7 @@ func TestUpdateCheckpointBindsBaseModel(t *testing.T) {
 	xAll, zAll := regressionSet(80, 6)
 	nBase := 60
 	xBase, _ := xAll.SubMatrix(0, nBase)
-	base, err := TrainSVR(xBase, zAll[:nBase], 10, 0.1, svrCfg(), nil)
+	base, err := TrainSVR(xBase, zAll[:nBase], testKernel, svrOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,10 +248,10 @@ func TestUpdateCheckpointBindsBaseModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := svrCfg()
-	cfg.Checkpoint = w
-	cfg.CheckpointEvery = 1
-	if _, err := Update(base.Model, xAll, zAll, cfg); err != nil {
+	opts := svrOpts()
+	opts.Checkpoint = w
+	opts.CheckpointEvery = 1
+	if _, err := Update(base.Model, xAll, zAll, opts); err != nil {
 		t.Fatal(err)
 	}
 	if w.Saves() == 0 {
@@ -269,13 +278,13 @@ func TestUpdateRejectsMismatchedBase(t *testing.T) {
 	xAll, zAll := regressionSet(80, 7)
 	nBase := 60
 	xBase, _ := xAll.SubMatrix(0, nBase)
-	base, err := TrainSVR(xBase, zAll[:nBase], 10, 0.1, svrCfg(), nil)
+	base, err := TrainSVR(xBase, zAll[:nBase], testKernel, svrOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Perturb the data under the model: content matching must fail.
 	xOther, zOther := regressionSet(80, 99)
-	if _, err := Update(base.Model, xOther, zOther, svrCfg()); err == nil {
+	if _, err := Update(base.Model, xOther, zOther, svrOpts()); err == nil {
 		t.Fatal("update accepted a base model trained on different rows")
 	}
 }
