@@ -108,6 +108,6 @@ func BenchmarkAblationKernelCache(b *testing.B) { runExperiment(b, "ablation-cac
 // virtual time.
 func BenchmarkValidateModel(b *testing.B) { runExperiment(b, "validate-model") }
 
-// BenchmarkAblationWSS compares working-set selection rules
-// (DESIGN.md ablation 4).
-func BenchmarkAblationWSS(b *testing.B) { runExperiment(b, "ablation-wss") }
+// BenchmarkWSS compares working-set selection rules, measured on the smo
+// engines and modeled on the distributed solver (DESIGN.md ablation 4).
+func BenchmarkWSS(b *testing.B) { runExperiment(b, "wss") }

@@ -36,12 +36,13 @@
 //
 //	svmtrain -dataset blobs -dataset-scale 0.5 -verify
 //
-// The -task flag switches to a task variant trained by the "tasks" engine:
-// "svr" trains epsilon-SVR on continuous -data labels, "oneclass" trains a
-// nu one-class detector (labels ignored). -update-from performs an
-// incremental warm-start update of an existing model (any task kind) on its
-// training rows plus appended rows; -verify routes each task through its
-// own oracle verifier:
+// The -task flag selects the "tasks" engine: "svr" trains epsilon-SVR on
+// continuous -data labels, "oneclass" trains a nu one-class detector
+// (labels ignored). -update-from performs an incremental warm-start update
+// of an existing model (any task kind) on its training rows plus appended
+// rows. Both run through the same path as every engine — the same
+// capability checks, checkpoints, save and summary — and -verify routes
+// each task kind through its own oracle verifier:
 //
 //	svmtrain -task svr -data reg.train -c 10 -svr-epsilon 0.1 -verify
 //	svmtrain -task oneclass -data mix.train -nu 0.1 -verify
@@ -59,6 +60,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -88,75 +90,95 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "svmtrain:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run parses args, trains, writes the model and prints the summary (and the
+// oracle report with -verify) to stdout. Every engine and task kind goes
+// through this one path; -task and -update-from only select the "tasks"
+// engine, the raw-label reader and the warm-start update.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("svmtrain", flag.ContinueOnError)
 	var (
-		dataPath  = flag.String("data", "", "training data in libsvm format")
-		dsName    = flag.String("dataset", "", "built-in synthetic dataset name instead of -data")
-		dsScale   = flag.Float64("dataset-scale", 0.01, "scale for -dataset generation")
-		modelPath = flag.String("model", "svm.model", "output model file")
-		tracePath = flag.String("trace", "", "optional output JSON trace (trace-capable engines)")
-		solverSel = flag.String("solver", "core", "registered solver engine; -list-solvers prints the table")
-		listSol   = flag.Bool("list-solvers", false, "print the registered solver engines with capabilities and exit")
-		p         = flag.Int("p", 4, "number of ranks (distributed engines)")
-		heuristic = flag.String("heuristic", "Multi5pc", "Table II heuristic name (heuristic-capable engines)")
-		c         = flag.Float64("c", 10, "box constraint C")
-		sigma2    = flag.Float64("sigma2", 4, "Gaussian kernel width sigma^2 (gamma = 1/(2*sigma^2))")
-		kern      = flag.String("kernel", "rbf", "kernel: rbf, linear, polynomial, sigmoid")
-		gamma     = flag.Float64("gamma", 0, "explicit kernel gamma (overrides -sigma2 when > 0)")
-		coef0     = flag.Float64("coef0", 0, "polynomial/sigmoid coef0")
-		degree    = flag.Int("degree", 3, "polynomial degree")
-		eps       = flag.Float64("eps", 1e-3, "tolerance epsilon")
-		workers   = flag.Int("workers", 0, "worker goroutines (smo-family engines; 0 = all cores)")
-		calibrate = flag.Bool("probability", false, "fit Platt probability outputs via 3-fold CV")
-		seed      = flag.Int64("seed", 7, "seed for dataset generation, CV fold shuffling, and dc clustering")
-		verify    = flag.Bool("verify", false, "after training, verify the model against the QP (KKT violations, duality gap) and print the oracle report; exit nonzero on failure")
-		quiet     = flag.Bool("q", false, "suppress the summary")
+		dataPath  = fs.String("data", "", "training data in libsvm format")
+		dsName    = fs.String("dataset", "", "built-in synthetic dataset name instead of -data")
+		dsScale   = fs.Float64("dataset-scale", 0.01, "scale for -dataset generation")
+		modelPath = fs.String("model", "svm.model", "output model file")
+		tracePath = fs.String("trace", "", "optional output JSON trace (trace-capable engines)")
+		solverSel = fs.String("solver", "core", "registered solver engine; -list-solvers prints the table")
+		listSol   = fs.Bool("list-solvers", false, "print the registered solver engines with capabilities and exit")
+		p         = fs.Int("p", 4, "number of ranks (distributed engines)")
+		heuristic = fs.String("heuristic", "Multi5pc", "Table II heuristic name (heuristic-capable engines)")
+		c         = fs.Float64("c", 10, "box constraint C")
+		sigma2    = fs.Float64("sigma2", 4, "Gaussian kernel width sigma^2 (gamma = 1/(2*sigma^2))")
+		kern      = fs.String("kernel", "rbf", "kernel: rbf, linear, polynomial, sigmoid")
+		gamma     = fs.Float64("gamma", 0, "explicit kernel gamma (overrides -sigma2 when > 0)")
+		coef0     = fs.Float64("coef0", 0, "polynomial/sigmoid coef0")
+		degree    = fs.Int("degree", 3, "polynomial degree")
+		eps       = fs.Float64("eps", 1e-3, "tolerance epsilon")
+		workers   = fs.Int("workers", 0, "worker goroutines (smo-family engines; 0 = all cores)")
+		calibrate = fs.Bool("probability", false, "fit Platt probability outputs via 3-fold CV")
+		seed      = fs.Int64("seed", 7, "seed for dataset generation, CV fold shuffling, and dc clustering")
+		verify    = fs.Bool("verify", false, "after training, verify the model against the QP (KKT violations, duality gap) and print the oracle report; exit nonzero on failure")
+		quiet     = fs.Bool("q", false, "suppress the summary")
 
-		ckptDir    = flag.String("checkpoint-dir", "", "directory for crash-consistent training checkpoints (empty = checkpointing off)")
-		ckptEvery  = flag.Int64("checkpoint-every", 1000, "iterations between checkpoints (core/smo; dc checkpoints at cluster and level boundaries plus every N polish iterations)")
-		ckptMinGap = flag.Duration("checkpoint-min-interval", 100*time.Millisecond, "debounce: skip a checkpoint arriving sooner than this after the previous one (0 = save on every trigger)")
-		resume     = flag.Bool("resume", false, "resume from the newest valid checkpoint in -checkpoint-dir instead of starting cold")
+		ckptDir    = fs.String("checkpoint-dir", "", "directory for crash-consistent training checkpoints (empty = checkpointing off)")
+		ckptEvery  = fs.Int64("checkpoint-every", 1000, "iterations between checkpoints (core/smo; dc checkpoints at cluster and level boundaries plus every N polish iterations)")
+		ckptMinGap = fs.Duration("checkpoint-min-interval", 100*time.Millisecond, "debounce: skip a checkpoint arriving sooner than this after the previous one (0 = save on every trigger)")
+		resume     = fs.Bool("resume", false, "resume from the newest valid checkpoint in -checkpoint-dir instead of starting cold")
 
-		crashRank    = flag.Int("inject-crash-rank", -1, "fault injection: rank to kill (fault-inject-capable engines); -1 = off")
-		crashAt      = flag.Int64("inject-crash-at", 0, "fault injection: kill the rank at its Nth point-to-point operation (requires -inject-crash-rank >= 0)")
-		crashCluster = flag.Int("inject-crash-cluster", 0, "fault injection: dc cluster whose sub-solve receives the fault plan (dc solver)")
+		crashRank    = fs.Int("inject-crash-rank", -1, "fault injection: rank to kill (fault-inject-capable engines); -1 = off")
+		crashAt      = fs.Int64("inject-crash-at", 0, "fault injection: kill the rank at its Nth point-to-point operation (requires -inject-crash-rank >= 0)")
+		crashCluster = fs.Int("inject-crash-cluster", 0, "fault injection: dc cluster whose sub-solve receives the fault plan (dc solver)")
 
-		dcClusters    = flag.Int("dc-clusters", 8, "k-means clusters at the finest dc level")
-		dcLevels      = flag.Int("dc-levels", 1, "dc hierarchy depth (level l uses dc-clusters/2^l clusters)")
-		dcPolish      = flag.Bool("dc-polish", true, "run the warm-started polish to convergence (false = early stop, polish capped at 100 iterations)")
-		dcPolishFull  = flag.Bool("dc-polish-full", false, "polish over the full training set instead of the SV union; slower but eps-optimal on the full QP (required for -verify to pass)")
-		dcKernelSpace = flag.Bool("dc-kernel-space", false, "cluster in kernel feature space instead of input space")
-		dcSubSolver   = flag.String("dc-subsolver", "core", "dc sub-problem engine: any registered non-composite kernel classifier (core, smo, smo2, ...)")
+		dcClusters    = fs.Int("dc-clusters", 8, "k-means clusters at the finest dc level")
+		dcLevels      = fs.Int("dc-levels", 1, "dc hierarchy depth (level l uses dc-clusters/2^l clusters)")
+		dcPolish      = fs.Bool("dc-polish", true, "run the warm-started polish to convergence (false = early stop, polish capped at 100 iterations)")
+		dcPolishFull  = fs.Bool("dc-polish-full", false, "polish over the full training set instead of the SV union; slower but eps-optimal on the full QP (required for -verify to pass)")
+		dcKernelSpace = fs.Bool("dc-kernel-space", false, "cluster in kernel feature space instead of input space")
+		dcSubSolver   = fs.String("dc-subsolver", "core", "dc sub-problem engine: any registered non-composite kernel classifier (core, smo, smo2, ...)")
 
-		linVariant = flag.String("linear-variant", "dcd", `linear solver variant: "dcd" (dual coordinate descent, hinge) or "miso" (incremental primal, squared hinge)`)
-		linEpochs  = flag.Int("linear-epochs", 0, "linear solver epoch cap (0 = variant default)")
+		linVariant = fs.String("linear-variant", "dcd", `linear solver variant: "dcd" (dual coordinate descent, hinge) or "miso" (incremental primal, squared hinge)`)
+		linEpochs  = fs.Int("linear-epochs", 0, "linear solver epoch cap (0 = variant default)")
 
-		taskSel    = flag.String("task", "", `task variant: "svr" (epsilon-SVR regression) or "oneclass" (nu one-class anomaly detection); empty = binary classification. Task models train with the "tasks" engine; -data labels are regression targets for svr and ignored for oneclass`)
-		svrEps     = flag.Float64("svr-epsilon", 0.1, "epsilon tube half-width (-task svr)")
-		nuParam    = flag.Float64("nu", 0.5, "nu in (0, 1]: upper bound on the training outlier fraction (-task oneclass)")
-		updateFrom = flag.String("update-from", "", "incremental update: warm-start from this base model's recovered dual point; -data must hold the base training rows followed by the appended rows (any task kind, including classifiers)")
+		taskSel    = fs.String("task", "", `task variant: "svr" (epsilon-SVR regression) or "oneclass" (nu one-class anomaly detection); empty = binary classification. Task models train with the "tasks" engine; -data labels are regression targets for svr and ignored for oneclass`)
+		svrEps     = fs.Float64("svr-epsilon", 0.1, "epsilon tube half-width (-task svr)")
+		nuParam    = fs.Float64("nu", 0.5, "nu in (0, 1]: upper bound on the training outlier fraction (-task oneclass)")
+		updateFrom = fs.String("update-from", "", "incremental update: warm-start from this base model's recovered dual point; -data must hold the base training rows followed by the appended rows (any task kind, including classifiers)")
 
-		streamLoad = flag.Bool("stream", false, "out-of-core load: parse -data in chunks, spill CSR blocks to a temp file, and train with resident memory bounded by -mem-budget (streaming-capable engines; the model is bit-identical to the in-memory path)")
-		memBudget  = flag.String("mem-budget", "256MiB", "resident-block budget for -stream (e.g. 8388608, 64MiB, 1G)")
-		shards     = flag.Int("shards", 0, "load -data as N shards parsed in parallel: N byte ranges of one file, or N pre-split <data>.NNN-of-NNN files; the core solver trains one rank per shard (-shards must equal -p)")
+		streamLoad = fs.Bool("stream", false, "out-of-core load: parse -data in chunks, spill CSR blocks to a temp file, and train with resident memory bounded by -mem-budget (streaming-capable engines; the model is bit-identical to the in-memory path)")
+		memBudget  = fs.String("mem-budget", "256MiB", "resident-block budget for -stream (e.g. 8388608, 64MiB, 1G)")
+		shards     = fs.Int("shards", 0, "load -data as N shards parsed in parallel: N byte ranges of one file, or N pre-split <data>.NNN-of-NNN files; the core solver trains one rank per shard (-shards must equal -p)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	flagWasSet := func(name string) bool { return set[name] }
 
 	if *listSol {
-		return printSolvers(os.Stdout)
+		return printSolvers(stdout)
 	}
 
-	if *taskSel != "" || *updateFrom != "" {
-		// Task variants and incremental updates route through the "tasks"
-		// engine; the distributed/dc/linear machinery and the
-		// classifier-only extras do not apply.
-		for _, f := range []string{"solver", "dataset", "probability", "stream", "shards", "trace", "resume", "p", "heuristic"} {
+	// -task and -update-from select the "tasks" engine; everything else about
+	// the run (flag checks, kernel, checkpoints, save, verify) is shared.
+	task, ok := map[string]model.Task{"": model.TaskCSVC, "svr": model.TaskSVR, "oneclass": model.TaskOneClass}[*taskSel]
+	if !ok {
+		return fmt.Errorf("unknown -task %q (valid: svr, oneclass)", *taskSel)
+	}
+	taskRun := *taskSel != "" || *updateFrom != ""
+	if taskRun {
+		// Structural rejections; CheckFlags below covers the rest against
+		// the tasks engine's capabilities. -resume is listed although that
+		// engine checkpoints: the CLI restores classifier snapshots only.
+		for _, f := range []string{"solver", "dataset", "probability", "shards", "resume"} {
 			if flagWasSet(f) {
 				return fmt.Errorf("-%s does not apply to -task/-update-from runs", f)
 			}
@@ -164,15 +186,7 @@ func run() error {
 		if *dataPath == "" {
 			return fmt.Errorf("-task/-update-from requires -data")
 		}
-		return runTaskMode(taskModeOpts{
-			task: *taskSel, dataPath: *dataPath, modelPath: *modelPath, updateFrom: *updateFrom,
-			kern: *kern, gamma: *gamma, sigma2: *sigma2, coef0: *coef0, degree: *degree,
-			c: *c, svrEpsilon: *svrEps, nu: *nuParam, eps: *eps, workers: *workers,
-			ckptDir: *ckptDir, ckptEvery: *ckptEvery, ckptMinGap: *ckptMinGap,
-			verify: *verify, quiet: *quiet,
-		})
-	} else if flagWasSet("svr-epsilon") || flagWasSet("nu") {
-		return fmt.Errorf("-svr-epsilon/-nu require -task")
+		*solverSel = "tasks"
 	}
 
 	// Registry lookup replaces the hand-rolled engine switch; the error
@@ -182,7 +196,7 @@ func run() error {
 		return fmt.Errorf("unknown -solver %q (registered: %s)", *solverSel, strings.Join(solver.Names(), ", "))
 	}
 	caps := eng.Capabilities()
-	if !caps.Has(solver.CapClassify) {
+	if !taskRun && !caps.Has(solver.CapClassify) {
 		return fmt.Errorf("-solver %s does not train binary classifiers; it serves -task runs (classifier engines: %s)",
 			eng.Name(), strings.Join(solver.WithCapability(solver.CapClassify), ", "))
 	}
@@ -216,12 +230,19 @@ func run() error {
 		}
 		*kern = "linear"
 	}
+	kt, err := kernel.ParseType(*kern)
+	if err != nil {
+		return err
+	}
 	if *streamLoad {
 		if *dataPath == "" {
 			return fmt.Errorf("-stream requires -data (built-in datasets are generated in memory)")
 		}
 		if *shards > 0 {
 			return fmt.Errorf("-stream and -shards are mutually exclusive")
+		}
+		if *calibrate {
+			return fmt.Errorf("probability calibration: -probability needs in-memory data; drop -stream")
 		}
 	} else if flagWasSet("mem-budget") {
 		return fmt.Errorf("-mem-budget requires -stream")
@@ -233,6 +254,30 @@ func run() error {
 		if eng.Name() == "core" && *shards != *p {
 			return fmt.Errorf("-solver core trains one rank per shard: -shards %d must equal -p %d", *shards, *p)
 		}
+	}
+	if *resume && *ckptDir == "" {
+		return fmt.Errorf("-resume requires -checkpoint-dir")
+	}
+	var faults mpi.FaultPlan
+	if *crashRank >= 0 {
+		if *crashAt <= 0 {
+			return fmt.Errorf("-inject-crash-rank requires -inject-crash-at > 0")
+		}
+		faults = mpi.FaultPlan{CrashRank: *crashRank, CrashAtOp: *crashAt}
+	}
+
+	// An update inherits its task kind, kernel and hyper-parameters from the
+	// base model, so the base is read (and checked against -task) before
+	// the data.
+	var base *model.Model
+	if *updateFrom != "" {
+		if base, err = model.Load(*updateFrom); err != nil {
+			return fmt.Errorf("update base: %w", err)
+		}
+		if *taskSel != "" && base.TaskKind() != task {
+			return fmt.Errorf("-task %s but base model %s is %s", *taskSel, *updateFrom, base.TaskKind())
+		}
+		task = base.TaskKind()
 	}
 
 	// An explicit -seed redraws built-in datasets from the same distribution
@@ -251,6 +296,12 @@ func run() error {
 		sigma2Hyper float64
 	)
 	switch {
+	case task != model.TaskCSVC:
+		// Labels are loaded verbatim: SVR targets are continuous and must
+		// not be sign-mapped the way the classifier reader does.
+		if x, y, err = dataset.LoadLibsvmValuesFile(*dataPath); err != nil {
+			return err
+		}
 	case *streamLoad:
 		budget, berr := dataset.ParseByteSize(*memBudget)
 		if berr != nil {
@@ -294,10 +345,6 @@ func run() error {
 		}
 	}
 
-	kt, err := kernel.ParseType(*kern)
-	if err != nil {
-		return err
-	}
 	kp := kernel.Params{Type: kt, Gamma: *gamma, Coef0: *coef0, Degree: *degree}
 	if kt == kernel.Gaussian && *gamma <= 0 {
 		kp = kernel.FromSigma2(*sigma2)
@@ -315,9 +362,6 @@ func run() error {
 	}
 	var resumeSt *ckpt.State
 	if *resume {
-		if *ckptDir == "" {
-			return fmt.Errorf("-resume requires -checkpoint-dir")
-		}
 		st, path, err := ckpt.Load(*ckptDir)
 		if err != nil {
 			return fmt.Errorf("resume: %w", err)
@@ -327,15 +371,8 @@ func run() error {
 		}
 		resumeSt = st
 		if !*quiet {
-			fmt.Printf("resuming from %s: solver=%s iteration=%d\n", path, st.Solver, st.Iteration)
+			fmt.Fprintf(stdout, "resuming from %s: solver=%s iteration=%d\n", path, st.Solver, st.Iteration)
 		}
-	}
-	var faults mpi.FaultPlan
-	if *crashRank >= 0 {
-		if *crashAt <= 0 {
-			return fmt.Errorf("-inject-crash-rank requires -inject-crash-at > 0")
-		}
-		faults = mpi.FaultPlan{CrashRank: *crashRank, CrashAtOp: *crashAt}
 	}
 
 	opts := solver.Options{
@@ -348,6 +385,7 @@ func run() error {
 			SubSolver: *dcSubSolver, PolishFull: *dcPolishFull, SubFaultCluster: *crashCluster,
 		},
 		Linear: solver.LinearOptions{Variant: *linVariant, MaxEpochs: *linEpochs},
+		Task:   solver.TaskOptions{Epsilon: *svrEps, Nu: *nuParam},
 	}
 	if caps.Has(solver.CapHeuristics) {
 		opts.Heuristic = *heuristic
@@ -368,7 +406,7 @@ func run() error {
 		opts.CheckpointFingerprint = shardData.Fingerprint
 	}
 
-	prob := solver.Problem{Y: y, Kernel: kp}
+	prob := solver.Problem{Y: y, Kernel: kp, Task: task}
 	if oocX != nil {
 		prob.X = oocX
 	} else {
@@ -376,27 +414,29 @@ func run() error {
 	}
 
 	start := time.Now()
-	var res solver.Result
-	var summary string
+	var stopHeapSampler func() uint64
 	if oocX != nil {
 		// Out-of-core: same engine, row access served from the spill
 		// file's LRU. Training is deterministic in (data, seed), so the
 		// model is byte-identical to the in-memory path.
-		peak := startHeapSampler()
+		stopHeapSampler = startHeapSampler()
+	}
+	var res solver.Result
+	if base != nil {
+		res, err = tasks.Update(base, x, y, opts)
+	} else {
 		res, err = eng.Train(context.Background(), prob, opts)
-		peakHeap := peak()
-		if err != nil {
-			return err
-		}
+	}
+	var summary string
+	if oocX != nil {
+		peakHeap := stopHeapSampler()
 		loads, hits, evictions := oocX.Stats()
 		summary = fmt.Sprintf("stream: data=%s budget=%s peak-heap=%s blocks=%d loads=%d hits=%d evictions=%d\n  ",
 			dataset.FormatByteSize(oocX.ByteSize()), *memBudget,
 			dataset.FormatByteSize(int64(peakHeap)), oocX.Blocks(), loads, hits, evictions)
-	} else {
-		res, err = eng.Train(context.Background(), prob, opts)
-		if err != nil {
-			return err
-		}
+	}
+	if err != nil {
+		return err
 	}
 	m := res.Model
 	summary += res.Summary
@@ -406,9 +446,6 @@ func run() error {
 		}
 	}
 	if *calibrate {
-		if oocX != nil {
-			return fmt.Errorf("probability calibration: -probability needs in-memory data; drop -stream")
-		}
 		splits, err := cv.StratifiedKFold(y, 3, *seed)
 		if err != nil {
 			return fmt.Errorf("probability calibration: %w", err)
@@ -437,52 +474,68 @@ func run() error {
 	if err := m.Save(*modelPath); err != nil {
 		return err
 	}
-	rows := 0
-	if x != nil {
-		rows = x.Rows()
-	} else if oocX != nil {
-		rows = oocX.Rows()
-	}
 	if !*quiet {
-		fmt.Printf("trained %d samples in %v: %s\n", rows, time.Since(start).Round(time.Millisecond), summary)
-		fmt.Printf("model written to %s\n", *modelPath)
+		rows := 0
+		if x != nil {
+			rows = x.Rows()
+		} else if oocX != nil {
+			rows = oocX.Rows()
+		}
+		what := "trained"
+		if base != nil {
+			what = fmt.Sprintf("updated %s on", m.TaskKind())
+		} else if taskRun {
+			what = fmt.Sprintf("trained %s on", m.TaskKind())
+		}
+		fmt.Fprintf(stdout, "%s %d samples in %v: %s\n", what, rows, time.Since(start).Round(time.Millisecond), summary)
+		fmt.Fprintf(stdout, "model written to %s\n", *modelPath)
 	}
-	if *verify {
-		if oocX != nil {
-			// The oracle recomputes objectives over every row; materialize
-			// the spilled matrix (verification is a deliberate exception to
-			// the memory budget).
-			if x, err = oocX.Materialize(); err != nil {
-				return fmt.Errorf("verify: %w", err)
-			}
-		}
-		if !caps.Has(solver.CapKernels) {
-			loss := oracle.HingeLoss
-			if linVar == linear.MISO {
-				loss = oracle.SquaredHingeLoss
-			}
-			prob := oracle.LinearProblem{X: x, Y: y, C: *c, Eps: *eps, Loss: loss}
-			rep, err := prob.VerifyLinearModel(m, res.Alpha)
-			if err != nil {
-				return fmt.Errorf("verify: %w", err)
-			}
-			fmt.Println(rep)
-			if err := rep.Check(); err != nil {
-				return fmt.Errorf("verify: %w", err)
-			}
-			return nil
-		}
-		prob := oracle.Problem{X: x, Y: y, Kernel: kp, C: *c, Eps: *eps}
-		rep, err := prob.VerifyModel(m)
-		if err != nil {
+	if !*verify {
+		return nil
+	}
+	if oocX != nil {
+		// The oracle recomputes objectives over every row; materialize
+		// the spilled matrix (verification is a deliberate exception to
+		// the memory budget).
+		if x, err = oocX.Materialize(); err != nil {
 			return fmt.Errorf("verify: %w", err)
 		}
-		fmt.Println(rep)
-		if err := rep.Check(); err != nil {
-			return fmt.Errorf("verify: %w", err)
-		}
+	}
+	rep, err := verifyModel(m, res.Alpha, x, y, !caps.Has(solver.CapKernels), linVar, *eps, *workers)
+	if err != nil {
+		return fmt.Errorf("verify: %w", err)
+	}
+	fmt.Fprintln(stdout, rep)
+	if err := rep.Check(); err != nil {
+		return fmt.Errorf("verify: %w", err)
 	}
 	return nil
+}
+
+// verifyModel checks m against the QP it was trained on, keyed on the
+// model's task kind (and, for classifiers, on whether a linear-only engine
+// produced it). The QP is rebuilt from the model's own kernel and
+// hyper-parameters, not the flags: an -update-from run inherits the base
+// model's, and verifying the right model against a different kernel reports
+// garbage with full confidence. alpha is the linear engines' dual point.
+func verifyModel(m *model.Model, alpha []float64, x *sparse.Matrix, y []float64, linearOnly bool, linVar linear.Variant, eps float64, workers int) (interface {
+	String() string
+	Check() error
+}, error) {
+	switch {
+	case m.TaskKind() == model.TaskSVR:
+		return oracle.SVRProblem{X: x, Z: y, Kernel: m.Kernel, C: m.C, Epsilon: m.Epsilon, Eps: eps, Workers: workers}.VerifyModel(m)
+	case m.TaskKind() == model.TaskOneClass:
+		return oracle.OneClassProblem{X: x, Kernel: m.Kernel, Nu: m.Nu, Eps: eps, Workers: workers}.VerifyModel(m)
+	case linearOnly:
+		loss := oracle.HingeLoss
+		if linVar == linear.MISO {
+			loss = oracle.SquaredHingeLoss
+		}
+		return oracle.LinearProblem{X: x, Y: y, C: m.C, Eps: eps, Loss: loss}.VerifyLinearModel(m, alpha)
+	default:
+		return oracle.Problem{X: x, Y: y, Kernel: m.Kernel, C: m.C, Eps: eps}.VerifyModel(m)
+	}
 }
 
 // printSolvers writes the registry table: one row per engine with its
@@ -495,148 +548,6 @@ func printSolvers(w io.Writer) error {
 		fmt.Fprintf(tw, "%s\t%s\t%s\n", e.Name(), e.Capabilities(), solver.Describe(e))
 	}
 	return tw.Flush()
-}
-
-// taskModeOpts carries the flag values the task-variant path consumes.
-type taskModeOpts struct {
-	task, dataPath, modelPath, updateFrom string
-	kern                                  string
-	gamma, sigma2, coef0                  float64
-	degree                                int
-	c, svrEpsilon, nu, eps                float64
-	workers                               int
-	ckptDir                               string
-	ckptEvery                             int64
-	ckptMinGap                            time.Duration
-	verify, quiet                         bool
-}
-
-// runTaskMode trains (or incrementally updates) an epsilon-SVR, one-class,
-// or — for updates — classifier model. Cold task trains route through the
-// registered "tasks" engine; incremental updates go through tasks.Update,
-// which recovers the warm start from the base model. -verify routes through
-// the matching oracle verifier.
-func runTaskMode(o taskModeOpts) error {
-	// Labels are loaded verbatim: SVR targets are continuous and must not be
-	// clamped to +/-1 the way the classifier reader does.
-	x, labels, err := dataset.LoadLibsvmValuesFile(o.dataPath)
-	if err != nil {
-		return err
-	}
-
-	kt, err := kernel.ParseType(o.kern)
-	if err != nil {
-		return err
-	}
-	kp := kernel.Params{Type: kt, Gamma: o.gamma, Coef0: o.coef0, Degree: o.degree}
-	if kt == kernel.Gaussian && o.gamma <= 0 {
-		kp = kernel.FromSigma2(o.sigma2)
-	}
-
-	var ckptW *ckpt.Writer
-	if o.ckptDir != "" {
-		w, err := ckpt.NewWriter(o.ckptDir)
-		if err != nil {
-			return err
-		}
-		w.SetMinInterval(o.ckptMinGap)
-		ckptW = w
-	}
-
-	start := time.Now()
-	var m *model.Model
-	var summary string
-	switch {
-	case o.updateFrom != "":
-		base, err := model.Load(o.updateFrom)
-		if err != nil {
-			return fmt.Errorf("update base: %w", err)
-		}
-		if o.task != "" {
-			want := map[string]model.Task{"svr": model.TaskSVR, "oneclass": model.TaskOneClass}[o.task]
-			if base.TaskKind() != want {
-				return fmt.Errorf("-task %s but base model %s is %s", o.task, o.updateFrom, base.TaskKind())
-			}
-		}
-		if base.TaskKind() == model.TaskCSVC {
-			// The update path reuses the classifier QP, which wants +/-1.
-			for i, v := range labels {
-				if v > 0 {
-					labels[i] = 1
-				} else {
-					labels[i] = -1
-				}
-			}
-		}
-		res, err := tasks.Update(base, x, labels, solver.Options{
-			Eps: o.eps, Workers: o.workers,
-			Checkpoint: ckptW, CheckpointEvery: o.ckptEvery,
-		})
-		if err != nil {
-			return err
-		}
-		m, summary = res.Model, res.Summary
-
-	case o.task == "svr", o.task == "oneclass":
-		taskKind := model.TaskSVR
-		if o.task == "oneclass" {
-			taskKind = model.TaskOneClass
-		}
-		res, err := solver.Train(context.Background(), "tasks",
-			solver.Problem{X: x, Y: labels, Kernel: kp, Task: taskKind},
-			solver.Options{
-				C: o.c, Eps: o.eps, Workers: o.workers,
-				Checkpoint: ckptW, CheckpointEvery: o.ckptEvery,
-				Task: solver.TaskOptions{Epsilon: o.svrEpsilon, Nu: o.nu},
-			})
-		if err != nil {
-			return err
-		}
-		m, summary = res.Model, res.Summary
-
-	default:
-		return fmt.Errorf("unknown -task %q (valid: svr, oneclass)", o.task)
-	}
-
-	if err := m.Save(o.modelPath); err != nil {
-		return err
-	}
-	if !o.quiet {
-		mode := "trained"
-		if o.updateFrom != "" {
-			mode = "updated"
-		}
-		fmt.Printf("%s %s on %d samples in %v: %s\n",
-			mode, m.TaskKind(), x.Rows(), time.Since(start).Round(time.Millisecond), summary)
-		fmt.Printf("model written to %s\n", o.modelPath)
-	}
-
-	if o.verify {
-		// Verify against the model's own hyper-parameters, not the kernel
-		// flags: an -update-from run inherits the base model's kernel (the
-		// flags may be unset), and verifying the right model against a
-		// different kernel reports garbage with full confidence.
-		var rep *oracle.Report
-		switch m.TaskKind() {
-		case model.TaskSVR:
-			prob := oracle.SVRProblem{X: x, Z: labels, Kernel: m.Kernel, C: m.C, Epsilon: m.Epsilon, Eps: o.eps, Workers: o.workers}
-			rep, err = prob.VerifyModel(m)
-		case model.TaskOneClass:
-			prob := oracle.OneClassProblem{X: x, Kernel: m.Kernel, Nu: m.Nu, Eps: o.eps, Workers: o.workers}
-			rep, err = prob.VerifyModel(m)
-		default:
-			prob := oracle.Problem{X: x, Y: labels, Kernel: m.Kernel, C: m.C, Eps: o.eps}
-			rep, err = prob.VerifyModel(m)
-		}
-		if err != nil {
-			return fmt.Errorf("verify: %w", err)
-		}
-		fmt.Println(rep)
-		if err := rep.Check(); err != nil {
-			return fmt.Errorf("verify: %w", err)
-		}
-	}
-	return nil
 }
 
 func loadData(dataPath, dsName string, dsScale float64, seed int64) (*sparse.Matrix, []float64, float64, float64, error) {
@@ -691,14 +602,4 @@ func startHeapSampler() func() uint64 {
 		wg.Wait()
 		return peak.Load()
 	}
-}
-
-func flagWasSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
 }

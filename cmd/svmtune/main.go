@@ -17,8 +17,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -36,29 +38,40 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "svmtune:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run parses args, cross-validates every grid point and prints the table
+// and the selected setting to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("svmtune", flag.ContinueOnError)
 	var (
-		dataPath   = flag.String("data", "", "training data in libsvm format")
-		dsName     = flag.String("dataset", "", "built-in synthetic dataset instead of -data")
-		dsScale    = flag.Float64("dataset-scale", 0.01, "scale for -dataset generation")
-		folds      = flag.Int("folds", 10, "cross-validation folds (the paper used 10)")
-		seed       = flag.Int64("seed", 1, "fold-shuffle seed")
-		cGrid      = flag.String("c-grid", "", "comma-separated C values (default libsvm-style 2^-1..2^7)")
-		sigma2Grid = flag.String("sigma2-grid", "", "comma-separated sigma^2 values (default 2^-1..2^7)")
-		p          = flag.Int("p", 4, "ranks per training run (distributed engines)")
-		heuristic  = flag.String("heuristic", "Multi5pc", "shrinking heuristic (heuristic-capable engines)")
-		eps        = flag.Float64("eps", 1e-3, "tolerance epsilon")
-		solverSel  = flag.String("solver", "core", "registered solver engine per training run; kernel engines tune (C, sigma^2), linear-only engines tune C (svmtrain -list-solvers prints the table)")
-		linVariant = flag.String("linear-variant", "dcd", `linear solver variant: "dcd" or "miso" (linear-only engines)`)
-		linEpochs  = flag.Int("linear-epochs", 0, "linear solver epoch cap per fold (0 = variant default)")
+		dataPath   = fs.String("data", "", "training data in libsvm format")
+		dsName     = fs.String("dataset", "", "built-in synthetic dataset instead of -data")
+		dsScale    = fs.Float64("dataset-scale", 0.01, "scale for -dataset generation")
+		folds      = fs.Int("folds", 10, "cross-validation folds (the paper used 10)")
+		seed       = fs.Int64("seed", 1, "fold-shuffle seed")
+		cGrid      = fs.String("c-grid", "", "comma-separated C values (default libsvm-style 2^-1..2^7)")
+		sigma2Grid = fs.String("sigma2-grid", "", "comma-separated sigma^2 values (default 2^-1..2^7)")
+		p          = fs.Int("p", 4, "ranks per training run (distributed engines)")
+		heuristic  = fs.String("heuristic", "Multi5pc", "shrinking heuristic (heuristic-capable engines)")
+		eps        = fs.Float64("eps", 1e-3, "tolerance epsilon")
+		solverSel  = fs.String("solver", "core", "registered solver engine per training run; kernel engines tune (C, sigma^2), linear-only engines tune C (svmtrain -list-solvers prints the table)")
+		linVariant = fs.String("linear-variant", "dcd", `linear solver variant: "dcd" or "miso" (linear-only engines)`)
+		linEpochs  = fs.Int("linear-epochs", 0, "linear solver epoch cap per fold (0 = variant default)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	flagWasSet := func(name string) bool { return set[name] }
 
 	// Resolve the engine and validate engine-conditional flags before
 	// loading data so a typo fails fast. The rule table is shared with
@@ -160,10 +173,10 @@ func run() error {
 	}
 
 	if isLinear {
-		fmt.Printf("grid search (-solver %s, variant %s): %d C values, %d-fold CV on %d samples\n",
+		fmt.Fprintf(stdout, "grid search (-solver %s, variant %s): %d C values, %d-fold CV on %d samples\n",
 			eng.Name(), linVar, len(cs), *folds, x.Rows())
 	} else {
-		fmt.Printf("grid search: %d C values x %d sigma^2 values, %d-fold CV on %d samples\n",
+		fmt.Fprintf(stdout, "grid search: %d C values x %d sigma^2 values, %d-fold CV on %d samples\n",
 			len(cs), len(sigma2s), *folds, x.Rows())
 	}
 	points, best, err := cv.GridSearch(x, y, cs, sigma2s, splits, trainAt)
@@ -171,39 +184,29 @@ func run() error {
 		return err
 	}
 	if isLinear {
-		fmt.Printf("%10s %12s %10s\n", "C", "mean-acc(%)", "std")
+		fmt.Fprintf(stdout, "%10s %12s %10s\n", "C", "mean-acc(%)", "std")
 		for _, pt := range points {
 			marker := ""
 			if pt.C == best.C {
 				marker = "  <- best"
 			}
-			fmt.Printf("%10g %12.2f %10.2f%s\n", pt.C, pt.Result.Mean, pt.Result.Std, marker)
+			fmt.Fprintf(stdout, "%10g %12.2f %10.2f%s\n", pt.C, pt.Result.Mean, pt.Result.Std, marker)
 		}
-		fmt.Printf("\nselected: -solver %s -c %g (CV accuracy %.2f%% +/- %.2f)\n",
+		fmt.Fprintf(stdout, "\nselected: -solver %s -c %g (CV accuracy %.2f%% +/- %.2f)\n",
 			eng.Name(), best.C, best.Result.Mean, best.Result.Std)
 		return nil
 	}
-	fmt.Printf("%10s %10s %12s %10s\n", "C", "sigma^2", "mean-acc(%)", "std")
+	fmt.Fprintf(stdout, "%10s %10s %12s %10s\n", "C", "sigma^2", "mean-acc(%)", "std")
 	for _, pt := range points {
 		marker := ""
 		if pt.C == best.C && pt.Sigma2 == best.Sigma2 {
 			marker = "  <- best"
 		}
-		fmt.Printf("%10g %10g %12.2f %10.2f%s\n", pt.C, pt.Sigma2, pt.Result.Mean, pt.Result.Std, marker)
+		fmt.Fprintf(stdout, "%10g %10g %12.2f %10.2f%s\n", pt.C, pt.Sigma2, pt.Result.Mean, pt.Result.Std, marker)
 	}
-	fmt.Printf("\nselected: -c %g -sigma2 %g (CV accuracy %.2f%% +/- %.2f)\n",
+	fmt.Fprintf(stdout, "\nselected: -c %g -sigma2 %g (CV accuracy %.2f%% +/- %.2f)\n",
 		best.C, best.Sigma2, best.Result.Mean, best.Result.Std)
 	return nil
-}
-
-func flagWasSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
 }
 
 func parseGrid(s string, def []float64) ([]float64, error) {

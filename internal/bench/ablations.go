@@ -150,56 +150,3 @@ func RunAblationCache(o Options) (*Report, error) {
 	rep.Took = time.Since(start)
 	return rep, nil
 }
-
-// RunAblationWSS compares working-set selection rules: the paper's maximal
-// violating pair (Keerthi et al.) against libsvm's second-order gain rule,
-// on both the iterative schedule and the modeled cluster time.
-func RunAblationWSS(o Options) (*Report, error) {
-	o = o.withDefaults()
-	start := time.Now()
-	const benchP = 64
-	ds, _, err := loadDataset(o, "codrna")
-	if err != nil {
-		return nil, err
-	}
-	machine := calibrate(o, ds)
-	factor := float64(dataset.Specs["codrna"].FullTrain) / float64(ds.Train())
-	rep := &Report{
-		ID:    "ablation-wss",
-		Title: fmt.Sprintf("Working-set selection on %s (modeled at p=%d)", ds.Name, benchP),
-		Header: []string{"selection", "heuristic", "iterations", "kernel-evals", "mean-active",
-			"modeled-t(s)", "test-acc(%)"},
-	}
-	for _, h := range []core.Heuristic{core.Original, core.Multi5pc} {
-		for _, second := range []bool{false, true} {
-			cfg := core.Config{
-				Kernel: kernel.FromSigma2(ds.Sigma2), C: ds.C, Eps: o.Eps,
-				Heuristic: h, SecondOrder: second, RecordTrace: true, DatasetName: ds.Name,
-			}
-			m, st, err := core.TrainParallel(ds.X, ds.Y, 1, cfg)
-			if err != nil {
-				return nil, err
-			}
-			b, err := perfmodel.Evaluate(st.Trace.ScaledUp(factor), benchP, machine)
-			if err != nil {
-				return nil, err
-			}
-			acc, err := m.Evaluate(ds.TestX, ds.TestY)
-			if err != nil {
-				return nil, err
-			}
-			sel := "max-violating-pair"
-			if second {
-				sel = "second-order"
-			}
-			rep.Rows = append(rep.Rows, []string{
-				sel, h.Name, i64toa(st.Iterations), fmt.Sprintf("%d", st.KernelEvals),
-				pct(st.Trace.MeanActiveFraction()), fmt.Sprintf("%.3f", b.Total()), f2(acc.Accuracy),
-			})
-		}
-	}
-	rep.Notes = append(rep.Notes,
-		"the paper uses the maximal violating pair; the second-order rule costs one extra Allreduce per iteration and typically converges in far fewer iterations")
-	rep.Took = time.Since(start)
-	return rep, nil
-}

@@ -149,8 +149,7 @@ func Experiments() []Experiment {
 		{ID: "ablation-subsequent", Title: "Ablation: subsequent shrink threshold (active-set size vs fixed)", Run: RunAblationSubsequent},
 		{ID: "ablation-synceps", Title: "Ablation: first gradient sync at 20*eps vs 2*eps", Run: RunAblationSyncEps},
 		{ID: "ablation-cache", Title: "Ablation: kernel-cache budget in the libsvm-enhanced baseline", Run: RunAblationCache},
-		{ID: "ablation-wss", Title: "Ablation: working-set selection (max violating pair vs second-order)", Run: RunAblationWSS},
-		{ID: "wss", Title: "Registry engines: smo (first-order) vs smo2 (second-order WSS), measured", Run: RunWSS},
+		{ID: "wss", Title: "Working-set selection: first- vs second-order, measured (smo/smo2) and modeled (core, p=64)", Run: RunWSS},
 		{ID: "dcsvm", Title: "Divide-and-conquer training vs exact full solves (wall-clock)", Run: RunDCSVM},
 		{ID: "linear", Title: "Linear fast path (explicit w) vs kernel engines on sparse text", Run: RunLinear},
 		{ID: "stream", Title: "Out-of-core streaming load vs in-memory (peak heap, parity)", Run: RunStream},

@@ -52,8 +52,8 @@ var TrainFlagRules = []FlagRule{
 	{Flag: "dc-subsolver", Need: CapComposite},
 	{Flag: "linear-variant", Need: CapLinearVariants},
 	{Flag: "linear-epochs", Need: CapLinearVariants},
-	{Flag: "svr-epsilon", Need: CapSVR},
-	{Flag: "nu", Need: CapOneClass},
+	{Flag: "svr-epsilon", Need: CapSVR, Hint: "select it with -task svr"},
+	{Flag: "nu", Need: CapOneClass, Hint: "select it with -task oneclass"},
 }
 
 // TuneFlagRules is the svmtune rule table (the subset of train flags the

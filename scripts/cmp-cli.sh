@@ -1,0 +1,125 @@
+#!/usr/bin/env bash
+# cmp-cli.sh <base-rev> — old-vs-new CLI equivalence check.
+#
+# Builds svmtrain and svmtune from <base-rev> and from the working tree,
+# runs both over the same list of training paths and tuning grids, and
+# compares every model file byte for byte and every stdout with wall-clock
+# timings normalised. Exits nonzero on the first difference. A refactor
+# that must not change behaviour proves it with:
+#
+#	scripts/cmp-cli.sh origin/main
+#
+# Error text (stderr) is not compared; exit statuses are.
+set -euo pipefail
+
+base=${1:?usage: scripts/cmp-cli.sh <base-rev>}
+root=$(git rev-parse --show-toplevel)
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+
+# The base side is an exported tree, not a checkout: nothing in the
+# repository's own .git changes.
+mkdir -p "$work/src" "$work/old" "$work/new" "$work/data"
+git -C "$root" archive "$base" | tar -x -C "$work/src"
+(cd "$work/src" && go build -o "$work/old/bin/" ./cmd/svmtrain ./cmd/svmtune)
+(cd "$root" && go build -o "$work/new/bin/" ./cmd/svmtrain ./cmd/svmtune ./cmd/svmgen)
+
+# Shared inputs, generated once. Each *-base file is a prefix of its full
+# file, as -update-from requires.
+(
+	cd "$work/data"
+	gen=$work/new/bin/svmgen
+	$gen -dataset blobs -scale 0.1 -out blobs.train >/dev/null
+	$gen -task svr -n 240 -dim 4 -seed 3 -out svr.train >/dev/null
+	$gen -task oneclass -n 240 -dim 4 -seed 3 -out oc.train >/dev/null
+	head -n 160 blobs.train >blobs-base.train
+	head -n 200 svr.train >svr-base.train
+	head -n 200 oc.train >oc-base.train
+)
+
+fail=0
+step=0
+# run <args...>: run the same command line on both sides (cwd = side dir,
+# so relative paths print identically) and compare exit status and
+# normalised stdout.
+run() {
+	step=$((step + 1))
+	local side status
+	for side in old new; do
+		status=0
+		(cd "$work/$side" && "./bin/$@") >"$work/$side/out.$step" 2>/dev/null || status=$?
+		sed -E -e 's/ in [0-9][0-9.]*(ns|µs|us|ms|s|m[0-9.]+s|h[0-9hms.]+)?:/ in T:/' \
+			-e 's/peak-heap=[^ ]*/peak-heap=X/' \
+			"$work/$side/out.$step" >"$work/$side/norm.$step"
+		echo "$status" >"$work/$side/status.$step"
+	done
+	if ! cmp -s "$work/old/status.$step" "$work/new/status.$step"; then
+		echo "DIFF exit status: $*" && fail=1
+	elif ! cmp -s "$work/old/norm.$step" "$work/new/norm.$step"; then
+		echo "DIFF stdout: $*" && diff "$work/old/norm.$step" "$work/new/norm.$step" || true
+		fail=1
+	else
+		echo "same: $*"
+	fi
+}
+# same_model <file>: the model written on both sides must be byte-equal.
+same_model() {
+	if ! cmp -s "$work/old/$1" "$work/new/$1"; then
+		echo "DIFF model: $1" && fail=1
+	fi
+}
+
+D=../data
+run svmtrain -list-solvers
+for args in \
+	"core-p2|-p 2" \
+	"smo|-solver smo" \
+	"smo2|-solver smo2" \
+	"dc|-solver dc" \
+	"dc-full|-solver dc -dc-polish-full -verify" \
+	"dc-smo2|-solver dc -dc-subsolver smo2" \
+	"dcd|-solver linear -linear-variant dcd -verify" \
+	"miso|-solver linear -linear-variant miso -verify" \
+	"stream|-solver linear -stream -mem-budget 2KiB" \
+	"shards-core|-shards 2 -p 2" \
+	"shards-linear|-solver linear -shards 2" \
+	"prob|-probability" \
+	"verify|-p 2 -verify"; do
+	name=${args%%|*}
+	# shellcheck disable=SC2086
+	run svmtrain -data $D/blobs.train ${args#*|} -model "$name.model"
+	same_model "$name.model"
+done
+
+run svmtrain -task svr -data $D/svr.train -gamma 0.5 -svr-epsilon 0.1 -model svr.model -verify
+same_model svr.model
+run svmtrain -task oneclass -data $D/oc.train -gamma 0.5 -nu 0.1 -model oc.model -verify
+same_model oc.model
+
+# Incremental updates from base models trained on each prefix.
+run svmtrain -task svr -data $D/svr-base.train -gamma 0.5 -model svr-base.model
+run svmtrain -update-from svr-base.model -task svr -data $D/svr.train -model svr-upd.model -verify
+same_model svr-upd.model
+run svmtrain -task oneclass -data $D/oc-base.train -gamma 0.5 -nu 0.1 -model oc-base.model
+run svmtrain -update-from oc-base.model -data $D/oc.train -model oc-upd.model -verify
+same_model oc-upd.model
+run svmtrain -solver smo -data $D/blobs-base.train -model cls-base.model
+run svmtrain -update-from cls-base.model -data $D/blobs.train -model cls-upd.model -verify
+same_model cls-upd.model
+
+# Checkpoint drill: crash rank 1 mid-run (both sides must fail), then
+# resume both sides from copies of one checkpoint directory.
+run svmtrain -data $D/blobs.train -p 2 -checkpoint-dir ck -checkpoint-every 5 \
+	-checkpoint-min-interval 0 -inject-crash-rank 1 -inject-crash-at 300 -model crash.model
+rm -rf "$work/new/ck" && cp -r "$work/old/ck" "$work/new/ck"
+run svmtrain -data $D/blobs.train -p 2 -checkpoint-dir ck -resume -verify -model resumed.model
+same_model resumed.model
+
+run svmtune -data $D/blobs.train -folds 3 -c-grid 1,10 -sigma2-grid 1,4
+run svmtune -data $D/blobs.train -folds 3 -solver linear -c-grid 0.5,1
+
+if [ "$fail" -ne 0 ]; then
+	echo "cmp-cli: old ($base) and new CLIs differ"
+	exit 1
+fi
+echo "cmp-cli: $step commands identical against $base (models byte-equal, stdout timing-normalised)"
