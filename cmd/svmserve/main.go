@@ -85,11 +85,9 @@ func run() error {
 		maxBatch = flag.Int("max-batch", 4096, "max rows per predict request")
 		drain    = flag.Duration("drain", 0, "graceful shutdown drain timeout (0 = 10s default)")
 
-		noCoalesce  = flag.Bool("no-coalesce", false, "disable request coalescing for single-row predictions")
 		batchWindow = flag.Duration("batch-window", 0, "coalescing window for single-row predictions (0 = 2ms default)")
 		batchMax    = flag.Int("batch-size", 0, "max rows coalesced into one evaluation (0 = 32 default)")
-		replicas    = flag.Int("replicas", 0, "batcher replicas per model, routed by power-of-two-choices (0 = 1 default)")
-		queueDepth  = flag.Int("queue", 0, "outstanding rows per replica before shedding (0 = 1024 default)")
+		queueDepth  = flag.Int("queue", 0, "outstanding rows per model before shedding (0 = 1024 default)")
 		maxInflight = flag.Int("max-inflight", 0, "concurrently executing batches per model (0 = 2 default)")
 		reqTimeout  = flag.Duration("request-timeout", 0, "deadline applied to single-row requests without one (0 = none)")
 		packBudget  = flag.Int64("pack-budget", model.DefaultPackBudget,
@@ -113,16 +111,14 @@ func run() error {
 	}
 
 	srv := serve.New(reg, serve.Config{
-		Workers:         *workers,
-		MaxBatch:        *maxBatch,
-		DrainTimeout:    *drain,
-		DisableCoalesce: *noCoalesce,
-		CoalesceWindow:  *batchWindow,
-		CoalesceBatch:   *batchMax,
-		Replicas:        *replicas,
-		QueueDepth:      *queueDepth,
-		MaxInFlight:     *maxInflight,
-		RequestTimeout:  *reqTimeout,
+		Workers:        *workers,
+		MaxBatch:       *maxBatch,
+		DrainTimeout:   *drain,
+		CoalesceWindow: *batchWindow,
+		CoalesceBatch:  *batchMax,
+		QueueDepth:     *queueDepth,
+		MaxInFlight:    *maxInflight,
+		RequestTimeout: *reqTimeout,
 	})
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -31,6 +31,7 @@ func RunAblationSubsequent(o Options) (*Report, error) {
 	}
 	for _, h := range []core.Heuristic{core.Multi5pc, core.Multi500, core.Single5pc} {
 		for _, fixed := range []bool{false, true} {
+			// Native: solver.Options does not carry SubsequentFixed.
 			cfg := core.Config{
 				Kernel: kernel.FromSigma2(ds.Sigma2), C: ds.C, Eps: o.Eps,
 				Heuristic: h, SubsequentFixed: fixed, RecordTrace: true, DatasetName: ds.Name,
@@ -77,6 +78,7 @@ func RunAblationSyncEps(o Options) (*Report, error) {
 		Header: []string{"first-sync", "iterations", "recons", "mean-active", "modeled-t(s)"},
 	}
 	for _, syncFactor := range []float64{10, 5, 1} { // bands of 20*eps, 10*eps, 2*eps
+		// Native: solver.Options does not carry FirstSyncFactor.
 		cfg := core.Config{
 			Kernel: kernel.FromSigma2(ds.Sigma2), C: ds.C, Eps: o.Eps,
 			Heuristic: core.Multi5pc, FirstSyncFactor: syncFactor,
@@ -127,6 +129,8 @@ func RunAblationCache(o Options) (*Report, error) {
 		{"full", 1 << 30},
 	}
 	for _, b := range budgets {
+		// Native: the registry reads a zero CacheBytes as its 1 GiB
+		// default, so the no-cache row needs smo.Config.
 		cfg := smo.Config{
 			Kernel: kernel.FromSigma2(ds.Sigma2), C: ds.C, Eps: o.Eps,
 			Workers: o.BaselineWorkers, CacheBytes: b.bytes, Shrinking: true,
@@ -137,12 +141,8 @@ func RunAblationCache(o Options) (*Report, error) {
 			return nil, err
 		}
 		elapsed := time.Since(t0)
-		hitRate := 0.0
-		if h, m := res.CacheHits, res.CacheMisses; h+m > 0 {
-			hitRate = float64(h) / float64(h+m)
-		}
 		rep.Rows = append(rep.Rows, []string{
-			b.name, pct(hitRate), fmt.Sprintf("%d", res.CacheEvictions),
+			b.name, pct(res.CacheHitRate()), fmt.Sprintf("%d", res.CacheEvictions),
 			fmt.Sprintf("%d", res.KernelEvals), elapsed.Round(time.Millisecond).String(),
 		})
 	}

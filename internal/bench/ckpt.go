@@ -7,9 +7,6 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/core"
-	"repro/internal/dcsvm"
-	"repro/internal/kernel"
-	"repro/internal/smo"
 	"repro/internal/solver"
 )
 
@@ -26,7 +23,6 @@ func RunCkpt(o Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	kp := kernel.FromSigma2(ds.Sigma2)
 	// The same operating point as the svmtrain defaults: a snapshot every
 	// 1000 iterations, debounced to at most one fsync per 100ms.
 	const every = 1000
@@ -40,48 +36,25 @@ func RunCkpt(o Options) (*Report, error) {
 	}
 
 	type engine struct {
-		name string
-		// run trains once: w == nil disables checkpointing, resume == nil
-		// starts cold. Returns the run's iteration count (the polish count
-		// for dc, whose earlier work is per-cluster).
-		run func(w *ckpt.Writer, resume []float64) (int64, error)
+		name, engine string
+		opts         solver.Options
 	}
 	engines := []engine{
-		{name: "core (p=2)", run: func(w *ckpt.Writer, resume []float64) (int64, error) {
-			cfg := core.Config{
-				Kernel: kp, C: ds.C, Eps: o.Eps, Heuristic: core.Multi5pc,
-				Checkpoint: w, CheckpointEvery: every, InitialAlpha: resume,
-			}
-			_, st, err := core.TrainParallel(ds.X, ds.Y, 2, cfg)
-			if err != nil {
-				return 0, err
-			}
-			return st.Iterations, nil
+		{"core (p=2)", "core", solver.Options{P: 2, Heuristic: core.Multi5pc.Name}},
+		{"smo", "smo", solver.Options{Workers: o.BaselineWorkers}},
+		{"dc", "dc", solver.Options{
+			Heuristic: core.Multi5pc.Name, Seed: 7, Workers: o.BaselineWorkers,
+			DC: solver.DCOptions{Clusters: 4, SubSolver: "smo", PolishFull: true},
 		}},
-		{name: "smo", run: func(w *ckpt.Writer, resume []float64) (int64, error) {
-			cfg := smo.Config{
-				Kernel: kp, C: ds.C, Eps: o.Eps, Workers: o.BaselineWorkers,
-				CacheBytes: 1 << 30, Shrinking: true,
-				Checkpoint: w, CheckpointEvery: every, InitialAlpha: resume,
-			}
-			res, err := smo.Train(ds.X, ds.Y, cfg)
-			if err != nil {
-				return 0, err
-			}
-			return int64(res.Iterations), nil
-		}},
-		{name: "dc", run: func(w *ckpt.Writer, resume []float64) (int64, error) {
-			opts := solver.Options{
-				C: ds.C, Eps: o.Eps, Heuristic: core.Multi5pc.Name, Seed: 7, Workers: o.BaselineWorkers,
-				Checkpoint: w, CheckpointEvery: every, InitialAlpha: resume,
-				DC: solver.DCOptions{Clusters: 4, SubSolver: "smo", PolishFull: true},
-			}
-			_, st, err := dcsvm.Train(ds.X, ds.Y, kp, opts)
-			if err != nil {
-				return 0, err
-			}
-			return int64(st.PolishIterations), nil
-		}},
+	}
+	// run trains e once: w == nil disables checkpointing, resume == nil
+	// starts cold. It returns the run's iteration count; a resumed dc run
+	// skips the hierarchy, so its count is the polish's alone.
+	run := func(e engine, w *ckpt.Writer, resume []float64) (int64, error) {
+		opts := e.opts
+		opts.Checkpoint, opts.CheckpointEvery, opts.InitialAlpha = w, every, resume
+		res, err := train(o, e.engine, ds, opts)
+		return res.Iterations, err
 	}
 
 	for _, e := range engines {
@@ -95,7 +68,7 @@ func RunCkpt(o Options) (*Report, error) {
 		dir := ""
 		for i := 0; i < reps; i++ {
 			t0 := time.Now()
-			if _, err := e.run(nil, nil); err != nil {
+			if _, err := run(e, nil, nil); err != nil {
 				return nil, fmt.Errorf("ckpt %s plain: %w", e.name, err)
 			}
 			if d := time.Since(t0); i == 0 || d < plain {
@@ -115,7 +88,7 @@ func RunCkpt(o Options) (*Report, error) {
 			}
 			w.SetMinInterval(debounce)
 			t0 = time.Now()
-			if _, err := e.run(w, nil); err != nil {
+			if _, err := run(e, w, nil); err != nil {
 				os.RemoveAll(dir)
 				return nil, fmt.Errorf("ckpt %s checkpointed: %w", e.name, err)
 			}
@@ -130,7 +103,7 @@ func RunCkpt(o Options) (*Report, error) {
 			return nil, fmt.Errorf("ckpt %s load: %w", e.name, err)
 		}
 		t0 := time.Now()
-		resumeIters, err := e.run(nil, st.Alpha)
+		resumeIters, err := run(e, nil, st.Alpha)
 		resumed := time.Since(t0)
 		os.RemoveAll(dir)
 		if err != nil {

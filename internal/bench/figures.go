@@ -48,15 +48,15 @@ func runSpeedupFigure(o Options, id, title string, fs figureSetup) (*Report, err
 		Took: 0,
 	}
 	for _, p := range perfmodel.PowersOfTwo(fs.minP, fs.maxP) {
-		sd, bd, err := ex.modeledSpeedup(triple.def.stats.Trace, p)
+		sd, bd, err := ex.modeledSpeedup(triple.def.Trace, p)
 		if err != nil {
 			return nil, err
 		}
-		sw, _, err := ex.modeledSpeedup(triple.worst.stats.Trace, p)
+		sw, _, err := ex.modeledSpeedup(triple.worst.Trace, p)
 		if err != nil {
 			return nil, err
 		}
-		sb, bb, err := ex.modeledSpeedup(triple.best.stats.Trace, p)
+		sb, bb, err := ex.modeledSpeedup(triple.best.Trace, p)
 		if err != nil {
 			return nil, err
 		}
@@ -69,8 +69,8 @@ func runSpeedupFigure(o Options, id, title string, fs figureSetup) (*Report, err
 			ds.Name, ds.Train(), 100*scale, dataset.Specs[fs.dataset].FullTrain,
 			base.elapsed.Round(time.Millisecond), ex.factor, o.BaselineWorkers),
 		fmt.Sprintf("iterations: Default %d, Worst %d, Best %d; Best shrink events %d, reconstructions %d",
-			triple.def.stats.Iterations, triple.worst.stats.Iterations, triple.best.stats.Iterations,
-			triple.best.stats.ShrinkEvents, triple.best.stats.Reconstructions),
+			triple.def.Iterations, triple.worst.Iterations, triple.best.Iterations,
+			triple.best.ShrinkEvents, triple.best.Reconstructions),
 		"Shrink-Best = Multi5pc, Shrink-Worst = Single50pc (the paper's best/worst on every dataset)",
 	)
 	rep.Took = time.Since(start)
@@ -122,13 +122,13 @@ func RunFigure1(o Options) (*Report, error) {
 			return nil, err
 		}
 		free := 0
-		for _, c := range run.model.Coef {
+		for _, c := range run.Model.Coef {
 			if c > -ds.C && c < ds.C && c != 0 {
 				free++
 			}
 		}
 		rep.Rows = append(rep.Rows, []string{
-			name, itoa(ds.Train()), itoa(run.model.NumSV()), pct(run.model.SVFraction()), itoa(free),
+			name, itoa(ds.Train()), itoa(run.Model.NumSV()), pct(run.Model.SVFraction()), itoa(free),
 		})
 	}
 	rep.Notes = append(rep.Notes, "the premise behind shrinking: most samples never contribute to the boundary")
@@ -162,7 +162,7 @@ func RunFigure8(o Options) (*Report, error) {
 		}
 		machine := calibrate(o, ds)
 		factor := float64(dataset.Specs[name].FullTrain) / float64(ds.Train())
-		full := run.stats.Trace.ScaledUp(factor)
+		full := run.Trace.ScaledUp(factor)
 		row := []string{name}
 		for _, p := range ps {
 			b, err := perfmodel.Evaluate(full, p, machine)
@@ -194,6 +194,7 @@ func RunValidateModel(o Options) (*Report, error) {
 		Header: []string{"procs", "executed(s)", "modeled(s)", "ratio"},
 	}
 	for _, p := range []int{1, 2, 4, 8} {
+		// Native: the registry has no Lambda or network time model.
 		cfg := core.Config{
 			Kernel: kernel.FromSigma2(ds.Sigma2), C: ds.C, Eps: o.Eps,
 			Heuristic: core.Multi5pc, RecordTrace: true, Lambda: machine.Lambda,

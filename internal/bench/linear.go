@@ -1,15 +1,13 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dcsvm"
 	"repro/internal/kernel"
 	"repro/internal/linear"
-	"repro/internal/model"
-	"repro/internal/smo"
 	"repro/internal/solver"
 	"repro/internal/sparse"
 )
@@ -39,71 +37,55 @@ func RunLinear(o Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		kp := kernel.Params{Type: kernel.Linear}
-
-		acc := func(m *model.Model) (float64, error) {
-			met, err := m.Evaluate(testX, testY)
-			return met.Accuracy, err
-		}
 		var smoTime time.Duration
-		addRow := func(solver string, took time.Duration, a float64) {
+		addRow := func(engine string, took time.Duration, a float64) {
 			speed := "1.00x"
-			if solver != "smo" {
+			if engine != "smo" {
 				speed = f2(smoTime.Seconds()/took.Seconds()) + "x"
 			}
 			rep.Rows = append(rep.Rows, []string{
-				name, solver, took.Round(time.Millisecond).String(), f2(a) + "%", speed,
+				name, engine, took.Round(time.Millisecond).String(), f2(a) + "%", speed,
 			})
 		}
 
-		// Kernel baseline 1: libsvm-enhanced with a linear kernel.
-		t0 := time.Now()
-		sres, err := smo.Train(trainX, trainY, smo.Config{
-			Kernel: kp, C: ds.C, Eps: o.Eps,
-			Workers: o.BaselineWorkers, CacheBytes: 1 << 30, Shrinking: true,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("smo on %s: %w", name, err)
+		prob := solver.Problem{X: trainX, Y: trainY, Kernel: kernel.Params{Type: kernel.Linear}}
+		fit := func(engine string, opts solver.Options) (solver.Result, time.Duration, float64, error) {
+			opts.C, opts.Eps = ds.C, o.Eps
+			t0 := time.Now()
+			res, err := solver.Train(context.Background(), engine, prob, opts)
+			if err != nil {
+				return res, 0, 0, fmt.Errorf("%s on %s: %w", engine, name, err)
+			}
+			took := time.Since(t0)
+			met, err := res.Model.Evaluate(testX, testY)
+			return res, took, met.Accuracy, err
 		}
-		smoTime = time.Since(t0)
-		a, err := acc(sres.Model)
+
+		// Kernel baseline 1: libsvm-enhanced with a linear kernel.
+		_, smoTime, a, err := fit("smo", solver.Options{Workers: o.BaselineWorkers})
 		if err != nil {
 			return nil, err
 		}
 		addRow("smo", smoTime, a)
 
 		// Kernel baseline 2: divide-and-conquer over the same linear kernel.
-		t0 = time.Now()
-		dm, _, err := dcsvm.Train(trainX, trainY, kp, solver.Options{
-			C: ds.C, Eps: o.Eps, Heuristic: core.Multi5pc.Name, Seed: 11,
-			DC: solver.DCOptions{Clusters: 8},
+		_, dcTime, a, err := fit("dc", solver.Options{
+			Heuristic: core.Multi5pc.Name, Seed: 11, DC: solver.DCOptions{Clusters: 8},
 		})
 		if err != nil {
-			return nil, fmt.Errorf("dcsvm on %s: %w", name, err)
-		}
-		dcTime := time.Since(t0)
-		if a, err = acc(dm); err != nil {
 			return nil, err
 		}
 		addRow("dcsvm", dcTime, a)
 
 		// The fast path, both variants.
 		for _, v := range []linear.Variant{linear.DCD, linear.MISO} {
-			t0 = time.Now()
-			lres, err := linear.Train(trainX, trainY, solver.Options{
-				C: ds.C, Eps: o.Eps, Seed: 11, Linear: solver.LinearOptions{Variant: v.String()},
-			})
+			lres, lTime, a, err := fit("linear", solver.Options{Seed: 11, Linear: solver.LinearOptions{Variant: v.String()}})
 			if err != nil {
-				return nil, fmt.Errorf("linear/%s on %s: %w", v, name, err)
-			}
-			lTime := time.Since(t0)
-			if a, err = acc(lres.Model); err != nil {
 				return nil, err
 			}
 			addRow("linear-"+v.String(), lTime, a)
-			o.logf("%s linear-%s: %v (%.1fx vs smo), gap %.3e, nnz(w) %d",
-				name, v, lTime.Round(time.Millisecond),
-				smoTime.Seconds()/lTime.Seconds(), lres.Gap, lres.NNZ())
+			o.logf("%s linear-%s: %v (%.1fx vs smo), %s",
+				name, v, lTime.Round(time.Millisecond), smoTime.Seconds()/lTime.Seconds(), lres.Summary)
 		}
 		o.logf("%s: %d train / %d holdout at scale %.4f", name, trainX.Rows(), testX.Rows(), scale)
 	}

@@ -1,15 +1,15 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/kernel"
-	"repro/internal/model"
 	"repro/internal/perfmodel"
-	"repro/internal/smo"
+	"repro/internal/solver"
 	"repro/internal/trace"
 )
 
@@ -51,28 +51,26 @@ func loadDataset(o Options, name string) (*dataset.Dataset, float64, error) {
 	return ds, scale, nil
 }
 
+// train runs a registered engine on ds's training split with the dataset's
+// Gaussian kernel and C at the harness tolerance.
+func train(o Options, engine string, ds *dataset.Dataset, opts solver.Options) (solver.Result, error) {
+	opts.C, opts.Eps = ds.C, o.Eps
+	prob := solver.Problem{X: ds.X, Y: ds.Y, Kernel: kernel.FromSigma2(ds.Sigma2)}
+	return solver.Train(context.Background(), engine, prob, opts)
+}
+
 // baselineResult is one timed libsvm-enhanced run.
 type baselineResult struct {
-	res     *smo.Result
+	res     solver.Result
 	elapsed time.Duration
 }
 
-// runBaseline trains libsvm-enhanced: kernel cache enabled (the paper
-// grants it a node's entire memory), shrinking on, the given worker count.
-// The recorded trace drives the full-scale baseline model.
+// runBaseline trains libsvm-enhanced (the smo engine): kernel cache enabled
+// (the paper grants it a node's entire memory), shrinking on, the given
+// worker count. The recorded trace drives the full-scale baseline model.
 func runBaseline(o Options, ds *dataset.Dataset, workers int) (*baselineResult, error) {
-	cfg := smo.Config{
-		Kernel:      kernel.FromSigma2(ds.Sigma2),
-		C:           ds.C,
-		Eps:         o.Eps,
-		Workers:     workers,
-		CacheBytes:  1 << 30,
-		Shrinking:   true,
-		RecordTrace: true,
-		DatasetName: ds.Name,
-	}
 	start := time.Now()
-	res, err := smo.Train(ds.X, ds.Y, cfg)
+	res, err := train(o, "smo", ds, solver.Options{Workers: workers, RecordTrace: true, DatasetName: ds.Name})
 	if err != nil {
 		return nil, fmt.Errorf("baseline on %s: %w", ds.Name, err)
 	}
@@ -82,32 +80,18 @@ func runBaseline(o Options, ds *dataset.Dataset, workers int) (*baselineResult, 
 	return &baselineResult{res: res, elapsed: elapsed}, nil
 }
 
-// tracedRun is a distributed-solver execution with its recorded trace.
-type tracedRun struct {
-	model *model.Model
-	stats *core.Stats
-}
-
 // runTraced executes the distributed solver once (on one rank — the
 // iterate sequence is p-independent) and records the trace.
-func runTraced(o Options, ds *dataset.Dataset, h core.Heuristic) (*tracedRun, error) {
-	cfg := core.Config{
-		Kernel:      kernel.FromSigma2(ds.Sigma2),
-		C:           ds.C,
-		Eps:         o.Eps,
-		Heuristic:   h,
-		RecordTrace: true,
-		DatasetName: ds.Name,
-	}
+func runTraced(o Options, ds *dataset.Dataset, h core.Heuristic) (*solver.Result, error) {
 	start := time.Now()
-	m, st, err := core.TrainParallel(ds.X, ds.Y, 1, cfg)
+	res, err := train(o, "core", ds, solver.Options{Heuristic: h.Name, RecordTrace: true, DatasetName: ds.Name})
 	if err != nil {
 		return nil, fmt.Errorf("traced run %s/%s: %w", ds.Name, h.Name, err)
 	}
 	o.logf("traced %s/%s: %v, %d iterations, %d shrink events, %d recons, %d SVs",
 		ds.Name, h.Name, time.Since(start).Round(time.Millisecond),
-		st.Iterations, st.ShrinkEvents, st.Reconstructions, st.SVCount)
-	return &tracedRun{model: m, stats: st}, nil
+		res.Iterations, res.ShrinkEvents, res.Reconstructions, res.Model.NumSV())
+	return &res, nil
 }
 
 // calibrate builds the modeled machine for a dataset.
@@ -160,7 +144,7 @@ func (e extrapolation) modeledSpeedup(tr *trace.Trace, p int) (float64, perfmode
 
 // heuristicTriple bundles the figures' three bars.
 type heuristicTriple struct {
-	def, worst, best *tracedRun
+	def, worst, best *solver.Result
 }
 
 // runTriple executes Original, Shrinking(Worst)=Single50pc and

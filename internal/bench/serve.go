@@ -9,11 +9,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/kernel"
 	"repro/internal/model"
 	"repro/internal/serve/batcher"
 	"repro/internal/serve/shed"
-	"repro/internal/smo"
+	"repro/internal/solver"
 	"repro/internal/sparse"
 )
 
@@ -46,12 +45,8 @@ func RunServe(o Options) (*Report, error) {
 		return nil, err
 	}
 	testX := ds.TestX
-	kp := kernel.Params{Type: kernel.Gaussian, Gamma: 1 / (2 * ds.Sigma2)}
 	o.logf("serve: training smo kernel model on %d rows", ds.X.Rows())
-	res, err := smo.Train(ds.X, ds.Y, smo.Config{
-		Kernel: kp, C: ds.C, Eps: o.Eps,
-		Workers: o.BaselineWorkers, CacheBytes: 1 << 30, Shrinking: true,
-	})
+	res, err := train(o, "smo", ds, solver.Options{Workers: o.BaselineWorkers})
 	if err != nil {
 		return nil, fmt.Errorf("serve: train: %w", err)
 	}

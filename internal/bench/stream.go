@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"os"
@@ -11,8 +12,9 @@ import (
 	"time"
 
 	"repro/internal/dataset"
-	"repro/internal/linear"
+	"repro/internal/kernel"
 	"repro/internal/solver"
+	"repro/internal/sparse"
 )
 
 // RunStream measures the out-of-core streaming data path against the
@@ -46,6 +48,10 @@ func RunStream(o Options) (*Report, error) {
 			return nil, err
 		}
 		opts := solver.Options{C: ds.C, Eps: o.Eps, Seed: 11}
+		fit := func(x sparse.RowMatrix, y []float64) (solver.Result, error) {
+			prob := solver.Problem{X: x, Y: y, Kernel: kernel.Params{Type: kernel.Linear}}
+			return solver.Train(context.Background(), "linear", prob, opts)
+		}
 
 		// In-memory reference: plain load, plain train.
 		runtime.GC()
@@ -55,7 +61,7 @@ func RunStream(o Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		memRes, err := linear.Train(x, y, opts)
+		memRes, err := fit(x, y)
 		if err != nil {
 			return nil, fmt.Errorf("linear on %s: %w", name, err)
 		}
@@ -79,7 +85,7 @@ func RunStream(o Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		oocRes, err := linear.Train(ooc, oy, opts)
+		oocRes, err := fit(ooc, oy)
 		if err != nil {
 			ooc.Close()
 			return nil, fmt.Errorf("linear/ooc on %s: %w", name, err)
@@ -91,7 +97,7 @@ func RunStream(o Options) (*Report, error) {
 		ooc.Close()
 
 		parity := "bit-identical"
-		if !sameBits(memRes.W, oocRes.W) {
+		if !sameBits(memRes.Model.W, oocRes.Model.W) {
 			parity = "DIFFERS"
 		}
 		rep.Rows = append(rep.Rows, []string{

@@ -6,9 +6,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/kernel"
 	"repro/internal/perfmodel"
-	"repro/internal/smo"
+	"repro/internal/solver"
 )
 
 // RunTable2 sweeps all thirteen Table II heuristics on one mid-size
@@ -36,14 +35,14 @@ func RunTable2(o Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		b, err := perfmodel.Evaluate(run.stats.Trace.ScaledUp(factor), benchP, machine)
+		b, err := perfmodel.Evaluate(run.Trace.ScaledUp(factor), benchP, machine)
 		if err != nil {
 			return nil, err
 		}
 		rep.Rows = append(rep.Rows, []string{
 			h.Name, h.Class.String(), h.Recon.String(),
-			i64toa(run.stats.Iterations), itoa(run.stats.ShrinkEvents), itoa(run.stats.Reconstructions),
-			pct(run.stats.Trace.MeanActiveFraction()), fmt.Sprintf("%.3f", b.Total()), itoa(run.stats.SVCount),
+			i64toa(run.Iterations), itoa(run.ShrinkEvents), itoa(run.Reconstructions),
+			pct(run.Trace.MeanActiveFraction()), fmt.Sprintf("%.3f", b.Total()), itoa(run.Model.NumSV()),
 		})
 	}
 	rep.Notes = append(rep.Notes, "all heuristics converge to the same solution; they differ in when samples are eliminated")
@@ -122,15 +121,15 @@ func RunTable4(o Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		sd, _, err := ex.modeledSpeedup(triple.def.stats.Trace, e.p)
+		sd, _, err := ex.modeledSpeedup(triple.def.Trace, e.p)
 		if err != nil {
 			return nil, err
 		}
-		sw, _, err := ex.modeledSpeedup(triple.worst.stats.Trace, e.p)
+		sw, _, err := ex.modeledSpeedup(triple.worst.Trace, e.p)
 		if err != nil {
 			return nil, err
 		}
-		sb, _, err := ex.modeledSpeedup(triple.best.stats.Trace, e.p)
+		sb, _, err := ex.modeledSpeedup(triple.best.Trace, e.p)
 		if err != nil {
 			return nil, err
 		}
@@ -160,21 +159,15 @@ func RunTable5(o Options) (*Report, error) {
 		if ds.TestX == nil {
 			return nil, fmt.Errorf("table5: dataset %s has no test split", name)
 		}
-		cfg := core.Config{
-			Kernel: kernel.FromSigma2(ds.Sigma2), C: ds.C, Eps: o.Eps, Heuristic: core.Multi5pc,
-		}
-		ours, _, err := core.TrainParallel(ds.X, ds.Y, 4, cfg)
+		ours, err := train(o, "core", ds, solver.Options{P: 4, Heuristic: core.Multi5pc.Name})
 		if err != nil {
 			return nil, err
 		}
-		oursAcc, err := ours.Evaluate(ds.TestX, ds.TestY)
+		oursAcc, err := ours.Model.Evaluate(ds.TestX, ds.TestY)
 		if err != nil {
 			return nil, err
 		}
-		base, err := smo.Train(ds.X, ds.Y, smo.Config{
-			Kernel: kernel.FromSigma2(ds.Sigma2), C: ds.C, Eps: o.Eps,
-			Workers: o.BaselineWorkers, CacheBytes: 1 << 30, Shrinking: true,
-		})
+		base, err := train(o, "smo", ds, solver.Options{Workers: o.BaselineWorkers})
 		if err != nil {
 			return nil, err
 		}

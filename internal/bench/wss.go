@@ -98,6 +98,7 @@ func RunWSS(o Options) (*Report, error) {
 	for _, h := range []core.Heuristic{core.Original, core.Multi5pc} {
 		var firstIters int64
 		for _, second := range []bool{false, true} {
+			// Native: solver.Options does not carry core's SecondOrder.
 			cfg := core.Config{
 				Kernel: kernel.FromSigma2(ds.Sigma2), C: ds.C, Eps: o.Eps,
 				Heuristic: h, SecondOrder: second, RecordTrace: true, DatasetName: ds.Name,

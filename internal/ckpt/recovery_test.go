@@ -270,7 +270,7 @@ func TestDCSVMKillResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rst.PolishConverged {
+	if !rst.Converged {
 		t.Fatal("resumed polish did not converge")
 	}
 	rp.verifyAndCompare(t, m1, base)

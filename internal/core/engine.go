@@ -57,18 +57,13 @@ func (e coreEngine) Train(ctx context.Context, prob solver.Problem, opts solver.
 	if err != nil {
 		return solver.Result{}, err
 	}
-	res := solver.Result{
-		Model:       m,
-		Iterations:  st.Iterations,
-		KernelEvals: st.KernelEvals,
-		Converged:   st.Converged,
-		Objective:   st.Objective,
+	nSV := m.NumSV()
+	return solver.Result{
+		Model: m,
+		Stats: st.Stats,
 		Summary: fmt.Sprintf("converged=%v iterations=%d shrink-events=%d reconstructions=%d SVs=%d (%.1f%% of samples)",
 			st.Converged, st.Iterations, st.ShrinkEvents, st.Reconstructions,
-			st.SVCount, 100*float64(st.SVCount)/float64(x.Rows())),
-	}
-	if st.Trace != nil {
-		res.Trace = st.Trace
-	}
-	return res, nil
+			nSV, 100*float64(nSV)/float64(x.Rows())),
+		Trace: st.Trace,
+	}, nil
 }

@@ -104,17 +104,11 @@ func (c *Config) withDefaults() Config {
 }
 
 // Stats reports what a training run did. All fields are identical on every
-// rank except Trace, which only rank 0 fills when requested.
+// rank except Trace, which only rank 0 fills when requested. FinalActive is
+// the global active-set size at termination.
 type Stats struct {
-	Iterations      int64
-	Converged       bool
-	ShrinkEvents    int
-	Reconstructions int
-	SVCount         int
-	FinalActive     int // global active-set size at termination
-	KernelEvals     uint64
-	Objective       float64
-	Trace           *trace.Trace
+	solver.Stats
+	Trace *trace.Trace
 }
 
 // pairHalf carries one selected sample (x_up or x_low) from its owner to
@@ -817,16 +811,15 @@ func (s *rankState) finish() (*model.Model, *Stats, error) {
 		return nil, nil, err
 	}
 
-	st := &Stats{
+	st := &Stats{Stats: solver.Stats{
 		Iterations:      s.iter,
 		Converged:       s.converged,
 		ShrinkEvents:    s.shrinkEvents,
 		Reconstructions: s.reconstructions,
-		SVCount:         svTotal,
 		FinalActive:     s.globalActive,
 		KernelEvals:     totalEvals,
 		Objective:       obj / 2,
-	}
+	}}
 	if s.trace != nil {
 		s.trace.Iterations = s.iter
 		s.trace.Converged = s.converged

@@ -54,6 +54,7 @@ func TestIterateSequenceIndependentOfP(t *testing.T) {
 	for _, h := range []Heuristic{Original, Multi5pc, Single500} {
 		var ref *Stats
 		var refBeta float64
+		var refSVs int
 		for _, p := range []int{1, 2, 3, 5, 8} {
 			cfg := blobCfg(ds, h)
 			cfg.RecordTrace = true
@@ -62,14 +63,14 @@ func TestIterateSequenceIndependentOfP(t *testing.T) {
 				t.Fatalf("%s p=%d: %v", h.Name, p, err)
 			}
 			if ref == nil {
-				ref, refBeta = st, m.Beta
+				ref, refBeta, refSVs = st, m.Beta, m.NumSV()
 				continue
 			}
 			if st.Iterations != ref.Iterations {
 				t.Fatalf("%s p=%d: iterations %d != %d", h.Name, p, st.Iterations, ref.Iterations)
 			}
-			if st.SVCount != ref.SVCount {
-				t.Fatalf("%s p=%d: SVs %d != %d", h.Name, p, st.SVCount, ref.SVCount)
+			if m.NumSV() != refSVs {
+				t.Fatalf("%s p=%d: SVs %d != %d", h.Name, p, m.NumSV(), refSVs)
 			}
 			if st.ShrinkEvents != ref.ShrinkEvents || st.Reconstructions != ref.Reconstructions {
 				t.Fatalf("%s p=%d: schedule differs: %+v vs %+v", h.Name, p, st, ref)
@@ -214,7 +215,7 @@ func TestTraceRecording(t *testing.T) {
 	cfg := blobCfg(ds, Multi5pc)
 	cfg.RecordTrace = true
 	cfg.DatasetName = "blobs"
-	_, st, err := TrainParallel(ds.X, ds.Y, 2, cfg)
+	m, st, err := TrainParallel(ds.X, ds.Y, 2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,8 +246,8 @@ func TestTraceRecording(t *testing.T) {
 	if mf := tr.MeanActiveFraction(); mf <= 0 || mf > 1 {
 		t.Fatalf("MeanActiveFraction = %v", mf)
 	}
-	if tr.SVCount != st.SVCount {
-		t.Fatalf("trace SVs %d != stats %d", tr.SVCount, st.SVCount)
+	if tr.SVCount != m.NumSV() {
+		t.Fatalf("trace SVs %d != model %d", tr.SVCount, m.NumSV())
 	}
 }
 

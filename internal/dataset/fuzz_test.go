@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"bytes"
 	"math"
 	"strconv"
 	"strings"
@@ -124,4 +125,53 @@ func checkRowInvariants(t *testing.T, line string, idx []int32, val []float64) {
 				k, idx[k], val[k], row2.Idx[k], row2.Val[k], line)
 		}
 	}
+}
+
+// FuzzReadScaler drives the scaler restore-file reader (svmscale -restore)
+// with arbitrary bytes: no panic, indices past int32 are errors, and an
+// accepted scaler writes back to a file that reads to the same bytes.
+func FuzzReadScaler(f *testing.F) {
+	for _, seed := range []string{
+		"x\n-1 1\n1 0 2\n3 -1 5\n",
+		"x\n0 1\n",
+		"x\n0 1\n2147483648 0 1\n",
+		"x\n0 1\n1000000000000 0 1\n",
+		"x\n1 0\n",
+		"x\n0 1\n0 1 2\n",
+		"x\n0 1\n1 NaN Inf\n",
+		"y\n",
+		"",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// The ranges are dense up to the largest index, so a valid file
+		// naming feature 2^31-1 needs 32 GiB. Such inputs are legal, and
+		// the fuzzer only skips them to stay within a test's memory.
+		for _, line := range strings.Split(string(data), "\n") {
+			if fs := strings.Fields(line); len(fs) == 3 {
+				if i, err := strconv.Atoi(fs[0]); err == nil && i > 1<<16 && i <= math.MaxInt32 {
+					t.Skip("dense index beyond the fuzz memory budget")
+				}
+			}
+		}
+		s, err := ReadScaler(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := s.Write(&first); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadScaler(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("own output rejected: %v\n%s", err, first.Bytes())
+		}
+		if err := back.Write(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("scaler not stable across write/read:\n%s\nvs\n%s", first.Bytes(), second.Bytes())
+		}
+	})
 }

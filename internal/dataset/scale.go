@@ -147,8 +147,10 @@ func ReadScaler(r io.Reader) (*Scaler, error) {
 		if len(f) != 3 {
 			return nil, fmt.Errorf("dataset: malformed feature line %q", line)
 		}
+		// Indices share ParseLine's int32 bound; the dense ranges below
+		// grow to the largest one.
 		idx, err := strconv.Atoi(f[0])
-		if err != nil || idx < 1 {
+		if err != nil || idx < 1 || idx > math.MaxInt32 {
 			return nil, fmt.Errorf("dataset: bad feature index %q", f[0])
 		}
 		mn, err1 := strconv.ParseFloat(f[1], 64)

@@ -123,10 +123,11 @@ func TestReadScalerErrors(t *testing.T) {
 		"",
 		"y\n0 1\n",
 		"x\n0\n",
-		"x\n1 0\n",        // inverted
-		"x\n0 1\nbad\n",   // malformed feature line
-		"x\n0 1\n0 1 2\n", // 0-based index
-		"x\n0 1\n1 a 2\n", // bad min
+		"x\n1 0\n",                    // inverted
+		"x\n0 1\nbad\n",               // malformed feature line
+		"x\n0 1\n0 1 2\n",             // 0-based index
+		"x\n0 1\n1 a 2\n",             // bad min
+		"x\n0 1\n1000000000000 0 1\n", // index past int32
 	}
 	for _, c := range cases {
 		if _, err := ReadScaler(bytes.NewReader([]byte(c))); err == nil {

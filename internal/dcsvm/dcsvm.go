@@ -89,15 +89,15 @@ type LevelStats struct {
 	SolveTime     time.Duration // parallel sub-solves
 }
 
-// Stats reports a whole divide-and-conquer run, core.Stats-style.
+// Stats reports a whole divide-and-conquer run. The embedded counters sum
+// every level's sub-solves and the polish: Iterations includes
+// PolishIterations, and Converged is the polish's.
 type Stats struct {
+	solver.Stats
 	Levels           []LevelStats
 	CoalescedSVs     int // support-vector union entering the polish
 	PolishIterations int64
-	PolishConverged  bool
 	PolishTime       time.Duration
-	SVCount          int
-	KernelEvals      uint64
 	Total            time.Duration
 }
 
@@ -258,6 +258,9 @@ func Train(x *sparse.Matrix, y []float64, k kernel.Params, opts solver.Options) 
 			}
 			st.Levels = append(st.Levels, *ls)
 			st.KernelEvals += ls.KernelEvals
+			for _, it := range ls.SubIterations {
+				st.Iterations += it
+			}
 			if nx == nil || nx.Rows() == 0 {
 				// Degenerate partition (every cluster pure or tiny): no
 				// sub-solution to build on; the polish below falls back to a
@@ -325,11 +328,11 @@ func Train(x *sparse.Matrix, y []float64, k kernel.Params, opts solver.Options) 
 	}
 	st.PolishTime = time.Since(t0)
 	st.PolishIterations = res.Iterations
-	st.PolishConverged = res.Converged
+	st.Iterations += res.Iterations
+	st.Converged = res.Converged
 	st.KernelEvals += res.KernelEvals
 	m := res.Model
 	m.TrainSamples = n
-	st.SVCount = m.NumSV()
 	st.Total = time.Since(start)
 	return m, st, nil
 }
@@ -599,7 +602,7 @@ func solveLinearCluster(view *sparse.Matrix, yv []float64, cluster, level int, k
 		Beta:         0, // bias-free LIBLINEAR convention, same as res.Model
 		TrainSamples: view.Rows(),
 	}
-	return m, int64(res.Updates), len(idx), nil
+	return m, res.Iterations, len(idx), nil
 }
 
 // warmStartAlpha turns coalesced sub-problem alphas into a start the next

@@ -40,19 +40,12 @@ func (e dcEngine) Train(ctx context.Context, prob solver.Problem, opts solver.Op
 	if err != nil {
 		return solver.Result{}, err
 	}
-	var subIters int64
-	for _, l := range st.Levels {
-		for _, it := range l.SubIterations {
-			subIters += it
-		}
-	}
+	nSV := m.NumSV()
 	return solver.Result{
-		Model:       m,
-		Iterations:  subIters + st.PolishIterations,
-		KernelEvals: st.KernelEvals,
-		Converged:   st.PolishConverged,
+		Model: m,
+		Stats: st.Stats,
 		Summary: fmt.Sprintf("levels=%d coalesced-SVs=%d sub-iterations=%d polish-iterations=%d polish-converged=%v SVs=%d (%.1f%% of samples)",
-			len(st.Levels), st.CoalescedSVs, subIters, st.PolishIterations,
-			st.PolishConverged, st.SVCount, 100*float64(st.SVCount)/float64(x.Rows())),
+			len(st.Levels), st.CoalescedSVs, st.Iterations-st.PolishIterations, st.PolishIterations,
+			st.Converged, nSV, 100*float64(nSV)/float64(x.Rows())),
 	}, nil
 }

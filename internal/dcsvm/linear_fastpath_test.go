@@ -41,8 +41,8 @@ func TestLinearFastPathParity(t *testing.T) {
 	if evals := refStats.Levels[0].KernelEvals; evals == 0 {
 		t.Fatal("disabled fast path still did zero kernel evals; the test is not comparing paths")
 	}
-	if !fastStats.PolishConverged || !refStats.PolishConverged {
-		t.Fatalf("polish converged: fast=%v ref=%v", fastStats.PolishConverged, refStats.PolishConverged)
+	if !fastStats.Converged || !refStats.Converged {
+		t.Fatalf("polish converged: fast=%v ref=%v", fastStats.Converged, refStats.Converged)
 	}
 
 	fa, err := fast.Evaluate(ds.TestX, ds.TestY)

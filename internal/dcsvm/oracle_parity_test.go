@@ -28,7 +28,7 @@ func TestOracleParityFullPolish(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", sub, err)
 		}
-		if !st.PolishConverged {
+		if !st.Converged {
 			t.Fatalf("%s: full polish did not converge", sub)
 		}
 		rep, err := prob.VerifyModel(m)

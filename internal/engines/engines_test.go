@@ -53,7 +53,9 @@ func classProblem(t *testing.T) (solver.Problem, *dataset.Dataset) {
 // TestEngineParityWithDirectAPIs proves the refactor moved no numerics:
 // every engine adapter must produce a model identical (reflect.DeepEqual,
 // i.e. bit-for-bit on the float fields) to the pre-existing direct API it
-// wraps, given the same seeds and hyper-parameters.
+// wraps, given the same seeds and hyper-parameters, and report the same
+// solver.Stats the direct API returns — so a caller never needs the native
+// entry point just to read a counter.
 func TestEngineParityWithDirectAPIs(t *testing.T) {
 	prob, ds := classProblem(t)
 	ctx := context.Background()
@@ -63,7 +65,7 @@ func TestEngineParityWithDirectAPIs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct, _, err := core.TrainParallel(ds.X, ds.Y, 2, core.Config{
+		direct, st, err := core.TrainParallel(ds.X, ds.Y, 2, core.Config{
 			Kernel: prob.Kernel, C: ds.C, Eps: 1e-3, Heuristic: h,
 		})
 		if err != nil {
@@ -77,6 +79,10 @@ func TestEngineParityWithDirectAPIs(t *testing.T) {
 		}
 		if !reflect.DeepEqual(res.Model, direct) {
 			t.Error("core engine model differs from core.TrainParallel")
+		}
+		sameStats(t, "core", res.Stats, st.Stats)
+		if res.ShrinkEvents == 0 || res.FinalActive == 0 {
+			t.Errorf("core engine reports no shrinking: %+v", res.Stats)
 		}
 	})
 
@@ -99,8 +105,9 @@ func TestEngineParityWithDirectAPIs(t *testing.T) {
 			if !reflect.DeepEqual(res.Model, direct.Model) {
 				t.Errorf("%s engine model differs from smo.Train(SecondOrder=%v)", tc.engine, tc.second)
 			}
-			if res.Iterations != direct.Iterations {
-				t.Errorf("%s engine iterations %d != direct %d", tc.engine, res.Iterations, direct.Iterations)
+			sameStats(t, tc.engine, res.Stats, direct.Stats)
+			if res.CacheHits+res.CacheMisses == 0 {
+				t.Errorf("%s engine reports no kernel-cache traffic: %+v", tc.engine, res.Stats)
 			}
 		}
 	})
@@ -110,7 +117,7 @@ func TestEngineParityWithDirectAPIs(t *testing.T) {
 			C: ds.C, Eps: 1e-3, Seed: 42,
 			DC: solver.DCOptions{Clusters: 4, PolishFull: true},
 		}
-		direct, _, err := dcsvm.Train(ds.X, ds.Y, prob.Kernel, opts)
+		direct, st, err := dcsvm.Train(ds.X, ds.Y, prob.Kernel, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,6 +127,10 @@ func TestEngineParityWithDirectAPIs(t *testing.T) {
 		}
 		if !reflect.DeepEqual(res.Model, direct) {
 			t.Error("dc engine model differs from dcsvm.Train")
+		}
+		sameStats(t, "dc", res.Stats, st.Stats)
+		if res.Iterations <= st.PolishIterations {
+			t.Errorf("dc iterations %d do not include the sub-solves (polish %d)", res.Iterations, st.PolishIterations)
 		}
 	})
 
@@ -136,6 +147,10 @@ func TestEngineParityWithDirectAPIs(t *testing.T) {
 		}
 		if !reflect.DeepEqual(res.Model, direct.Model) {
 			t.Error("linear engine model differs from linear.Train")
+		}
+		sameStats(t, "linear", res.Stats, direct.Stats)
+		if res.Gap <= 0 {
+			t.Errorf("linear engine reports no duality gap: %+v", res.Stats)
 		}
 	})
 
@@ -158,7 +173,20 @@ func TestEngineParityWithDirectAPIs(t *testing.T) {
 		if !reflect.DeepEqual(res.Model, direct.Model) {
 			t.Error("tasks engine SVR model differs from tasks.TrainSVR")
 		}
+		sameStats(t, "tasks", res.Stats, direct.Stats)
 	})
+}
+
+// sameStats fails unless the registry's counters equal the direct API's and
+// the run did some work.
+func sameStats(t *testing.T, engine string, got, want solver.Stats) {
+	t.Helper()
+	if got != want {
+		t.Errorf("%s engine stats %+v != direct %+v", engine, got, want)
+	}
+	if got.Iterations == 0 || !got.Converged {
+		t.Errorf("%s engine reports no converged iterations: %+v", engine, got)
+	}
 }
 
 // TestEnginesSmokeTrainAndOracleVerify trains every registered engine on a

@@ -91,7 +91,7 @@ func trainDCD(x sparse.RowMatrix, y []float64, opts solver.Options, shrink bool)
 				if na != a {
 					sparse.AddScaledTo(r, w, (na-a)*y[i])
 					alpha[i] = na
-					res.Updates++
+					res.Iterations++
 				}
 			}
 		}
@@ -126,7 +126,7 @@ func trainDCD(x sparse.RowMatrix, y []float64, opts solver.Options, shrink bool)
 
 	// Ship a drift-free w rebuilt from the final dual point.
 	res.W = rebuildW(x, y, alpha, x.Dim())
-	res.Primal, res.Dual = hingeObjectives(x, y, res.W, alpha, opts.C)
-	res.Gap = res.Primal - res.Dual
+	res.Primal, res.Objective = hingeObjectives(x, y, res.W, alpha, opts.C)
+	res.Gap = res.Primal - res.Objective
 	return res
 }

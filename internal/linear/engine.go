@@ -38,13 +38,11 @@ func (e linearEngine) Train(ctx context.Context, prob solver.Problem, opts solve
 		return solver.Result{}, err
 	}
 	return solver.Result{
-		Model:      res.Model,
-		Alpha:      res.Alpha,
-		Iterations: int64(res.Updates),
-		Converged:  res.Converged,
-		Objective:  res.Dual,
+		Model: res.Model,
+		Alpha: res.Alpha,
+		Stats: res.Stats,
 		Summary: fmt.Sprintf("variant=%s converged=%v epochs=%d updates=%d gap=%.3e nnz(w)=%d/%d",
-			variant, res.Converged, res.Epochs, res.Updates, res.Gap,
+			variant, res.Converged, res.Epochs, res.Iterations, res.Gap,
 			res.NNZ(), len(res.W)),
 	}, nil
 }

@@ -108,13 +108,13 @@ type Result struct {
 	Alpha []float64
 	// Epochs is the number of passes over the (possibly shrunk) data.
 	Epochs int
-	// Updates counts coordinate/sample updates actually applied.
-	Updates int64
-	// Converged reports whether the tolerance was met within MaxEpochs.
-	Converged bool
-	// Primal, Dual and Gap are the final objectives of the variant's
-	// problem (see oracle.LinearProblem for the exact expressions).
-	Primal, Dual, Gap float64
+	// Primal is the final primal objective of the variant's problem;
+	// Stats.Objective is its dual and Stats.Gap the difference (see
+	// oracle.LinearProblem for the exact expressions). Stats.Iterations
+	// counts coordinate/sample updates actually applied, and Converged
+	// reports whether the tolerance was met within MaxEpochs.
+	Primal float64
+	solver.Stats
 }
 
 func validate(x sparse.RowMatrix, y []float64, c float64) error {
@@ -175,7 +175,7 @@ func train(x sparse.RowMatrix, y []float64, opts solver.Options, shrink bool) (*
 		W:            res.W,
 		Beta:         0,
 		TrainSamples: x.Rows(),
-		Iterations:   res.Updates,
+		Iterations:   res.Iterations,
 	}
 	return res, nil
 }

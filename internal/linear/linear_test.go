@@ -42,8 +42,8 @@ func TestDCDConverges(t *testing.T) {
 	if tol := gapTolerance(x.Rows(), 10, 1e-3); res.Gap > tol {
 		t.Fatalf("gap %v exceeds tolerance %v", res.Gap, tol)
 	}
-	if res.Primal < res.Dual {
-		t.Fatalf("primal %v below dual %v", res.Primal, res.Dual)
+	if res.Primal < res.Objective {
+		t.Fatalf("primal %v below dual %v", res.Primal, res.Objective)
 	}
 	met, err := res.Model.Evaluate(tx, ty)
 	if err != nil {
@@ -107,8 +107,8 @@ func TestDeterministic(t *testing.T) {
 				t.Fatalf("%s: w[%d] differs across equal-seed runs: %v vs %v", v, j, a.W[j], b.W[j])
 			}
 		}
-		if a.Epochs != b.Epochs || a.Updates != b.Updates {
-			t.Fatalf("%s: trajectory differs: epochs %d/%d updates %d/%d", v, a.Epochs, b.Epochs, a.Updates, b.Updates)
+		if a.Epochs != b.Epochs || a.Iterations != b.Iterations {
+			t.Fatalf("%s: trajectory differs: epochs %d/%d updates %d/%d", v, a.Epochs, b.Epochs, a.Iterations, b.Iterations)
 		}
 	}
 }

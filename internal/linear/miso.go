@@ -57,7 +57,7 @@ func trainMISO(x sparse.RowMatrix, y []float64, opts solver.Options) *Result {
 			if na != ab[i] {
 				sparse.AddScaledTo(xi, w, (na-ab[i])/float64(n))
 				ab[i] = na
-				res.Updates++
+				res.Iterations++
 			}
 		}
 
@@ -66,7 +66,7 @@ func trainMISO(x sparse.RowMatrix, y []float64, opts solver.Options) *Result {
 		// objective evaluation.
 		w = rebuildMISOW(x, ab, x.Dim())
 		primal, dual := squaredHingeObjectives(x, y, w, alpha, opts.C)
-		res.Primal, res.Dual, res.Gap = primal, dual, primal-dual
+		res.Primal, res.Objective, res.Gap = primal, dual, primal-dual
 		if res.Gap < tol {
 			res.Converged = true
 			res.Epochs++
@@ -82,8 +82,8 @@ func trainMISO(x sparse.RowMatrix, y []float64, opts solver.Options) *Result {
 
 	res.Alpha = scaleDual(ab, y, n)
 	res.W = rebuildW(x, y, res.Alpha, x.Dim())
-	res.Primal, res.Dual = squaredHingeObjectives(x, y, res.W, res.Alpha, opts.C)
-	res.Gap = res.Primal - res.Dual
+	res.Primal, res.Objective = squaredHingeObjectives(x, y, res.W, res.Alpha, opts.C)
+	res.Gap = res.Primal - res.Objective
 	res.Converged = res.Converged || res.Gap < tol
 	return res
 }

@@ -66,9 +66,9 @@ func TestTrainOOCBitParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v ooc: %v", variant, err)
 		}
-		if got.Epochs != mem.Epochs || got.Updates != mem.Updates || got.Converged != mem.Converged {
+		if got.Epochs != mem.Epochs || got.Iterations != mem.Iterations || got.Converged != mem.Converged {
 			t.Fatalf("%v: trajectory differs: epochs %d/%d updates %d/%d",
-				variant, got.Epochs, mem.Epochs, got.Updates, mem.Updates)
+				variant, got.Epochs, mem.Epochs, got.Iterations, mem.Iterations)
 		}
 		if len(got.W) != len(mem.W) {
 			t.Fatalf("%v: w length %d != %d", variant, len(got.W), len(mem.W))

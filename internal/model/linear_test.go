@@ -233,6 +233,23 @@ func TestLinearSerializationRejectsCorruption(t *testing.T) {
 	corrupt(t, m, "duplicate W section", func(s string) string {
 		return s + "W\n"
 	})
+	// A dimension beyond the int32 feature range is refused at the header,
+	// not by a failed allocation.
+	corrupt(t, m, "w_dim", func(s string) string {
+		return strings.Replace(s, "w_dim 30", "w_dim 100000000000000", 1)
+	})
+	// A large dimension with a wrong checksum fails the CRC before the
+	// dense vector is allocated.
+	corrupt(t, m, "checksum mismatch", func(s string) string {
+		return strings.Replace(s, "w_dim 30", "w_dim 1000000000", 1)
+	})
+	// An index past the int32 range is refused, not wrapped onto feature 1.
+	corrupt(t, m, "W index", func(s string) string {
+		i := strings.Index(s, "\nW\n")
+		head, tail := s[:i+3], s[i+3:]
+		_, rest, _ := strings.Cut(tail, ":")
+		return head + "4294967297:" + rest
+	})
 }
 
 // TestLinearModelValidate covers the W-specific invariants.

@@ -167,6 +167,7 @@ func TestReadErrors(t *testing.T) {
 		"kernel_type rbf\ngamma 1\nC 1\nSV\nx 1:1\n",             // bad coef
 		"kernel_type rbf\ngamma 1\nC 1\nSV\n1 0:1\n",             // 0-based index
 		"kernel_type rbf\ngamma 1\nC 1\nSV\n1 1x1\n",             // missing colon
+		"kernel_type rbf\ngamma 1\nC 1\nSV\n1 4294967297:1\n",    // index past int32
 	}
 	for _, c := range cases {
 		if _, err := Read(strings.NewReader(c)); err == nil {

@@ -298,7 +298,8 @@ func buildW(wh wHeader, sawSection bool, idx []int32, val []float64) ([]float64,
 	if wh.dim == 0 {
 		return nil, fmt.Errorf("model: w_dim must be positive")
 	}
-	w := make([]float64, wh.dim)
+	// Order, range and checksum are verified before the dense vector is
+	// allocated, so a corrupted w_dim cannot demand the memory first.
 	prev := int32(-1)
 	for k, c := range idx {
 		if c <= prev {
@@ -307,11 +308,14 @@ func buildW(wh wHeader, sawSection bool, idx []int32, val []float64) ([]float64,
 		if int(c) >= wh.dim {
 			return nil, fmt.Errorf("model: W index %d out of range [1,%d]", c+1, wh.dim)
 		}
-		w[c] = val[k]
 		prev = c
 	}
 	if got := wChecksum(wh.dim, idx, val); got != wh.crc {
 		return nil, fmt.Errorf("model: W checksum mismatch: file declares %d, contents hash to %d (corrupted model file)", wh.crc, got)
+	}
+	w := make([]float64, wh.dim)
+	for k, c := range idx {
+		w[c] = val[k]
 	}
 	return w, nil
 }
@@ -323,15 +327,15 @@ func parseWLine(line string, idx *[]int32, val *[]float64) error {
 		if !ok {
 			return fmt.Errorf("model: malformed W entry %q", f)
 		}
-		i, err := strconv.Atoi(idxStr)
-		if err != nil || i < 1 {
+		i, err := parseIndex(idxStr)
+		if err != nil {
 			return fmt.Errorf("model: W index %q", idxStr)
 		}
 		v, err := strconv.ParseFloat(valStr, 64)
 		if err != nil {
 			return fmt.Errorf("model: W value %q: %w", valStr, err)
 		}
-		*idx = append(*idx, int32(i-1))
+		*idx = append(*idx, i)
 		*val = append(*val, v)
 	}
 	return nil
@@ -369,7 +373,7 @@ func parseHeader(m *Model, totalSV *int, wh *wHeader, th *taskHeader, key, val s
 		}
 	case "w_dim":
 		d, err := strconv.Atoi(val)
-		if err != nil || d <= 0 {
+		if err != nil || d <= 0 || d > math.MaxInt32 {
 			return fmt.Errorf("model: w_dim %q", val)
 		}
 		wh.dim = d
@@ -436,6 +440,17 @@ func parseHeader(m *Model, totalSV *int, wh *wHeader, th *taskHeader, key, val s
 	return nil
 }
 
+// parseIndex parses a 1-based feature index into its 0-based int32 form,
+// rejecting anything outside [1, MaxInt32] — the bound dataset.ParseLine
+// applies — rather than wrapping it.
+func parseIndex(s string) (int32, error) {
+	i, err := strconv.ParseInt(s, 10, 32)
+	if err != nil || i < 1 {
+		return 0, fmt.Errorf("index %q", s)
+	}
+	return int32(i - 1), nil
+}
+
 func parseF(s string, out *float64) error {
 	v, err := strconv.ParseFloat(s, 64)
 	if err != nil {
@@ -460,15 +475,15 @@ func parseSVLine(line string) (float64, sparse.Row, error) {
 		if !ok {
 			return 0, sparse.Row{}, fmt.Errorf("model: malformed feature %q", f)
 		}
-		idx, err := strconv.Atoi(idxStr)
-		if err != nil || idx < 1 {
+		idx, err := parseIndex(idxStr)
+		if err != nil {
 			return 0, sparse.Row{}, fmt.Errorf("model: feature index %q", idxStr)
 		}
 		val, err := strconv.ParseFloat(valStr, 64)
 		if err != nil {
 			return 0, sparse.Row{}, fmt.Errorf("model: feature value %q: %w", valStr, err)
 		}
-		row.Idx = append(row.Idx, int32(idx-1))
+		row.Idx = append(row.Idx, idx)
 		row.Val = append(row.Val, val)
 	}
 	return coef, row, nil

@@ -137,7 +137,7 @@ func New(src Source, cfg Config) *Batcher {
 }
 
 // QueueDepth returns the number of rows submitted and not yet answered —
-// the load signal the replica router compares.
+// the load signal behind the svmserve_queue_depth gauge.
 func (b *Batcher) QueueDepth() int64 { return b.depth.Load() }
 
 // Predict submits one row and blocks for its answer. ErrQueueFull reports

@@ -152,16 +152,15 @@ type metrics struct {
 	predictions *counterVec // rows predicted, by model name
 	reloads     *counterVec // successful reloads, by model name
 
-	// Serving-pipeline metrics (coalescing, shedding, routing).
-	queueDepth    *gaugeVec   // outstanding rows, by model and replica
-	coalesced     *histogram  // rows per coalesced batch execution
-	shed          *counterVec // rejected requests, by model and reason
-	admitted      *counterVec // admitted single-row requests, by model
-	queueWait     *histogram  // oldest-row queue wait per batch, seconds
-	execTime      *histogram  // model evaluation time per batch, seconds
-	packedModels  *gaugeVec   // 1 if the live snapshot is packed, by model
-	packedBytes   *gaugeVec   // packed layout size in bytes, by model
-	replicaPicked *counterVec // router picks, by model and replica index
+	// Serving-pipeline metrics (coalescing, shedding).
+	queueDepth   *gaugeVec   // outstanding rows, by model
+	coalesced    *histogram  // rows per coalesced batch execution
+	shed         *counterVec // rejected requests, by model and reason
+	admitted     *counterVec // admitted single-row requests, by model
+	queueWait    *histogram  // oldest-row queue wait per batch, seconds
+	execTime     *histogram  // model evaluation time per batch, seconds
+	packedModels *gaugeVec   // 1 if the live snapshot is packed, by model
+	packedBytes  *gaugeVec   // packed layout size in bytes, by model
 }
 
 func newMetrics() *metrics {
@@ -179,7 +178,7 @@ func newMetrics() *metrics {
 		reloads: newCounterVec("svmserve_model_reloads_total",
 			"Successful model reloads per model.", "model"),
 		queueDepth: newGaugeVec("svmserve_queue_depth",
-			"Rows submitted and not yet answered, per model replica.", "model", "replica"),
+			"Rows submitted and not yet answered, per model.", "model"),
 		coalesced: newHistogram("svmserve_coalesced_batch_size",
 			"Rows coalesced per batch execution.",
 			[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256}),
@@ -197,8 +196,6 @@ func newMetrics() *metrics {
 			"1 when the live snapshot carries the packed predict-time layout.", "model"),
 		packedBytes: newGaugeVec("svmserve_model_packed_bytes",
 			"Bytes held by the packed predict-time layout.", "model"),
-		replicaPicked: newCounterVec("svmserve_replica_picks_total",
-			"Requests routed per replica by power-of-two-choices.", "model", "replica"),
 	}
 }
 
@@ -216,5 +213,4 @@ func (m *metrics) write(w io.Writer) {
 	m.execTime.write(w)
 	m.packedModels.write(w)
 	m.packedBytes.write(w)
-	m.replicaPicked.write(w)
 }

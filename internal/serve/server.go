@@ -18,7 +18,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/model"
 	"repro/internal/serve/batcher"
-	"repro/internal/serve/router"
 	"repro/internal/serve/shed"
 	"repro/internal/sparse"
 )
@@ -36,20 +35,15 @@ type Config struct {
 	DrainTimeout time.Duration
 
 	// Serving-pipeline knobs. Single-row predict requests flow through a
-	// per-model pipeline: load shedding (admission control), a
-	// power-of-two-choices replica router, and a coalescing batcher.
+	// per-model pipeline: load shedding (admission control) in front of a
+	// coalescing batcher.
 
-	// DisableCoalesce sends single-row requests down the direct path used
-	// for client batches instead of through the pipeline.
-	DisableCoalesce bool
 	// CoalesceWindow is how long a batch window stays open waiting for
 	// co-riders (default 2ms; see batcher.Config.MaxWait).
 	CoalesceWindow time.Duration
 	// CoalesceBatch caps rows coalesced into one evaluation (default 32).
 	CoalesceBatch int
-	// Replicas is the number of batcher replicas per model (default 1).
-	Replicas int
-	// QueueDepth bounds outstanding rows per replica (default 1024).
+	// QueueDepth bounds outstanding rows per model (default 1024).
 	QueueDepth int
 	// MaxInFlight bounds concurrently executing batches per model
 	// (default 2).
@@ -76,9 +70,6 @@ func (c Config) withDefaults() Config {
 	if c.CoalesceBatch <= 0 {
 		c.CoalesceBatch = 32
 	}
-	if c.Replicas <= 0 {
-		c.Replicas = 1
-	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 1024
 	}
@@ -89,11 +80,11 @@ func (c Config) withDefaults() Config {
 }
 
 // pipeline is the per-model serving stack: admission control in front of a
-// replica router over coalescing batchers. All replicas resolve the same
-// registry entry, so a hot-reload switches every replica's next batch.
+// coalescing batcher. The batcher resolves the registry entry per batch, so
+// a hot-reload switches its next batch.
 type pipeline struct {
-	shed   *shed.Shedder
-	router *router.Router[*batcher.Batcher]
+	shed  *shed.Shedder
+	batch *batcher.Batcher
 }
 
 // Server serves the models in a Registry over HTTP.
@@ -107,7 +98,7 @@ type Server struct {
 
 // New builds a Server around an already-populated registry. The registry's
 // model set must be final: each registered model gets its serving pipeline
-// (shedder, replica router, coalescing batchers) built here. Call Close
+// (shedder, coalescing batcher) built here. Call Close
 // when done to drain the pipelines.
 func New(reg *Registry, cfg Config) *Server {
 	s := &Server{
@@ -126,31 +117,24 @@ func New(reg *Registry, cfg Config) *Server {
 
 func (s *Server) newPipeline(name string) *pipeline {
 	sh := shed.New(shed.Config{
-		MaxQueue:    s.cfg.QueueDepth * s.cfg.Replicas,
+		MaxQueue:    s.cfg.QueueDepth,
 		MaxInFlight: s.cfg.MaxInFlight,
 	})
-	reps := make([]*batcher.Batcher, s.cfg.Replicas)
-	for i := range reps {
-		reps[i] = batcher.New(s.sourceFor(name), batcher.Config{
-			MaxBatch: s.cfg.CoalesceBatch,
-			MaxWait:  s.cfg.CoalesceWindow,
-			Queue:    s.cfg.QueueDepth,
-			Workers:  s.cfg.Workers,
-			Gate:     sh,
-			OnBatch: func(size int, queueWait, exec time.Duration) {
-				sh.ObserveBatch(size, exec)
-				s.met.coalesced.observe(float64(size))
-				s.met.queueWait.observe(queueWait.Seconds())
-				s.met.execTime.observe(exec.Seconds())
-			},
-		})
-		s.met.queueDepth.register(replicaDepthReader(reps[i]), name, strconv.Itoa(i))
-	}
-	return &pipeline{shed: sh, router: router.New(reps)}
-}
-
-func replicaDepthReader(b *batcher.Batcher) func() float64 {
-	return func() float64 { return float64(b.QueueDepth()) }
+	b := batcher.New(s.sourceFor(name), batcher.Config{
+		MaxBatch: s.cfg.CoalesceBatch,
+		MaxWait:  s.cfg.CoalesceWindow,
+		Queue:    s.cfg.QueueDepth,
+		Workers:  s.cfg.Workers,
+		Gate:     sh,
+		OnBatch: func(size int, queueWait, exec time.Duration) {
+			sh.ObserveBatch(size, exec)
+			s.met.coalesced.observe(float64(size))
+			s.met.queueWait.observe(queueWait.Seconds())
+			s.met.execTime.observe(exec.Seconds())
+		},
+	})
+	s.met.queueDepth.register(func() float64 { return float64(b.QueueDepth()) }, name)
+	return &pipeline{shed: sh, batch: b}
 }
 
 // sourceFor resolves the current snapshot for name at batch-execution
@@ -184,9 +168,7 @@ func (s *Server) registerModelGauges(name string) {
 // batchers stop. The server must not receive traffic after Close.
 func (s *Server) Close() {
 	for _, p := range s.pipelines {
-		for _, b := range p.router.Replicas() {
-			b.Close()
-		}
+		p.batch.Close()
 	}
 }
 
@@ -442,16 +424,16 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 
 	task := snap.Model.TaskKind()
-	if p, ok := s.pipelines[name]; ok && len(rows) == 1 && !s.cfg.DisableCoalesce {
+	if p, ok := s.pipelines[name]; ok && len(rows) == 1 {
 		s.predictCoalesced(w, r, name, task, p, rows[0])
 		return
 	}
 
-	// Direct path: client-assembled batches (and single rows when
-	// coalescing is off) evaluate in one call against the snapshot grabbed
-	// above — a concurrent hot-reload publishes a new pointer but cannot
-	// affect us. The shedder still bounds concurrent evaluations so a
-	// flood of large batches cannot starve the coalesced pipeline.
+	// Direct path: client-assembled batches evaluate in one call against
+	// the snapshot grabbed above — a concurrent hot-reload publishes a new
+	// pointer but cannot affect us. The shedder still bounds concurrent
+	// evaluations so a flood of large batches cannot starve the coalesced
+	// pipeline.
 	if p, ok := s.pipelines[name]; ok {
 		if err := p.shed.AcquireBatch(r.Context()); err != nil {
 			s.met.shed.add(1, name, "batch_gate")
@@ -495,7 +477,7 @@ func taskLabel(task model.Task, v float64) float64 {
 }
 
 // predictCoalesced answers one row through the serving pipeline:
-// admission control, replica pick, coalescing batcher. The task kind is
+// admission control, then the coalescing batcher. The task kind is
 // pinned per endpoint (Registry.Reload rejects kind changes), so reading it
 // from the resolved snapshot stays correct even if the batch executes
 // against a newer version.
@@ -515,9 +497,7 @@ func (s *Server) predictCoalesced(w http.ResponseWriter, r *http.Request, name s
 	defer release()
 	s.met.admitted.add(1, name)
 
-	idx, rep := p.router.Pick()
-	s.met.replicaPicked.add(1, name, strconv.Itoa(idx))
-	res, err := rep.Predict(ctx, row)
+	res, err := p.batch.Predict(ctx, row)
 	if err != nil {
 		if errors.Is(err, batcher.ErrQueueFull) {
 			s.met.shed.add(1, name, "queue_full")

@@ -72,21 +72,15 @@ func (e smoEngine) Train(ctx context.Context, prob solver.Problem, opts solver.O
 	if err != nil {
 		return solver.Result{}, err
 	}
-	out := solver.Result{
-		Model:       res.Model,
-		Alpha:       res.Alpha,
-		Iterations:  res.Iterations,
-		KernelEvals: res.KernelEvals,
-		Converged:   res.Converged,
-		Objective:   res.Objective,
+	return solver.Result{
+		Model: res.Model,
+		Alpha: res.Alpha,
+		Stats: res.Stats,
 		Summary: fmt.Sprintf("converged=%v iterations=%d cache-hit=%.1f%% cache-evictions=%d SVs=%d",
 			res.Converged, res.Iterations,
-			100*float64(res.CacheHits)/float64(max(1, res.CacheHits+res.CacheMisses)),
+			100*res.CacheHitRate(),
 			res.CacheEvictions,
 			res.Model.NumSV()),
-	}
-	if res.Trace != nil {
-		out.Trace = res.Trace
-	}
-	return out, nil
+		Trace: res.Trace,
+	}, nil
 }

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"time"
 
 	"repro/internal/cache"
 	"repro/internal/ckpt"
@@ -136,18 +135,9 @@ type Result struct {
 	Alpha []float64
 	// Beta is the threshold of the verified band (the model's rho);
 	// meaningful even when Model is nil (TrainQP).
-	Beta            float64
-	Iterations      int64
-	KernelEvals     uint64
-	CacheHits       uint64
-	CacheMisses     uint64
-	CacheEvictions  uint64
-	Reconstructions int
-	ShrinkEvents    int
-	Converged       bool
-	Objective       float64 // dual objective at termination
-	Elapsed         time.Duration
-	Trace           *trace.Trace // non-nil when Config.RecordTrace
+	Beta float64
+	solver.Stats
+	Trace *trace.Trace // non-nil when Config.RecordTrace
 }
 
 // Train runs the baseline SMO solver on (x, y) with labels in {+1, -1}.
@@ -226,13 +216,10 @@ func train(x *sparse.Matrix, y []float64, cfg Config) (*Result, error) {
 	if cfg.InitialAlpha != nil {
 		s.warmStart(cfg.InitialAlpha)
 	}
-	start := time.Now()
 	if err := s.run(); err != nil {
 		return nil, err
 	}
-	res := s.result()
-	res.Elapsed = time.Since(start)
-	return res, nil
+	return s.result(), nil
 }
 
 // state is the mutable solver state.
@@ -723,18 +710,20 @@ func (s *state) result() *Result {
 		s.trace.SVCount = len(svIdx)
 	}
 	res := &Result{
-		Alpha:           append([]float64(nil), s.alpha...),
-		Beta:            beta,
-		Iterations:      s.iter,
-		KernelEvals:     evals,
-		CacheHits:       hits,
-		CacheMisses:     misses,
-		CacheEvictions:  evictions,
-		Reconstructions: s.reconstructions,
-		ShrinkEvents:    s.shrinkEvents,
-		Converged:       s.converged,
-		Objective:       solver.DualObjectiveQP(s.alpha, s.y, s.gamma, s.cfg.LinearTerm),
-		Trace:           s.trace,
+		Alpha: append([]float64(nil), s.alpha...),
+		Beta:  beta,
+		Stats: solver.Stats{
+			Iterations:      s.iter,
+			KernelEvals:     evals,
+			CacheHits:       hits,
+			CacheMisses:     misses,
+			CacheEvictions:  evictions,
+			Reconstructions: s.reconstructions,
+			ShrinkEvents:    s.shrinkEvents,
+			Converged:       s.converged,
+			Objective:       solver.DualObjectiveQP(s.alpha, s.y, s.gamma, s.cfg.LinearTerm),
+		},
+		Trace: s.trace,
 	}
 	if s.cfg.skipModel {
 		return res

@@ -29,6 +29,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/mpi"
 	"repro/internal/sparse"
+	"repro/internal/trace"
 )
 
 // Capability is one bit of an engine's declarative feature set.
@@ -255,6 +256,41 @@ type Options struct {
 	Task   TaskOptions
 }
 
+// Stats are the counters a training run reports. Every engine returns them
+// in Result, and the native solver results embed them, so each counter is
+// declared once. A counter an engine does not compute stays zero.
+type Stats struct {
+	// Iterations counts solver iterations (engine-defined unit: working-
+	// set steps, or coordinate updates for the linear family; dc sums its
+	// sub-solves and polish).
+	Iterations int64
+	// KernelEvals counts kernel evaluations (0 for the linear family).
+	KernelEvals uint64
+	// Converged reports whether the tolerance was met (dc: by the polish).
+	Converged bool
+	// Objective is the engine's dual objective at termination, when
+	// defined.
+	Objective float64
+	// Gap is the final duality gap, where the engine computes one (linear).
+	Gap float64
+	// ShrinkEvents and Reconstructions count shrinking passes and gradient
+	// reconstructions; FinalActive is the active-set size at termination.
+	ShrinkEvents    int
+	Reconstructions int
+	FinalActive     int
+	// CacheHits, CacheMisses and CacheEvictions count kernel-row cache
+	// traffic (smo family).
+	CacheHits      uint64
+	CacheMisses    uint64
+	CacheEvictions uint64
+}
+
+// CacheHitRate is the share of kernel-row lookups the cache answered; 0
+// when there were none.
+func (s Stats) CacheHitRate() float64 {
+	return float64(s.CacheHits) / float64(max(1, s.CacheHits+s.CacheMisses))
+}
+
 // Result is what every engine returns: the model plus the statistics the
 // CLIs, benches and oracle consume without knowing which engine ran.
 type Result struct {
@@ -263,26 +299,12 @@ type Result struct {
 	// exposes one (the linear family's dual, smo/core's alphas; nil for
 	// composite engines whose polish owns the final point internally).
 	Alpha []float64
-	// Iterations counts solver iterations (engine-defined unit: working-
-	// set steps, or coordinate updates for the linear family).
-	Iterations int64
-	// KernelEvals counts kernel evaluations (0 for the linear family).
-	KernelEvals uint64
-	// Converged reports whether the tolerance was met.
-	Converged bool
-	// Objective is the engine's dual objective at termination, when
-	// defined.
-	Objective float64
+	Stats
 	// Summary is the engine's one-line human-readable account of the run,
 	// printed verbatim by svmtrain.
 	Summary string
 	// Trace is the recorded schedule when Options.RecordTrace was set.
-	Trace TraceSaver
-}
-
-// TraceSaver is the slice of the trace API the CLIs need.
-type TraceSaver interface {
-	SaveJSON(path string) error
+	Trace *trace.Trace
 }
 
 // Engine is one registered training path. Train must be safe for

@@ -56,11 +56,8 @@ func smoConfig(k kernel.Params, opts solver.Options, boxC float64) smo.Config {
 // task's sample count (half the SVR solver's doubled variables).
 func result(m *model.Model, res *smo.Result, n int) solver.Result {
 	return solver.Result{
-		Model:       m,
-		Iterations:  res.Iterations,
-		KernelEvals: res.KernelEvals,
-		Converged:   res.Converged,
-		Objective:   res.Objective,
+		Model: m,
+		Stats: res.Stats,
 		Summary: fmt.Sprintf("converged=%v iterations=%d objective=%.6g SVs=%d (%.1f%% of samples)",
 			res.Converged, res.Iterations, res.Objective,
 			m.NumSV(), 100*float64(m.NumSV())/float64(n)),
