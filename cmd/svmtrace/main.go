@@ -78,7 +78,7 @@ func run() error {
 			return err
 		}
 		fmt.Printf("%8d %12.3f %10.3f %10.3f %10.3f %11.1f%%\n",
-			p, b.Total(), b.Compute, b.PairComm+b.ReduceComm, b.ReconCompute+b.ReconComm,
+			p, b.Total(), b.Compute, b.ReduceComm, b.ReconCompute+b.ReconComm,
 			100*b.ReconFraction())
 	}
 	return nil

@@ -54,7 +54,7 @@
 // -inject-crash-* flags drive the mpi fault injector for recovery drills:
 //
 //	svmtrain -dataset blobs -checkpoint-dir ckpt -checkpoint-every 25 \
-//	    -inject-crash-rank 1 -inject-crash-at 2000   # fails mid-training
+//	    -inject-crash-rank 1 -inject-crash-at 798    # fails mid-training
 //	svmtrain -dataset blobs -checkpoint-dir ckpt -resume -verify
 package main
 

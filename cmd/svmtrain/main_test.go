@@ -218,7 +218,7 @@ func TestRunCheckpointCrashResume(t *testing.T) {
 	ck := filepath.Join(dir, "ck")
 	common := []string{"-data", fx.blobs.path, "-p", "2", "-checkpoint-dir", ck, "-model", filepath.Join(dir, "m.model")}
 	_, err := runCLI(t, append(common, "-checkpoint-every", "5", "-checkpoint-min-interval", "0",
-		"-inject-crash-rank", "1", "-inject-crash-at", "300")...)
+		"-inject-crash-rank", "1", "-inject-crash-at", "116")...)
 	if err == nil || !strings.Contains(err.Error(), "injected crash") {
 		t.Fatalf("crash run: got %v, want an injected crash", err)
 	}

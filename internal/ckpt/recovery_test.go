@@ -90,37 +90,62 @@ func (rp *recoveryProblem) baselineObjective(t *testing.T, m *model.Model) float
 
 // TestCoreKillResume kills one rank of the distributed solver mid-training
 // with the mpi fault plan, then resumes from the last checkpoint through
-// the warm-start path.
+// the warm-start path. The crash point is derived from a healthy run with
+// the same checkpoint cadence, so it stays mid-training however many
+// messages an iteration takes.
 func TestCoreKillResume(t *testing.T) {
 	rp := loadRecoveryProblem(t, 0.1)
 	cfg := core.Config{Kernel: rp.kp, C: rp.c, Eps: rp.eps, Heuristic: core.Multi5pc}
 	const p = 2
 
-	m0, _, _, err := core.TrainParallelOpts(rp.x, rp.y, p, cfg, mpi.Options{})
+	checkpointed := func(dir string) (core.Config, *ckpt.Writer) {
+		w, err := ckpt.NewWriter(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := cfg
+		c.Checkpoint = w
+		c.CheckpointEvery = 5
+		c.CheckpointSeed = 7
+		c.CheckpointFingerprint = ckpt.Fingerprint(rp.x, rp.y)
+		return c, w
+	}
+
+	healthy, _ := checkpointed(t.TempDir())
+	var m0 *model.Model
+	var healthyOps int
+	err := mpi.Run(p, func(c *mpi.Comm) error {
+		pt, err := core.NewPartition(rp.x, rp.y, p, c.Rank())
+		if err != nil {
+			return err
+		}
+		m, _, err := core.Train(c, pt, healthy)
+		switch c.Rank() {
+		case 0:
+			m0 = m
+		case 1:
+			healthyOps = c.Sends() + c.Recvs()
+		}
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := rp.baselineObjective(t, m0)
 
 	dir := t.TempDir()
-	w, err := ckpt.NewWriter(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	killed := cfg
-	killed.Checkpoint = w
-	killed.CheckpointEvery = 5
-	killed.CheckpointSeed = 7
+	killed, w := checkpointed(dir)
+	crashAt := int64(healthyOps * 6 / 10)
 	_, _, _, err = core.TrainParallelOpts(rp.x, rp.y, p, killed,
-		mpi.Options{Faults: mpi.FaultPlan{CrashRank: 1, CrashAtOp: 2000}})
+		mpi.Options{Faults: mpi.FaultPlan{CrashRank: 1, CrashAtOp: crashAt}})
 	if err == nil {
-		t.Fatal("run with an injected crash reported success")
+		t.Fatalf("run with an injected crash at op %d of %d reported success", crashAt, healthyOps)
 	}
 	if !errors.Is(err, mpi.ErrInjectedCrash) && !errors.Is(err, mpi.ErrAborted) {
 		t.Fatalf("killed run error = %v, want injected crash / abort", err)
 	}
 	if w.Saves() == 0 {
-		t.Fatal("no checkpoint was written before the crash — lower CrashAtOp or CheckpointEvery")
+		t.Fatalf("no checkpoint was written before the crash at op %d of %d", crashAt, healthyOps)
 	}
 
 	st, path, err := ckpt.Load(dir)

@@ -24,24 +24,6 @@ func BlockRange(n, p, q int) (lo, hi int) {
 	return q * n / p, (q + 1) * n / p
 }
 
-// OwnerOf returns the rank owning global row g under the balanced block
-// distribution of n rows over p ranks.
-func OwnerOf(n, p, g int) int {
-	// Invert lo = q*n/p: candidate then adjust for flooring.
-	q := g * p / n
-	for {
-		lo, hi := BlockRange(n, p, q)
-		switch {
-		case g < lo:
-			q--
-		case g >= hi:
-			q++
-		default:
-			return q
-		}
-	}
-}
-
 // NewPartition extracts rank q's block of (x, y).
 func NewPartition(x *sparse.Matrix, y []float64, p, q int) (*Partition, error) {
 	n := x.Rows()

@@ -16,9 +16,8 @@ import (
 // parallel (or as p pre-split shard files), composes the dataset
 // fingerprint from per-shard partials — the same value a single-node load
 // computes, for every shard count — and rebalances the byte-split rows onto
-// the BlockRange row boundaries the solver's ownership arithmetic
-// (OwnerOf) assumes. Training from the result is bit-identical to
-// TrainParallel on the unsharded file.
+// the BlockRange row boundaries every Partition is cut at. Training from
+// the result is bit-identical to TrainParallel on the unsharded file.
 
 // ShardedData is a dataset loaded shard-wise and repartitioned for p ranks.
 type ShardedData struct {
@@ -66,7 +65,7 @@ func LoadShardPartitions(path string, p int) (*ShardedData, error) {
 
 	// Byte-balanced shard boundaries are not the solver's row-balanced
 	// BlockRange boundaries; splice and re-slice so each rank owns exactly
-	// the rows OwnerOf says it does.
+	// the rows BlockRange gives it.
 	x, y := dataset.ConcatShards(shards)
 	parts := make([]*Partition, p)
 	for q := 0; q < p; q++ {

@@ -14,12 +14,9 @@ import (
 	"repro/internal/trace"
 )
 
-// Point-to-point tags used by the solver (collectives manage their own).
-const (
-	tagPairUp  = 1
-	tagPairLow = 2
-	tagRecon   = 3
-)
+// tagRecon is the gradient-reconstruction ring's point-to-point tag
+// (collectives manage their own).
+const tagRecon = 3
 
 // Config controls a distributed training run.
 type Config struct {
@@ -111,8 +108,8 @@ type Stats struct {
 	Trace *trace.Trace
 }
 
-// pairHalf carries one selected sample (x_up or x_low) from its owner to
-// every rank, together with the scalar state the alpha update needs.
+// pairHalf is one selected sample (x_up or x_low) together with the
+// scalar state the alpha update needs.
 type pairHalf struct {
 	Row   sparse.Row
 	Norm  float64
@@ -121,8 +118,27 @@ type pairHalf struct {
 	Gamma float64
 }
 
-// ByteSize implements mpi.Sized: index+value data plus the four scalars.
-func (h pairHalf) ByteSize() int { return 12*len(h.Row.Idx) + 32 }
+// ByteSize implements mpi.Sized: index+value data and row metadata (the
+// perfmodel's RowBytes) plus the four scalars.
+func (h pairHalf) ByteSize() int { return 12*len(h.Row.Idx) + 16 + 32 }
+
+// violator is one side of the working pair inside the selection
+// reduction: its KKT value and global index, carrying the sample.
+type violator = mpi.Carry[pairHalf]
+
+// workingPair is the operand of the per-iteration selection Allreduce.
+type workingPair struct {
+	Up, Low violator
+}
+
+// ByteSize implements mpi.Sized.
+func (w workingPair) ByteSize() int { return w.Up.ByteSize() + w.Low.ByteSize() }
+
+// combinePair picks each side with MINLOC/MAXLOC semantics (ties to the
+// smaller index); the winner's sample travels with it.
+func combinePair(a, b workingPair) workingPair {
+	return workingPair{Up: mpi.MinLocCarry(a.Up, b.Up), Low: mpi.MaxLocCarry(a.Low, b.Low)}
+}
 
 // svBlock is a rank's contribution to the gradient-reconstruction ring and
 // to final model assembly: the local rows with alpha > 0 and their
@@ -264,13 +280,16 @@ func newRankState(c *mpi.Comm, pt *Partition, cfg Config) *rankState {
 	return s
 }
 
-// reduceBetas scans the local active set for the worst KKT violators and
-// combines them globally (the two MPI_Allreduce calls of Algorithm 2,
-// lines 21-22, with MINLOC/MAXLOC semantics so every rank also learns the
-// violators' global indices).
-func (s *rankState) reduceBetas() (up, low mpi.ValLoc, err error) {
-	up = mpi.ValLoc{Val: math.Inf(1), Loc: -1}
-	low = mpi.ValLoc{Val: math.Inf(-1), Loc: -1}
+// selectPair scans the local active set for the worst KKT violators and
+// combines them globally with MINLOC/MAXLOC semantics (Algorithm 2, lines
+// 21-22), so every rank learns beta_up, beta_low and the violators' global
+// indices. The two reductions are fused into one Allreduce whose operand
+// also carries each local winner's sample: the result delivers x_up and
+// x_low to every rank, replacing the paper's hop through rank 0 and
+// broadcast (lines 3-10).
+func (s *rankState) selectPair() (workingPair, error) {
+	up := mpi.ValLoc{Val: math.Inf(1), Loc: -1}
+	low := mpi.ValLoc{Val: math.Inf(-1), Loc: -1}
 	for i := range s.alpha {
 		if !s.active[i] {
 			continue
@@ -283,11 +302,17 @@ func (s *rankState) reduceBetas() (up, low mpi.ValLoc, err error) {
 			low = mpi.MaxLoc(low, mpi.ValLoc{Val: s.gamma[i], Loc: g})
 		}
 	}
-	if up, err = mpi.Allreduce(s.c, up, mpi.MinLoc); err != nil {
-		return
+	return mpi.Allreduce(s.c, workingPair{Up: s.violator(up), Low: s.violator(low)}, combinePair)
+}
+
+// violator attaches the local sample behind v; an empty side (Loc -1)
+// carries none.
+func (s *rankState) violator(v mpi.ValLoc) violator {
+	out := violator{ValLoc: v}
+	if l, ok := s.pt.Local(v.Loc); ok {
+		out.Data = pairHalf{Row: s.pt.X.RowView(l), Norm: s.ev.Norm(l), Y: s.pt.Y[l], Alpha: s.alpha[l], Gamma: s.gamma[l]}
 	}
-	low, err = mpi.Allreduce(s.c, low, mpi.MaxLoc)
-	return
+	return out
 }
 
 // currentEps returns the convergence half-band for the current phase:
@@ -306,11 +331,14 @@ func (s *rankState) solve() error {
 	h := s.cfg.Heuristic
 	shrinkingEnabled := h.Shrinks()
 	for {
-		up, low, err := s.reduceBetas()
+		pair, err := s.selectPair()
 		if err != nil {
 			return err
 		}
-		if solver.Converged(up.Val, low.Val, s.currentEps()) {
+		// The first-order betas drive convergence and shrinking even when
+		// second-order selection replaces the low side below.
+		betaUp, betaLow := pair.Up.Val, pair.Low.Val
+		if solver.Converged(betaUp, betaLow, s.currentEps()) {
 			if h.Recon == ReconMulti && s.phase == 1 {
 				// First synchronization point at 20*eps: re-admit the
 				// eliminated samples while still far from the solution.
@@ -354,32 +382,21 @@ func (s *rankState) solve() error {
 		s.iter++
 		actives := s.collectActive()
 
-		var pair exchangedPair
-		pair.up, err = s.routeHalf(up.Loc, tagPairUp)
-		if err != nil {
-			return err
-		}
-		lowIdx := low.Loc
 		if s.cfg.SecondOrder {
-			if j, err := s.selectSecondOrder(actives, pair.up, up.Val); err != nil {
+			if j, err := s.selectSecondOrder(actives, pair.Up.Data); err != nil {
 				return err
-			} else if j >= 0 {
-				lowIdx = j
+			} else if j.Loc >= 0 {
+				pair.Low = j
 			}
 		}
-		pair.low, err = s.routeHalf(lowIdx, tagPairLow)
-		if err != nil {
-			return err
-		}
+		up, low := pair.Up.Data, pair.Low.Data
 		// All ranks compute the identical analytic step (Eq. 6/7).
-		kUU := s.cfg.Kernel.Eval(pair.up.Row, pair.up.Row, pair.up.Norm, pair.up.Norm)
-		kLL := s.cfg.Kernel.Eval(pair.low.Row, pair.low.Row, pair.low.Norm, pair.low.Norm)
-		kUL := s.cfg.Kernel.Eval(pair.up.Row, pair.low.Row, pair.up.Norm, pair.low.Norm)
+		kUU := s.cfg.Kernel.Eval(up.Row, up.Row, up.Norm, up.Norm)
+		kLL := s.cfg.Kernel.Eval(low.Row, low.Row, low.Norm, low.Norm)
+		kUL := s.cfg.Kernel.Eval(up.Row, low.Row, up.Norm, low.Norm)
 		s.manualEvals += 3
-		st := solver.OptimizePair(pair.up.Gamma, pair.low.Gamma, pair.up.Y, pair.low.Y,
-			pair.up.Alpha, pair.low.Alpha, kUU, kLL, kUL, s.cfg.C)
-		// low.Loc is what the gradient pass matches alpha updates against.
-		low.Loc = lowIdx
+		st := solver.OptimizePair(up.Gamma, low.Gamma, up.Y, low.Y,
+			up.Alpha, low.Alpha, kUU, kLL, kUL, s.cfg.C)
 
 		shrinkNow := false
 		if shrinkingEnabled {
@@ -388,7 +405,7 @@ func (s *rankState) solve() error {
 				shrinkNow = true
 			}
 		}
-		s.gradientPass(st, up, low, pair, actives, shrinkNow)
+		s.gradientPass(st, pair, betaUp, betaLow, actives, shrinkNow)
 
 		if s.cfg.Lambda > 0 {
 			s.c.Compute(s.cfg.Lambda * float64(3+2*s.localActive))
@@ -436,12 +453,6 @@ func (s *rankState) solve() error {
 	}
 }
 
-// exchangedPair bundles both halves after distribution (routed through
-// rank 0 and broadcast, following Algorithm 2 lines 3-10).
-type exchangedPair struct {
-	up, low pairHalf
-}
-
 // collectActive refreshes s.activeIdx with the local active indices in
 // ascending order — the target list every row batch of this iteration
 // shares (selection, gradient pass). The slice is only valid until the
@@ -458,11 +469,12 @@ func (s *rankState) collectActive() []int {
 
 // selectSecondOrder picks the partner of i_up by maximal analytic gain
 // among local low-side violators, then combines globally with a MAXLOC
-// Allreduce. It fills s.kuiBuf with K(x_up, x_i) over actives as a side
-// effect — one batched row evaluation — and the gradient pass reuses
-// those values, so the second-order rule costs no extra kernel
-// evaluations.
-func (s *rankState) selectSecondOrder(actives []int, up pairHalf, gammaUp float64) (int, error) {
+// Allreduce that carries the winner's sample like selectPair does (Loc -1
+// when no rank has a candidate). It fills s.kuiBuf with K(x_up, x_i) over
+// actives as a side effect — one batched row evaluation — and the
+// gradient pass reuses those values, so the second-order rule costs no
+// extra kernel evaluations.
+func (s *rankState) selectSecondOrder(actives []int, up pairHalf) (violator, error) {
 	kUU := s.cfg.Kernel.Eval(up.Row, up.Row, up.Norm, up.Norm)
 	s.manualEvals++
 	kui := s.kuiBuf[:len(actives)]
@@ -472,7 +484,7 @@ func (s *rankState) selectSecondOrder(actives []int, up pairHalf, gammaUp float6
 		if !solver.InLow(s.pt.Y[i], s.alpha[i], s.cfg.C) {
 			continue
 		}
-		b := s.gamma[i] - gammaUp
+		b := s.gamma[i] - up.Gamma
 		if b <= 0 {
 			continue
 		}
@@ -482,36 +494,7 @@ func (s *rankState) selectSecondOrder(actives []int, up pairHalf, gammaUp float6
 		}
 		best = mpi.MaxLoc(best, mpi.ValLoc{Val: b * b / eta, Loc: s.pt.Global(i)})
 	}
-	best, err := mpi.Allreduce(s.c, best, mpi.MaxLoc)
-	if err != nil {
-		return -1, err
-	}
-	return best.Loc, nil
-}
-
-func (s *rankState) routeHalf(g, tag int) (pairHalf, error) {
-	owner := OwnerOf(s.pt.N, s.pt.P, g)
-	var h pairHalf
-	if s.c.Rank() == owner {
-		l, ok := s.pt.Local(g)
-		if !ok {
-			return h, fmt.Errorf("core: rank %d does not own global row %d", owner, g)
-		}
-		h = pairHalf{Row: s.pt.X.RowView(l), Norm: s.ev.Norm(l), Y: s.pt.Y[l], Alpha: s.alpha[l], Gamma: s.gamma[l]}
-		if owner != 0 {
-			if err := s.c.Send(0, tag, h); err != nil {
-				return h, err
-			}
-		}
-	}
-	if s.c.Rank() == 0 && owner != 0 {
-		got, _, err := mpi.RecvAs[pairHalf](s.c, owner, tag)
-		if err != nil {
-			return h, err
-		}
-		h = got
-	}
-	return mpi.Bcast(s.c, h, 0)
+	return mpi.Allreduce(s.c, s.violator(best), mpi.MaxLocCarry[pairHalf])
 }
 
 // gradientPass applies the Eq. 2 gradient update to every local active
@@ -522,28 +505,29 @@ func (s *rankState) routeHalf(g, tag int) (pairHalf, error) {
 // CSR payload read once for both pivots), or — in second-order mode,
 // where selection already filled kuiBuf — one more row batch for the low
 // pivot.
-func (s *rankState) gradientPass(st solver.Step, up, low mpi.ValLoc, pair exchangedPair, actives []int, shrinkNow bool) {
+func (s *rankState) gradientPass(st solver.Step, pair workingPair, betaUp, betaLow float64, actives []int, shrinkNow bool) {
 	c := s.cfg.C
+	up, low := pair.Up.Data, pair.Low.Data
 	kui := s.kuiBuf[:len(actives)]
 	kli := s.kliBuf[:len(actives)]
 	if s.cfg.SecondOrder {
 		// kui was computed during selection.
-		s.ev.RowInto(&s.scratch, pair.low.Row, pair.low.Norm, actives, kli)
+		s.ev.RowInto(&s.scratch, low.Row, low.Norm, actives, kli)
 	} else {
-		s.ev.PairRowsInto(&s.scratch, pair.up.Row, pair.low.Row, pair.up.Norm, pair.low.Norm, actives, kui, kli)
+		s.ev.PairRowsInto(&s.scratch, up.Row, low.Row, up.Norm, low.Norm, actives, kui, kli)
 	}
 	for k, i := range actives {
 		s.gamma[i] += solver.GradientDelta(st.T, kui[k], kli[k])
 		g := s.pt.Global(i)
-		if g == up.Loc {
+		if g == pair.Up.Loc {
 			s.alpha[i] = st.NewAlphaUp
 		}
-		if g == low.Loc {
+		if g == pair.Low.Loc {
 			s.alpha[i] = st.NewAlphaLow
 		}
 		if shrinkNow {
 			set := solver.Classify(s.pt.Y[i], s.alpha[i], c)
-			if solver.Shrinkable(set, s.gamma[i], up.Val, low.Val) {
+			if solver.Shrinkable(set, s.gamma[i], betaUp, betaLow) {
 				s.active[i] = false
 				s.localActive--
 			}
@@ -791,11 +775,11 @@ func (s *rankState) finish() (*model.Model, *Stats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	up, low, err := s.reduceBetas()
+	pair, err := s.selectPair()
 	if err != nil {
 		return nil, nil, err
 	}
-	beta := solver.Threshold(sumG, nI0, up.Val, low.Val)
+	beta := solver.Threshold(sumG, nI0, pair.Up.Val, pair.Low.Val)
 
 	svTotal, err := mpi.Allreduce(s.c, localSV, mpi.SumInt)
 	if err != nil {

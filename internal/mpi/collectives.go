@@ -237,7 +237,7 @@ func (ValLoc) ByteSize() int { return 16 }
 // the smaller index, which keeps the solver's pair selection deterministic
 // and independent of the process count.
 func MinLoc(a, b ValLoc) ValLoc {
-	if b.Val < a.Val || (b.Val == a.Val && b.Loc < a.Loc) {
+	if minLocTakes(a, b) {
 		return b
 	}
 	return a
@@ -246,7 +246,41 @@ func MinLoc(a, b ValLoc) ValLoc {
 // MaxLoc returns the argument with the larger value; ties break toward the
 // smaller index.
 func MaxLoc(a, b ValLoc) ValLoc {
-	if b.Val > a.Val || (b.Val == a.Val && b.Loc < a.Loc) {
+	if maxLocTakes(a, b) {
+		return b
+	}
+	return a
+}
+
+func minLocTakes(a, b ValLoc) bool { return b.Val < a.Val || (b.Val == a.Val && b.Loc < a.Loc) }
+func maxLocTakes(a, b ValLoc) bool { return b.Val > a.Val || (b.Val == a.Val && b.Loc < a.Loc) }
+
+// Carry is a MINLOC/MAXLOC operand with a payload riding along: the
+// reduction compares only the ValLoc, and the winner's Data travels with
+// it, so one Allreduce both selects an element and delivers it to every
+// rank (the solver's working pair, instead of a hop through a root and a
+// broadcast).
+type Carry[T any] struct {
+	ValLoc
+	Data T
+}
+
+// ByteSize implements Sized: the ValLoc plus the payload's size.
+func (c Carry[T]) ByteSize() int { return 16 + PayloadBytes(c.Data) }
+
+// MinLocCarry is MinLoc over Carry operands. On an exact ValLoc tie the
+// left operand wins, which Allreduce makes the lower ranks' partial, so
+// the result matches a sequential fold in rank order.
+func MinLocCarry[T any](a, b Carry[T]) Carry[T] {
+	if minLocTakes(a.ValLoc, b.ValLoc) {
+		return b
+	}
+	return a
+}
+
+// MaxLocCarry is MaxLoc over Carry operands, with MinLocCarry's tie rule.
+func MaxLocCarry[T any](a, b Carry[T]) Carry[T] {
+	if maxLocTakes(a.ValLoc, b.ValLoc) {
 		return b
 	}
 	return a

@@ -136,3 +136,60 @@ func TestBcastPropertyVsReference(t *testing.T) {
 		}
 	}
 }
+
+// TestAllreduceCarryPropertyVsSequential checks the payload-carrying
+// MINLOC/MAXLOC operators the solver's pair selection reduces with, at
+// every world size 1..9: each rank must receive the winner and its
+// payload exactly as a sequential fold in rank order produces them. Small
+// value ranges force value ties (broken toward the smaller Loc) and
+// duplicate locations with different payloads (the lower rank's wins).
+func TestAllreduceCarryPropertyVsSequential(t *testing.T) {
+	type payload struct{ rank, loc int }
+	for p := 1; p <= 9; p++ {
+		for trial := 0; trial < 20; trial++ {
+			rng := rand.New(rand.NewSource(int64(9000 + 100*p + trial)))
+			vals := make([]Carry[payload], p)
+			for r := range vals {
+				v := ValLoc{Val: float64(rng.Intn(3) - 1), Loc: rng.Intn(2 * p)}
+				if rng.Intn(8) == 0 {
+					v = ValLoc{Val: math.Inf(1 - 2*rng.Intn(2)), Loc: -1} // an empty side
+				}
+				vals[r] = Carry[payload]{ValLoc: v, Data: payload{rank: r, loc: v.Loc}}
+			}
+			wantMin, wantMax := vals[0], vals[0]
+			for _, v := range vals[1:] {
+				wantMin = MinLocCarry(wantMin, v)
+				wantMax = MaxLocCarry(wantMax, v)
+			}
+			for _, v := range vals {
+				if v.Val < wantMin.Val || v.Val == wantMin.Val && v.Loc < wantMin.Loc {
+					t.Fatalf("p=%d trial %d: min fold picked %+v over %+v", p, trial, wantMin, v)
+				}
+				if v.Val > wantMax.Val || v.Val == wantMax.Val && v.Loc < wantMax.Loc {
+					t.Fatalf("p=%d trial %d: max fold picked %+v over %+v", p, trial, wantMax, v)
+				}
+			}
+
+			gotMin := make([]Carry[payload], p)
+			gotMax := make([]Carry[payload], p)
+			err := Run(p, func(c *Comm) error {
+				mn, err := Allreduce(c, vals[c.Rank()], MinLocCarry[payload])
+				if err != nil {
+					return err
+				}
+				mx, err := Allreduce(c, vals[c.Rank()], MaxLocCarry[payload])
+				gotMin[c.Rank()], gotMax[c.Rank()] = mn, mx
+				return err
+			})
+			if err != nil {
+				t.Fatalf("p=%d trial %d: %v", p, trial, err)
+			}
+			for r := 0; r < p; r++ {
+				if gotMin[r] != wantMin || gotMax[r] != wantMax {
+					t.Errorf("p=%d trial %d (vals=%v): rank %d got min %+v max %+v, want %+v %+v",
+						p, trial, vals, r, gotMin[r], gotMax[r], wantMin, wantMax)
+				}
+			}
+		}
+	}
+}

@@ -11,8 +11,9 @@
 //     the ring exchange in gradient reconstruction (Algorithm 3)
 //   - MPI_Bcast                -> Bcast (binomial tree, O(log p) rounds)
 //   - MPI_Allreduce            -> Allreduce (recursive doubling, any p),
-//     used for beta_up/beta_low (min/maxloc) and the
-//     subsequent shrinking threshold (sum)
+//     used for beta_up/beta_low (min/maxloc over Carry operands,
+//     which also deliver x_up and x_low) and the subsequent
+//     shrinking threshold (sum)
 //   - MPI_Allgather(v)         -> Allgather (ring), used to assemble the
 //     final support-vector set
 //   - MPI_Barrier              -> Barrier (dissemination)

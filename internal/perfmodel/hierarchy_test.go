@@ -53,9 +53,7 @@ func TestHierarchicalCheaperThanFlat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		commNode := bNode.PairComm + bNode.ReduceComm
-		commInter := bInter.PairComm + bInter.ReduceComm
-		commIntra := bIntra.PairComm + bIntra.ReduceComm
+		commNode, commInter, commIntra := bNode.ReduceComm, bInter.ReduceComm, bIntra.ReduceComm
 		if commNode >= commInter {
 			t.Fatalf("p=%d: hierarchical comm %v not below flat inter %v", p, commNode, commInter)
 		}
@@ -98,7 +96,7 @@ func TestHierarchySingleProcessFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.PairComm != 0 || b.ReduceComm != 0 {
+	if b.ReduceComm != 0 {
 		t.Fatalf("p=1 should have no communication: %+v", b)
 	}
 }

@@ -13,7 +13,6 @@
 //
 // Cost formulas mirror the collective algorithms in internal/mpi:
 //
-//	Bcast (binomial):          ceil(log2 p) * (alpha + n*beta)
 //	Allreduce (rec. doubling): (floor(log2 p) + 2*[p not power of 2]) * (alpha + n*beta)
 //	Reconstruction ring:       p * alpha + totalBytes * beta  (bandwidth bound,
 //	                           as in the paper's Section IV-B2 analysis)
@@ -80,14 +79,6 @@ func log2Floor(p int) int {
 	return n
 }
 
-// BcastCost models the binomial-tree broadcast of n bytes over p ranks.
-func BcastCost(net mpi.NetModel, p int, bytes float64) float64 {
-	if p <= 1 {
-		return 0
-	}
-	return float64(log2Ceil(p)) * (net.Alpha + bytes*net.Beta)
-}
-
 // AllreduceCost models recursive doubling over p ranks with the extra
 // fold/unfold rounds for non-powers of two.
 func AllreduceCost(net mpi.NetModel, p int, bytes float64) float64 {
@@ -116,10 +107,9 @@ type Breakdown struct {
 	P int
 	// Compute is gradient-update and pair kernel time on the critical path.
 	Compute float64
-	// PairComm is routing x_up/x_low through rank 0 plus their broadcast.
-	PairComm float64
-	// ReduceComm is the per-iteration beta Allreduce pair plus the
-	// shrink-threshold Allreduce at shrink events.
+	// ReduceComm is the per-iteration selection Allreduce (which also
+	// delivers x_up and x_low) plus the shrink-threshold Allreduce at
+	// shrink events.
 	ReduceComm float64
 	// ReconCompute / ReconComm split the Algorithm 3 cost.
 	ReconCompute float64
@@ -128,7 +118,7 @@ type Breakdown struct {
 
 // Total returns the modeled wall time in seconds.
 func (b Breakdown) Total() float64 {
-	return b.Compute + b.PairComm + b.ReduceComm + b.ReconCompute + b.ReconComm
+	return b.Compute + b.ReduceComm + b.ReconCompute + b.ReconComm
 }
 
 // ReconFraction is the Figure 8 quantity: the share of total time spent in
@@ -147,7 +137,7 @@ func (b Breakdown) CommFraction() float64 {
 	if t == 0 {
 		return 0
 	}
-	return (b.PairComm + b.ReduceComm + b.ReconComm) / t
+	return (b.ReduceComm + b.ReconComm) / t
 }
 
 // Evaluate models a recorded run on p processes of machine m.
@@ -160,19 +150,14 @@ func Evaluate(tr *trace.Trace, p int, m Machine) (Breakdown, error) {
 	}
 	b := Breakdown{P: p}
 
-	// Routing x_up/x_low through rank 0 (one pt2pt each) plus the
-	// broadcast; both vanish at p=1.
-	perIterPair := 0.0
-	if p > 1 {
-		perIterPair = 2 * (m.Net.Alpha + m.RowBytes*m.Net.Beta + BcastCost(m.Net, p, m.RowBytes))
-	}
-	// Two ValLoc Allreduces per iteration for beta_up/beta_low; the
-	// second-order selection rule adds a third for the gain MAXLOC.
-	reduces := 2.0
+	// One Allreduce per iteration selects the pair and delivers it: two
+	// ValLocs, each carrying its sample (a row plus four scalars). The
+	// second-order rule adds a MAXLOC Allreduce carrying one sample.
+	half := m.RowBytes + 32
+	perIterReduce := AllreduceCost(m.Net, p, 32+2*half)
 	if tr.WSS == "second-order" {
-		reduces = 3
+		perIterReduce += AllreduceCost(m.Net, p, 16+half)
 	}
-	perIterReduce := reduces * AllreduceCost(m.Net, p, 16)
 
 	for si, s := range tr.Segments {
 		end := tr.Iterations
@@ -185,7 +170,6 @@ func Evaluate(tr *trace.Trace, p int, m Machine) (Breakdown, error) {
 		}
 		perRank := math.Ceil(float64(s.Active) / float64(p))
 		b.Compute += iters * m.Lambda * (3 + 2*perRank)
-		b.PairComm += iters * perIterPair
 		b.ReduceComm += iters * perIterReduce
 	}
 

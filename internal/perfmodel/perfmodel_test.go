@@ -40,12 +40,12 @@ func TestLogHelpers(t *testing.T) {
 
 func TestCollectiveCostsScaleLogarithmically(t *testing.T) {
 	net := mpi.NetModel{Alpha: 1e-6, Beta: 1e-9}
-	if BcastCost(net, 1, 100) != 0 || AllreduceCost(net, 1, 8) != 0 || RingCost(net, 1, 100) != 0 {
+	if AllreduceCost(net, 1, 8) != 0 || RingCost(net, 1, 100) != 0 {
 		t.Fatal("p=1 collectives should be free")
 	}
-	b8, b64 := BcastCost(net, 8, 1000), BcastCost(net, 64, 1000)
-	if math.Abs(b64/b8-2.0) > 1e-9 {
-		t.Fatalf("bcast p64/p8 = %v, want 2 (log ratio)", b64/b8)
+	a8, a64 := AllreduceCost(net, 8, 1000), AllreduceCost(net, 64, 1000)
+	if math.Abs(a64/a8-2.0) > 1e-9 {
+		t.Fatalf("allreduce p64/p8 = %v, want 2 (log ratio)", a64/a8)
 	}
 	a16 := AllreduceCost(net, 16, 8)
 	a17 := AllreduceCost(net, 17, 8)
@@ -73,8 +73,38 @@ func TestEvaluateComputeDominatedScaling(t *testing.T) {
 	if ratio < 1.9 || ratio > 2.1 {
 		t.Fatalf("compute ratio p1/p2 = %v, want ~2", ratio)
 	}
-	if b1.PairComm != 0 || b1.ReduceComm != 0 {
+	if b1.ReduceComm != 0 {
 		t.Fatal("p=1 should have no communication")
+	}
+}
+
+// TestEvaluateChargesOneSelectionAllreduce pins the per-iteration traffic
+// the model charges to what core sends: one Allreduce whose operand holds
+// both violators with their samples, plus one carrying a single sample in
+// second-order mode, and nothing else on a trace without shrink checks.
+func TestEvaluateChargesOneSelectionAllreduce(t *testing.T) {
+	const iters = 1000
+	m := testMachine()
+	half := m.RowBytes + 32
+	for _, p := range []int{2, 3, 64} {
+		tr := flatTrace(10000, iters)
+		b, err := Evaluate(tr, p, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := iters * AllreduceCost(m.Net, p, 32+2*half)
+		if math.Abs(b.ReduceComm-want) > 1e-12*want {
+			t.Errorf("p=%d: ReduceComm %v, want %v", p, b.ReduceComm, want)
+		}
+		tr.WSS = "second-order"
+		b, err = Evaluate(tr, p, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += iters * AllreduceCost(m.Net, p, 16+half)
+		if math.Abs(b.ReduceComm-want) > 1e-12*want {
+			t.Errorf("p=%d second-order: ReduceComm %v, want %v", p, b.ReduceComm, want)
+		}
 	}
 }
 

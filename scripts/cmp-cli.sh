@@ -110,7 +110,7 @@ same_model cls-upd.model
 # Checkpoint drill: crash rank 1 mid-run (both sides must fail), then
 # resume both sides from copies of one checkpoint directory.
 run svmtrain -data $D/blobs.train -p 2 -checkpoint-dir ck -checkpoint-every 5 \
-	-checkpoint-min-interval 0 -inject-crash-rank 1 -inject-crash-at 300 -model crash.model
+	-checkpoint-min-interval 0 -inject-crash-rank 1 -inject-crash-at 116 -model crash.model
 rm -rf "$work/new/ck" && cp -r "$work/old/ck" "$work/new/ck"
 run svmtrain -data $D/blobs.train -p 2 -checkpoint-dir ck -resume -verify -model resumed.model
 same_model resumed.model
