@@ -65,10 +65,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"text/tabwriter"
 	"time"
 
@@ -419,7 +416,7 @@ func run(args []string, stdout io.Writer) error {
 		// Out-of-core: same engine, row access served from the spill
 		// file's LRU. Training is deterministic in (data, seed), so the
 		// model is byte-identical to the in-memory path.
-		stopHeapSampler = startHeapSampler()
+		stopHeapSampler = dataset.SampleLiveHeap()
 	}
 	var res solver.Result
 	if base != nil {
@@ -569,37 +566,5 @@ func loadData(dataPath, dsName string, dsScale float64, seed int64) (*sparse.Mat
 		return ds.X, ds.Y, ds.C, ds.Sigma2, nil
 	default:
 		return nil, nil, 0, 0, fmt.Errorf("one of -data or -dataset is required")
-	}
-}
-
-// startHeapSampler records the peak live heap until the returned stop
-// function is called. It exists to make the -stream promise observable: the
-// printed peak should track the -mem-budget, not the dataset size.
-func startHeapSampler() func() uint64 {
-	var peak atomic.Uint64
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		t := time.NewTicker(20 * time.Millisecond)
-		defer t.Stop()
-		var ms runtime.MemStats
-		for {
-			runtime.ReadMemStats(&ms)
-			if ms.HeapAlloc > peak.Load() {
-				peak.Store(ms.HeapAlloc)
-			}
-			select {
-			case <-done:
-				return
-			case <-t.C:
-			}
-		}
-	}()
-	return func() uint64 {
-		close(done)
-		wg.Wait()
-		return peak.Load()
 	}
 }

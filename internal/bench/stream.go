@@ -7,8 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/dataset"
@@ -55,7 +53,7 @@ func RunStream(o Options) (*Report, error) {
 
 		// In-memory reference: plain load, plain train.
 		runtime.GC()
-		peak := heapSampler()
+		peak := dataset.SampleLiveHeap()
 		t0 := time.Now()
 		x, y, err := dataset.LoadLibsvmFile(path)
 		if err != nil {
@@ -79,7 +77,7 @@ func RunStream(o Options) (*Report, error) {
 		}
 		x, y = nil, nil
 		runtime.GC()
-		peak = heapSampler()
+		peak = dataset.SampleLiveHeap()
 		t0 = time.Now()
 		ooc, oy, err := dataset.OpenOOC(path, dataset.OOCOptions{SpillDir: dir, MemBudget: budget})
 		if err != nil {
@@ -122,37 +120,6 @@ func RunStream(o Options) (*Report, error) {
 		"peak-heap is the sampled live-heap maximum across load+train; the in-memory row includes the whole CSR payload, the out-of-core row tracks the budget")
 	rep.Took = time.Since(start)
 	return rep, nil
-}
-
-// heapSampler samples the live heap until the returned stop function is
-// called, which reports the observed maximum.
-func heapSampler() func() uint64 {
-	var peak atomic.Uint64
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		t := time.NewTicker(10 * time.Millisecond)
-		defer t.Stop()
-		var ms runtime.MemStats
-		for {
-			runtime.ReadMemStats(&ms)
-			if ms.HeapAlloc > peak.Load() {
-				peak.Store(ms.HeapAlloc)
-			}
-			select {
-			case <-done:
-				return
-			case <-t.C:
-			}
-		}
-	}()
-	return func() uint64 {
-		close(done)
-		wg.Wait()
-		return peak.Load()
-	}
 }
 
 func sameBits(a, b []float64) bool {
