@@ -92,16 +92,8 @@ func BenchmarkTable4Small(b *testing.B) { runExperiment(b, "table4") }
 // (Table V).
 func BenchmarkTable5Accuracy(b *testing.B) { runExperiment(b, "table5") }
 
-// BenchmarkAblationSubsequentThreshold compares subsequent-shrink-threshold
-// policies (DESIGN.md ablation 1).
-func BenchmarkAblationSubsequentThreshold(b *testing.B) { runExperiment(b, "ablation-subsequent") }
-
-// BenchmarkAblationSyncEps compares first-synchronization bands
-// (DESIGN.md ablation 2).
-func BenchmarkAblationSyncEps(b *testing.B) { runExperiment(b, "ablation-synceps") }
-
 // BenchmarkAblationKernelCache varies the baseline's kernel-cache budget
-// (DESIGN.md ablation 3).
+// (DESIGN.md ablation 1).
 func BenchmarkAblationKernelCache(b *testing.B) { runExperiment(b, "ablation-cache") }
 
 // BenchmarkValidateModel cross-checks the analytic model against executed
@@ -109,5 +101,5 @@ func BenchmarkAblationKernelCache(b *testing.B) { runExperiment(b, "ablation-cac
 func BenchmarkValidateModel(b *testing.B) { runExperiment(b, "validate-model") }
 
 // BenchmarkWSS compares working-set selection rules, measured on the smo
-// engines and modeled on the distributed solver (DESIGN.md ablation 4).
+// engines and modeled on the distributed solver (DESIGN.md ablation 2).
 func BenchmarkWSS(b *testing.B) { runExperiment(b, "wss") }

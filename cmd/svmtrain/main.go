@@ -288,7 +288,6 @@ func run(args []string, stdout io.Writer) error {
 		x           *sparse.Matrix
 		y           []float64
 		oocX        *sparse.OOCMatrix
-		shardData   *core.ShardedData
 		cHyper      float64
 		sigma2Hyper float64
 	)
@@ -309,17 +308,10 @@ func run(args []string, stdout io.Writer) error {
 			return err
 		}
 		defer oocX.Close()
-	case *shards > 0 && eng.Name() == "core":
-		// One rank per shard: parse in parallel, rebalance onto the solver's
-		// BlockRange boundaries, compose the dataset fingerprint. Training
-		// over the spliced rows is bit-identical to the unsharded path, so
-		// the engine call below needs only the fingerprint override.
-		shardData, err = core.LoadShardPartitions(*dataPath, *shards)
-		if err != nil {
-			return err
-		}
-		x, y = shardData.X, shardData.Y
 	case *shards > 0:
+		// Parse the shards in parallel and splice them in file row order:
+		// every engine then trains, partitions and fingerprints exactly as
+		// it would the unsharded file.
 		sh, serr := dataset.LoadSharded(*dataPath, *shards)
 		if serr != nil {
 			return serr
@@ -399,9 +391,6 @@ func run(args []string, stdout io.Writer) error {
 	if resumeSt != nil {
 		opts.InitialAlpha = resumeSt.Alpha
 	}
-	if shardData != nil {
-		opts.CheckpointFingerprint = shardData.Fingerprint
-	}
 
 	prob := solver.Problem{Y: y, Kernel: kp, Task: task}
 	if oocX != nil {
@@ -451,7 +440,6 @@ func run(args []string, stdout io.Writer) error {
 		// must not write into the main run's checkpoint directory.
 		fopts := opts
 		fopts.Checkpoint, fopts.InitialAlpha = nil, nil
-		fopts.CheckpointFingerprint = 0
 		fopts.RecordTrace = false
 		fopts.Faults = mpi.FaultPlan{}
 		sig, err := probability.CalibrateCV(x, y, splits, func(fx *sparse.Matrix, fy []float64) (*model.Model, error) {

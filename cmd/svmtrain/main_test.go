@@ -231,6 +231,21 @@ func TestRunCheckpointCrashResume(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "does not match the training data") {
 		t.Fatalf("resume on other data: got %v", err)
 	}
+	// Sharded loading splices the rows back in file order, so a sharded
+	// run's checkpoint carries the whole file's fingerprint and resumes at
+	// another shard count.
+	cks := filepath.Join(dir, "cks")
+	_, err = runCLI(t, "-data", fx.blobs.path, "-shards", "2", "-p", "2", "-checkpoint-dir", cks,
+		"-checkpoint-every", "5", "-checkpoint-min-interval", "0",
+		"-inject-crash-rank", "1", "-inject-crash-at", "116", "-model", filepath.Join(dir, "s.model"))
+	if err == nil || !strings.Contains(err.Error(), "injected crash") {
+		t.Fatalf("sharded crash run: got %v, want an injected crash", err)
+	}
+	out = mustRun(t, "-data", fx.blobs.path, "-shards", "3", "-p", "3", "-checkpoint-dir", cks,
+		"-resume", "-verify", "-model", filepath.Join(dir, "s.model"))
+	if !strings.Contains(out, "resuming from "+filepath.Join(cks, "checkpoint.ckpt")) || !strings.Contains(out, "oracle report (OK)") {
+		t.Fatalf("sharded resume output:\n%s", out)
+	}
 }
 
 // TestRunExtras covers the outputs beside the model: the registry table,

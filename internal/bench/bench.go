@@ -146,8 +146,6 @@ func Experiments() []Experiment {
 		{ID: "fig8", Title: "Fraction of time in gradient reconstruction, Multi5pc (Figure 8)", Run: RunFigure8},
 		{ID: "table4", Title: "Speedup vs libsvm-sequential on smaller datasets (Table IV)", Run: RunTable4},
 		{ID: "table5", Title: "Testing accuracy: proposed solver vs libsvm-enhanced (Table V)", Run: RunTable5},
-		{ID: "ablation-subsequent", Title: "Ablation: subsequent shrink threshold (active-set size vs fixed)", Run: RunAblationSubsequent},
-		{ID: "ablation-synceps", Title: "Ablation: first gradient sync at 20*eps vs 2*eps", Run: RunAblationSyncEps},
 		{ID: "ablation-cache", Title: "Ablation: kernel-cache budget in the libsvm-enhanced baseline", Run: RunAblationCache},
 		{ID: "wss", Title: "Working-set selection: first- vs second-order, measured (smo/smo2) and modeled (core, p=64)", Run: RunWSS},
 		{ID: "dcsvm", Title: "Divide-and-conquer training vs exact full solves (wall-clock)", Run: RunDCSVM},

@@ -38,19 +38,6 @@ type Config struct {
 	// working-set-selection ablation.
 	SecondOrder bool
 
-	// SubsequentFixed switches the subsequent shrinking threshold from
-	// the paper's default (the active working-set size, obtained with an
-	// MPI_Allreduce at each shrink step) to reusing the initial
-	// threshold. Exposed for the ablation bench.
-	SubsequentFixed bool
-
-	// FirstSyncFactor scales the convergence band of the first
-	// synchronization in multi-reconstruction mode: phase 1 ends when
-	// beta_up + 2*FirstSyncFactor*eps >= beta_low. The paper uses 10
-	// (i.e. a 20*eps band, "close enough" to the 2*eps solution); 0 means
-	// that default. Exposed for the ablation bench.
-	FirstSyncFactor float64
-
 	// MaxIter bounds the iteration count; 0 means a generous default.
 	MaxIter int64
 
@@ -93,9 +80,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.Heuristic.Name == "" {
 		out.Heuristic = Original
-	}
-	if out.FirstSyncFactor <= 0 {
-		out.FirstSyncFactor = 10
 	}
 	return out
 }
@@ -315,14 +299,18 @@ func (s *rankState) violator(v mpi.ValLoc) violator {
 	return out
 }
 
+// firstSyncFactor scales eps for the first synchronization in
+// multi-reconstruction mode: Converged() doubles the half-band, so phase 1
+// ends at the paper's beta_up + 20*eps >= beta_low, "close enough" to the
+// 2*eps solution that false eliminations are repaired before it.
+const firstSyncFactor = 10
+
 // currentEps returns the convergence half-band for the current phase:
 // Algorithm 5 first synchronizes at 20*eps (phase 1), then converges to
 // the final 2*eps band.
 func (s *rankState) currentEps() float64 {
 	if s.cfg.Heuristic.Recon == ReconMulti && s.phase == 1 {
-		// Converged() doubles it: with the default factor 10 this is the
-		// paper's beta_up + 20*eps >= beta_low first synchronization.
-		return s.cfg.FirstSyncFactor * s.cfg.Eps
+		return firstSyncFactor * s.cfg.Eps
 	}
 	return s.cfg.Eps
 }
@@ -419,22 +407,18 @@ func (s *rankState) solve() error {
 				return err
 			}
 			s.globalActive = ga
-			switch {
-			case s.cfg.SubsequentFixed:
-				// Ablation: always reuse the initial threshold.
-				s.deltaC = s.delta
-			case ga == prevActive:
+			if ga == prevActive {
 				// The check eliminated nothing — shrinking has not begun
 				// yet (the band is still wide), so re-check at the
 				// initial cadence rather than waiting a full working-set
 				// length. Once elimination starts, the paper's
 				// subsequent threshold below takes over.
 				s.deltaC = s.delta
-			default:
-				// Paper default: the size of the active working set,
-				// obtained with an MPI_Allreduce, giving every surviving
-				// sample an opportunity to stabilize before the next
-				// shrink step.
+			} else {
+				// The paper's subsequent threshold: the size of the
+				// active working set, obtained with an MPI_Allreduce,
+				// giving every surviving sample an opportunity to
+				// stabilize before the next shrink step.
 				s.deltaC = int64(max(ga, 1))
 			}
 			if s.trace != nil {

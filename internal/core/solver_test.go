@@ -251,28 +251,6 @@ func TestTraceRecording(t *testing.T) {
 	}
 }
 
-func TestSubsequentFixedAblation(t *testing.T) {
-	ds := dataset.MustGenerate("blobs", 0.25)
-	cfgA := blobCfg(ds, Multi500)
-	cfgB := cfgA
-	cfgB.SubsequentFixed = true
-	_, stA, err := TrainParallel(ds.X, ds.Y, 2, cfgA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, stB, err := TrainParallel(ds.X, ds.Y, 2, cfgB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stA.Converged || !stB.Converged {
-		t.Fatal("not converged")
-	}
-	// Both must converge to the same objective; the shrink schedules differ.
-	if math.Abs(stA.Objective-stB.Objective) > 1e-2*(1+math.Abs(stA.Objective)) {
-		t.Fatalf("objectives diverged: %v vs %v", stA.Objective, stB.Objective)
-	}
-}
-
 func TestTrainInputValidation(t *testing.T) {
 	ds := dataset.MustGenerate("blobs", 0.1)
 	cfg := blobCfg(ds, Original)

@@ -3,7 +3,6 @@ package mpi
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime/debug"
 	"sync"
 )
@@ -79,7 +78,7 @@ type Comm struct {
 	clock   float64 // virtual seconds
 	collSeq int     // per-rank collective sequence number (stays in lockstep)
 
-	// counters for stats and tests
+	// counters for stats and for the fault plan's operation count
 	sends, recvs int
 	sentBytes    int64
 }
@@ -90,9 +89,6 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the number of ranks in the world.
 func (c *Comm) Size() int { return c.w.size }
 
-// Clock returns the rank's current virtual time in seconds.
-func (c *Comm) Clock() float64 { return c.clock }
-
 // Compute advances the rank's virtual clock by d seconds of local work.
 func (c *Comm) Compute(d float64) {
 	if d > 0 {
@@ -100,11 +96,8 @@ func (c *Comm) Compute(d float64) {
 	}
 }
 
-// Sends and Recvs return point-to-point operation counts (tests, stats).
+// Sends returns the number of point-to-point sends (tests, stats).
 func (c *Comm) Sends() int { return c.sends }
-
-// Recvs returns the number of completed point-to-point receives.
-func (c *Comm) Recvs() int { return c.recvs }
 
 // SentBytes returns the total modeled payload bytes sent by this rank.
 func (c *Comm) SentBytes() int64 { return c.sentBytes }
@@ -141,11 +134,6 @@ func (c *Comm) send(dst, tag int, data any) error {
 	}
 	n := PayloadBytes(data)
 	c.clock += c.w.net.Cost(n)
-	if p := &c.w.plan; p.DelayEveryN > 0 && c.sends%p.DelayEveryN == p.DelayEveryN-1 {
-		// Message-delay injection: every DelayEveryN-th send is slowed by
-		// Delay virtual seconds, modeling a congested or degraded link.
-		c.clock += p.Delay
-	}
 	c.sends++
 	c.sentBytes += int64(n)
 	c.w.boxes[dst].put(message{src: c.rank, tag: tag, data: data, bytes: n, arrival: c.clock})
@@ -176,20 +164,6 @@ func (c *Comm) recv(src, tag int) (any, Status, error) {
 	}
 	c.recvs++
 	return m.data, Status{Source: m.src, Tag: m.tag, Bytes: m.bytes}, nil
-}
-
-// RecvAs receives and type-asserts the payload to T.
-func RecvAs[T any](c *Comm, src, tag int) (T, Status, error) {
-	var zero T
-	data, st, err := c.Recv(src, tag)
-	if err != nil {
-		return zero, st, err
-	}
-	v, ok := data.(T)
-	if !ok {
-		return zero, st, fmt.Errorf("mpi: rank %d received %T from rank %d (tag %d), want %T", c.rank, data, st.Source, st.Tag, zero)
-	}
-	return v, st, nil
 }
 
 // Request represents a pending nonblocking operation (Isend/Irecv).
@@ -238,17 +212,9 @@ func Waitall(reqs ...*Request) error {
 	return first
 }
 
-// Sendrecv performs a combined send and receive, as in the lockstep steps
-// of ring and recursive-doubling exchanges. It is deadlock-free regardless
-// of ordering because sends never block.
-func (c *Comm) Sendrecv(dst, sendTag int, data any, src, recvTag int) (any, Status, error) {
-	if err := c.Send(dst, sendTag, data); err != nil {
-		return nil, Status{}, err
-	}
-	return c.Recv(src, recvTag)
-}
-
-// sendrecv is the internal variant used by collectives with reserved tags.
+// sendrecv sends then receives, as in the lockstep steps of the
+// recursive-doubling and dissemination collectives (reserved tags). It is
+// deadlock-free regardless of ordering because sends never block.
 func (c *Comm) sendrecv(dst, sendTag int, data any, src, recvTag int) (any, Status, error) {
 	if err := c.send(dst, sendTag, data); err != nil {
 		return nil, Status{}, err
@@ -288,32 +254,11 @@ type FaultPlan struct {
 	// *RankFailedError instead of deadlocking.
 	CrashRank int
 	CrashAtOp int64
-
-	// Every DelayEveryN-th send on each rank is charged an extra Delay
-	// virtual seconds (message-delay injection). DelayEveryN <= 0
-	// disables it.
-	DelayEveryN int
-	Delay       float64
 }
 
 // Enabled reports whether the plan injects any fault.
 func (p FaultPlan) Enabled() bool {
-	return p.CrashAtOp > 0 || p.DelayEveryN > 0
-}
-
-// SeededCrash derives a deterministic crash plan from a seed: a uniform
-// victim rank in [0, p) and a crash operation in [1, horizon]. The same
-// (seed, p, horizon) always yields the same plan, so an injected failure is
-// exactly reproducible — the property the crash-recovery CI job relies on.
-func SeededCrash(seed int64, p int, horizon int64) FaultPlan {
-	if p <= 0 || horizon <= 0 {
-		return FaultPlan{}
-	}
-	rng := rand.New(rand.NewSource(seed))
-	return FaultPlan{
-		CrashRank: rng.Intn(p),
-		CrashAtOp: 1 + rng.Int63n(horizon),
-	}
+	return p.CrashAtOp > 0
 }
 
 // Options configures a Run invocation.
@@ -322,8 +267,8 @@ type Options struct {
 	// SendFaults maps rank -> number of successful sends before that
 	// rank's sends begin to fail. Used by failure-injection tests.
 	SendFaults map[int]int
-	// Faults is the deterministic fault-injection plan (rank crash,
-	// message delay) applied to this run.
+	// Faults is the deterministic fault-injection plan (a rank crash)
+	// applied to this run.
 	Faults FaultPlan
 }
 

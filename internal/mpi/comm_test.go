@@ -13,15 +13,15 @@ func TestSendRecvBasic(t *testing.T) {
 		case 0:
 			return c.Send(1, 42, []float64{1, 2, 3})
 		case 1:
-			v, st, err := RecvAs[[]float64](c, 0, 42)
+			data, st, err := c.Recv(0, 42)
 			if err != nil {
 				return err
 			}
 			if st.Source != 0 || st.Tag != 42 || st.Bytes != 24 {
 				return fmt.Errorf("status = %+v", st)
 			}
-			if len(v) != 3 || v[2] != 3 {
-				return fmt.Errorf("payload = %v", v)
+			if v, ok := data.([]float64); !ok || len(v) != 3 || v[2] != 3 {
+				return fmt.Errorf("payload = %v", data)
 			}
 		}
 		return nil
@@ -38,10 +38,11 @@ func TestRecvAnySourceAnyTag(t *testing.T) {
 		}
 		seen := map[int]bool{}
 		for i := 0; i < 2; i++ {
-			v, st, err := RecvAs[int](c, AnySource, AnyTag)
+			data, st, err := c.Recv(AnySource, AnyTag)
 			if err != nil {
 				return err
 			}
+			v := data.(int)
 			if st.Tag != v*10 || st.Source != v {
 				return fmt.Errorf("mismatched status %+v for %d", st, v)
 			}
@@ -66,15 +67,15 @@ func TestTagSelectiveMatching(t *testing.T) {
 			}
 			return c.Send(1, 1, "first")
 		}
-		a, _, err := RecvAs[string](c, 0, 1)
+		a, _, err := c.Recv(0, 1)
 		if err != nil {
 			return err
 		}
-		b, _, err := RecvAs[string](c, 0, 2)
+		b, _, err := c.Recv(0, 2)
 		if err != nil {
 			return err
 		}
-		if a != "first" || b != "second" {
+		if a.(string) != "first" || b.(string) != "second" {
 			return fmt.Errorf("got %q, %q", a, b)
 		}
 		return nil
@@ -96,11 +97,11 @@ func TestNonOvertakingSameTag(t *testing.T) {
 			return nil
 		}
 		for i := 0; i < n; i++ {
-			v, _, err := RecvAs[int](c, 0, 7)
+			v, _, err := c.Recv(0, 7)
 			if err != nil {
 				return err
 			}
-			if v != i {
+			if v.(int) != i {
 				return fmt.Errorf("out of order: got %d at position %d", v, i)
 			}
 		}
@@ -133,12 +134,12 @@ func TestIsendIrecvWaitall(t *testing.T) {
 	}
 }
 
-func TestSendrecvNoDeadlock(t *testing.T) {
+func TestPairwiseExchangeNoDeadlock(t *testing.T) {
 	// Pairwise exchange where both sides send first would deadlock with
-	// synchronous sends; ours must not.
+	// synchronous sends; ours must not. Allreduce and Barrier step this way.
 	err := Run(2, func(c *Comm) error {
 		other := 1 - c.Rank()
-		v, _, err := c.Sendrecv(other, 3, c.Rank(), other, 3)
+		v, _, err := c.sendrecv(other, 3, c.Rank(), other, 3)
 		if err != nil {
 			return err
 		}
@@ -249,7 +250,9 @@ func TestRunRejectsNonPositiveSize(t *testing.T) {
 }
 
 func TestCounters(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
+	// Receives count toward the fault plan's operation count: rank 1's
+	// receive is its first op, so the send after it is op 1 and crashes.
+	_, err := RunTimed(2, Options{Faults: FaultPlan{CrashRank: 1, CrashAtOp: 1}}, func(c *Comm) error {
 		if c.Rank() == 0 {
 			if err := c.Send(1, 1, []float64{1, 2}); err != nil {
 				return err
@@ -260,15 +263,12 @@ func TestCounters(t *testing.T) {
 			return nil
 		}
 		if _, _, err := c.Recv(0, 1); err != nil {
-			return err
+			return fmt.Errorf("receive before the crash point failed: %w", err)
 		}
-		if c.Recvs() != 1 {
-			return fmt.Errorf("recvs=%d", c.Recvs())
-		}
-		return nil
+		return c.Send(0, 2, 0)
 	})
-	if err != nil {
-		t.Fatal(err)
+	if !errors.Is(err, ErrInjectedCrash) || !strings.Contains(err.Error(), "at op 1") {
+		t.Fatalf("err = %v, want an injected crash at op 1", err)
 	}
 }
 
@@ -333,21 +333,5 @@ func TestPayloadBytes(t *testing.T) {
 		if got := PayloadBytes(tc.v); got != tc.want {
 			t.Errorf("PayloadBytes(%T) = %d, want %d", tc.v, got, tc.want)
 		}
-	}
-}
-
-func TestRecvAsTypeMismatch(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
-		if c.Rank() == 0 {
-			return c.Send(1, 1, "text")
-		}
-		_, _, err := RecvAs[int](c, 0, 1)
-		if err == nil {
-			return errors.New("type mismatch not detected")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }

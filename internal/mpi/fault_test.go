@@ -118,70 +118,6 @@ func TestKilledRankUnblocksCollectives(t *testing.T) {
 	}
 }
 
-func TestSeededCrashDeterministic(t *testing.T) {
-	a := SeededCrash(42, 8, 1000)
-	b := SeededCrash(42, 8, 1000)
-	if a != b {
-		t.Fatalf("same seed produced different plans: %+v vs %+v", a, b)
-	}
-	if a.CrashRank < 0 || a.CrashRank >= 8 {
-		t.Fatalf("crash rank %d out of range [0,8)", a.CrashRank)
-	}
-	if a.CrashAtOp < 1 || a.CrashAtOp > 1000 {
-		t.Fatalf("crash op %d out of range [1,1000]", a.CrashAtOp)
-	}
-	if c := SeededCrash(43, 8, 1000); c == a {
-		t.Fatalf("seeds 42 and 43 produced the identical plan %+v", a)
-	}
-	if z := (SeededCrash(42, 0, 1000)); z.Enabled() {
-		t.Fatalf("degenerate world size produced an enabled plan %+v", z)
-	}
-}
-
-// TestDelayInjectionSlowsClock verifies message-delay injection charges
-// virtual time without changing results: a delayed ping-pong computes the
-// same values but its makespan grows by the injected delays.
-func TestDelayInjectionSlowsClock(t *testing.T) {
-	pingPong := func(opts Options) ([]float64, error) {
-		return RunTimed(2, opts, func(c *Comm) error {
-			for i := 0; i < 10; i++ {
-				if c.Rank() == 0 {
-					if err := c.Send(1, 1, float64(i)); err != nil {
-						return err
-					}
-					if _, _, err := c.Recv(1, 2); err != nil {
-						return err
-					}
-				} else {
-					v, _, err := RecvAs[float64](c, 0, 1)
-					if err != nil {
-						return err
-					}
-					if v != float64(i) {
-						return errors.New("payload mismatch under delay injection")
-					}
-					if err := c.Send(0, 2, v); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		})
-	}
-	base, err := pingPong(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	delayed, err := pingPong(Options{Faults: FaultPlan{DelayEveryN: 2, Delay: 0.5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Each rank sends 10 messages; every 2nd is delayed 0.5s: 5 hits/rank.
-	if got := MaxTime(delayed) - MaxTime(base); got < 2.5 {
-		t.Fatalf("delay injection added %.2fs of virtual time, want >= 2.5s", got)
-	}
-}
-
 func TestFaultPlanBadRankRejected(t *testing.T) {
 	_, err := RunTimed(2, Options{Faults: FaultPlan{CrashRank: 5, CrashAtOp: 1}}, func(c *Comm) error {
 		return nil

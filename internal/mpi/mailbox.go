@@ -69,40 +69,6 @@ func (b *mailbox) get(src, tag int) (message, error) {
 	}
 }
 
-// tryGet is a non-blocking probe-and-consume used by Iprobe-style tests.
-func (b *mailbox) tryGet(src, tag int) (message, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for i := range b.queue {
-		if matches(&b.queue[i], src, tag) {
-			m := b.queue[i]
-			b.queue = append(b.queue[:i], b.queue[i+1:]...)
-			return m, true
-		}
-	}
-	return message{}, false
-}
-
-// peek reports whether a matching message is queued, without removing it.
-func (b *mailbox) peek(src, tag int) (bool, Status) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for i := range b.queue {
-		if matches(&b.queue[i], src, tag) {
-			m := &b.queue[i]
-			return true, Status{Source: m.src, Tag: m.tag, Bytes: m.bytes}
-		}
-	}
-	return false, Status{}
-}
-
-// pending reports the number of queued messages (for tests).
-func (b *mailbox) pending() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.queue)
-}
-
 // abort unblocks all current and future receivers with err (typically
 // ErrAborted, or a *RankFailedError naming the dead peer).
 func (b *mailbox) abort(err error) {

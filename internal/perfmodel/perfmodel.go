@@ -61,15 +61,6 @@ func Calibrate(params kernel.Params, x *sparse.Matrix, budget time.Duration) Mac
 	return Cascade(ev.LambdaBatched(budget), x.AvgRowNNZ())
 }
 
-// log2Ceil returns ceil(log2 p) for p >= 1.
-func log2Ceil(p int) int {
-	n := 0
-	for v := p - 1; v > 0; v >>= 1 {
-		n++
-	}
-	return n
-}
-
 // log2Floor returns floor(log2 p) for p >= 1.
 func log2Floor(p int) int {
 	n := -1
@@ -129,15 +120,6 @@ func (b Breakdown) ReconFraction() float64 {
 		return 0
 	}
 	return (b.ReconCompute + b.ReconComm) / t
-}
-
-// CommFraction returns the share of total time spent communicating.
-func (b Breakdown) CommFraction() float64 {
-	t := b.Total()
-	if t == 0 {
-		return 0
-	}
-	return (b.ReduceComm + b.ReconComm) / t
 }
 
 // Evaluate models a recorded run on p processes of machine m.
@@ -217,19 +199,6 @@ func EvaluateBaseline(tr *trace.Trace, workers int, m Machine) (float64, error) 
 		total += m.Lambda * math.Ceil(float64(r.Shrunk)/float64(workers)) * float64(r.SVs)
 	}
 	return total, nil
-}
-
-// Sweep evaluates the trace over a set of process counts.
-func Sweep(tr *trace.Trace, ps []int, m Machine) ([]Breakdown, error) {
-	out := make([]Breakdown, 0, len(ps))
-	for _, p := range ps {
-		b, err := Evaluate(tr, p, m)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, b)
-	}
-	return out, nil
 }
 
 // PowersOfTwo returns {from, 2*from, ..., to} (both must be powers of two).

@@ -25,13 +25,10 @@ func flatTrace(n int, iters int64) *trace.Trace {
 }
 
 func TestLogHelpers(t *testing.T) {
-	cases := []struct{ p, ceil, floor int }{
-		{1, 0, 0}, {2, 1, 1}, {3, 2, 1}, {4, 2, 2}, {5, 3, 2}, {8, 3, 3}, {9, 4, 3}, {4096, 12, 12},
+	cases := []struct{ p, floor int }{
+		{1, 0}, {2, 1}, {3, 1}, {4, 2}, {5, 2}, {8, 3}, {9, 3}, {4096, 12},
 	}
 	for _, c := range cases {
-		if got := log2Ceil(c.p); got != c.ceil {
-			t.Errorf("log2Ceil(%d) = %d, want %d", c.p, got, c.ceil)
-		}
 		if got := log2Floor(c.p); got != c.floor {
 			t.Errorf("log2Floor(%d) = %d, want %d", c.p, got, c.floor)
 		}
@@ -142,7 +139,7 @@ func TestEvaluateEfficiencyRollsOff(t *testing.T) {
 		} else {
 			prevEff = 1
 		}
-		if cf := b.CommFraction(); cf <= prevComm {
+		if cf := (b.ReduceComm + b.ReconComm) / total; cf <= prevComm {
 			t.Fatalf("communication fraction should grow with p: %v then %v", prevComm, cf)
 		} else {
 			prevComm = cf
@@ -206,12 +203,10 @@ func TestSweepAndPowersOfTwo(t *testing.T) {
 			t.Fatalf("PowersOfTwo = %v", ps)
 		}
 	}
-	bs, err := Sweep(flatTrace(10000, 100), ps, testMachine())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bs) != len(ps) {
-		t.Fatalf("sweep returned %d entries", len(bs))
+	for _, p := range ps {
+		if _, err := Evaluate(flatTrace(10000, 100), p, testMachine()); err != nil {
+			t.Fatalf("p=%d: %v", p, err)
+		}
 	}
 }
 

@@ -195,7 +195,9 @@ func (t *Trace) SaveJSON(path string) error {
 	return f.Close()
 }
 
-// Load reads a trace from JSON.
+// Load reads a trace from JSON and rejects schedules no run can record:
+// segments must start at iteration 0 and strictly advance, and every
+// population count must lie in [0, N].
 func Load(r io.Reader) (*Trace, error) {
 	var t Trace
 	if err := json.NewDecoder(r).Decode(&t); err != nil {
@@ -203,6 +205,25 @@ func Load(r io.Reader) (*Trace, error) {
 	}
 	if t.N <= 0 || len(t.Segments) == 0 {
 		return nil, fmt.Errorf("trace: missing N or segments")
+	}
+	if t.Iterations < 0 {
+		return nil, fmt.Errorf("trace: negative iteration count %d", t.Iterations)
+	}
+	if from := t.Segments[0].FromIter; from != 0 {
+		return nil, fmt.Errorf("trace: first segment starts at iteration %d, want 0", from)
+	}
+	for i, s := range t.Segments {
+		if i > 0 && s.FromIter <= t.Segments[i-1].FromIter {
+			return nil, fmt.Errorf("trace: segment %d starts at iteration %d, not after %d", i, s.FromIter, t.Segments[i-1].FromIter)
+		}
+		if s.Active < 0 || s.Active > t.N {
+			return nil, fmt.Errorf("trace: segment %d has %d active samples, outside [0, %d]", i, s.Active, t.N)
+		}
+	}
+	for i, rc := range t.Recons {
+		if rc.Shrunk < 0 || rc.Shrunk > t.N || rc.SVs < 0 || rc.SVs > t.N {
+			return nil, fmt.Errorf("trace: reconstruction %d rebuilds %d gradients from %d SVs, outside [0, %d]", i, rc.Shrunk, rc.SVs, t.N)
+		}
 	}
 	return &t, nil
 }

@@ -11,14 +11,24 @@ import (
 
 func TestLoadRejectsMalformedInput(t *testing.T) {
 	cases := map[string]string{
-		"invalid json":     "{not json",
-		"empty input":      "",
-		"wrong type":       `{"n": "three", "segments": [{"from":0,"active":3}]}`,
-		"missing n":        `{"segments": [{"from":0,"active":3}]}`,
-		"zero n":           `{"n": 0, "segments": [{"from":0,"active":0}]}`,
-		"negative n":       `{"n": -5, "segments": [{"from":0,"active":5}]}`,
-		"missing segments": `{"n": 100}`,
-		"empty segments":   `{"n": 100, "segments": []}`,
+		"invalid json":           "{not json",
+		"empty input":            "",
+		"wrong type":             `{"n": "three", "segments": [{"from":0,"active":3}]}`,
+		"missing n":              `{"segments": [{"from":0,"active":3}]}`,
+		"zero n":                 `{"n": 0, "segments": [{"from":0,"active":0}]}`,
+		"negative n":             `{"n": -5, "segments": [{"from":0,"active":5}]}`,
+		"missing segments":       `{"n": 100}`,
+		"empty segments":         `{"n": 100, "segments": []}`,
+		"first segment not at 0": `{"n": 100, "segments": [{"from":5,"active":100}]}`,
+		"segments out of order":  `{"n": 100, "segments": [{"from":0,"active":100},{"from":50,"active":60},{"from":20,"active":40}]}`,
+		"repeated segment start": `{"n": 100, "segments": [{"from":0,"active":100},{"from":0,"active":60}]}`,
+		"negative active":        `{"n": 100, "segments": [{"from":0,"active":-1}]}`,
+		"active above n":         `{"n": 100, "segments": [{"from":0,"active":100},{"from":10,"active":101}]}`,
+		"negative iterations":    `{"n": 100, "iterations": -1, "segments": [{"from":0,"active":100}]}`,
+		"negative shrunk":        `{"n": 100, "segments": [{"from":0,"active":100}], "recons": [{"iter":5,"shrunk":-3,"svs":10}]}`,
+		"shrunk above n":         `{"n": 100, "segments": [{"from":0,"active":100}], "recons": [{"iter":5,"shrunk":101,"svs":10}]}`,
+		"negative svs":           `{"n": 100, "segments": [{"from":0,"active":100}], "recons": [{"iter":5,"shrunk":30,"svs":-1}]}`,
+		"svs above n":            `{"n": 100, "segments": [{"from":0,"active":100}], "recons": [{"iter":5,"shrunk":30,"svs":101}]}`,
 	}
 	for name, input := range cases {
 		if _, err := Load(strings.NewReader(input)); err == nil {

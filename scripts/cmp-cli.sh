@@ -115,6 +115,17 @@ rm -rf "$work/new/ck" && cp -r "$work/old/ck" "$work/new/ck"
 run svmtrain -data $D/blobs.train -p 2 -checkpoint-dir ck -resume -verify -model resumed.model
 same_model resumed.model
 
+# Sharded checkpoint drill: the checkpoint a sharded run writes carries the
+# dataset fingerprint, so it must be byte-equal across sides, and a resume
+# at another shard count must accept it and train the same model.
+run svmtrain -data $D/blobs.train -shards 2 -p 2 -checkpoint-dir cks -checkpoint-every 5 \
+	-checkpoint-min-interval 0 -inject-crash-rank 1 -inject-crash-at 116 -model crash-shards.model
+if ! cmp -s "$work/old/cks/checkpoint.ckpt" "$work/new/cks/checkpoint.ckpt"; then
+	echo "DIFF checkpoint: cks/checkpoint.ckpt" && fail=1
+fi
+run svmtrain -data $D/blobs.train -shards 3 -p 3 -checkpoint-dir cks -resume -verify -model resumed-shards.model
+same_model resumed-shards.model
+
 run svmtune -data $D/blobs.train -folds 3 -c-grid 1,10 -sigma2-grid 1,4
 run svmtune -data $D/blobs.train -folds 3 -solver linear -c-grid 0.5,1
 
