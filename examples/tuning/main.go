@@ -66,7 +66,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	metrics, err := core.EvaluateParallel(m, ds.TestX, ds.TestY, 4)
+	metrics, err := m.Evaluate(ds.TestX, ds.TestY)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -19,9 +19,9 @@ import (
 // Indices are 1-based and must be strictly increasing within the line (the
 // format used by the libsvm dataset page); the returned row uses 0-based
 // indices as everywhere else in the repository. The label is returned raw —
-// callers decide whether to sign-map it (ReadLibsvm) or keep it (multiclass
-// data). Errors name the offending token so request decoders (the serving
-// path) can surface them verbatim.
+// callers decide whether to sign-map it (ReadLibsvm) or keep it (regression
+// targets, ReadLibsvmValues). Errors name the offending token so request
+// decoders (the serving path) can surface them verbatim.
 func ParseLine(line string) (float64, sparse.Row, error) {
 	fields := strings.Fields(line)
 	if len(fields) == 0 {
@@ -61,15 +61,9 @@ func parseFeatures(fields []string) (sparse.Row, error) {
 		if !ok {
 			return sparse.Row{}, fmt.Errorf("malformed feature %q (want index:value)", f)
 		}
-		idx, err := strconv.Atoi(idxStr)
-		if err != nil || idx < 1 {
-			return sparse.Row{}, fmt.Errorf("feature index %q (want integer >= 1)", idxStr)
-		}
-		if idx > math.MaxInt32 {
-			// Indices are stored as int32 in the CSR matrix; without this
-			// guard a huge index would silently wrap negative in the cast
-			// below and corrupt the row.
-			return sparse.Row{}, fmt.Errorf("feature index %d exceeds the supported maximum %d", idx, math.MaxInt32)
+		idx, err := FeatureIndex(idxStr)
+		if err != nil {
+			return sparse.Row{}, err
 		}
 		if idx <= prev {
 			return sparse.Row{}, fmt.Errorf("non-increasing feature index %d after %d", idx, prev)
@@ -88,6 +82,22 @@ func parseFeatures(fields []string) (sparse.Row, error) {
 		row.Val = append(row.Val, val)
 	}
 	return row, nil
+}
+
+// FeatureIndex parses a 1-based feature index: the one check shared by
+// every decoder of feature rows (libsvm lines here, JSON feature maps in
+// the inference server). Indices are stored 0-based as int32 in the CSR
+// matrix, so without the upper bound a huge index would wrap negative in
+// the int32(idx-1) cast and corrupt the row.
+func FeatureIndex(s string) (int, error) {
+	idx, err := strconv.Atoi(s)
+	if err != nil || idx < 1 {
+		return 0, fmt.Errorf("feature index %q (want integer >= 1)", s)
+	}
+	if idx > math.MaxInt32 {
+		return 0, fmt.Errorf("feature index %d exceeds the supported maximum %d", idx, math.MaxInt32)
+	}
+	return idx, nil
 }
 
 // ReadLibsvm parses the libsvm text format, one ParseLine per data line.
@@ -155,8 +165,8 @@ func WriteLibsvm(w io.Writer, x *sparse.Matrix, y []float64) error {
 }
 
 // ReadLibsvmValues parses the libsvm text format keeping labels verbatim
-// instead of sign-mapping them: regression targets and multiclass labels
-// survive a round trip. Everything else matches ReadLibsvm.
+// instead of sign-mapping them, so regression targets survive a round
+// trip. Everything else matches ReadLibsvm.
 func ReadLibsvmValues(r io.Reader) (*sparse.Matrix, []float64, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<26)

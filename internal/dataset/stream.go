@@ -325,29 +325,6 @@ func StreamLibsvm(r io.Reader, opt StreamOptions) *Stream {
 	return s
 }
 
-// ReadLibsvmStream consumes a whole stream into one in-memory matrix. It
-// exists for the parity tests and as a drop-in ReadLibsvm with bounded
-// parse-time overhead; Cols is the maximum feature index seen, as with
-// ReadLibsvm.
-func ReadLibsvmStream(r io.Reader, opt StreamOptions) (*sparse.Matrix, []float64, error) {
-	s := StreamLibsvm(r, opt)
-	defer s.Close()
-	var parts []*sparse.Matrix
-	var y []float64
-	for {
-		blk, ok := s.Next()
-		if !ok {
-			break
-		}
-		parts = append(parts, blk.X)
-		y = append(y, blk.Y...)
-	}
-	if err := s.Err(); err != nil {
-		return nil, nil, err
-	}
-	return concatMatrices(parts), y, nil
-}
-
 // concatMatrices splices row blocks into one matrix with exact
 // preallocation. An empty input yields an empty 0-column matrix, matching
 // ReadLibsvm on an empty file.

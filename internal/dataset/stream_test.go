@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -91,6 +92,27 @@ func labelsIdentical(a, b []float64) bool {
 	return true
 }
 
+// drainStream reads every StreamLibsvm block and splices them into one
+// matrix, the whole-file result ReadLibsvm is compared against.
+func drainStream(r io.Reader, opt StreamOptions) (*sparse.Matrix, []float64, error) {
+	s := StreamLibsvm(r, opt)
+	defer s.Close()
+	var parts []*sparse.Matrix
+	var y []float64
+	for {
+		blk, ok := s.Next()
+		if !ok {
+			break
+		}
+		parts = append(parts, blk.X)
+		y = append(y, blk.Y...)
+	}
+	if err := s.Err(); err != nil {
+		return nil, nil, err
+	}
+	return concatMatrices(parts), y, nil
+}
+
 // TestStreamParity is the property test of the streaming reader: on seeded
 // random datasets, across chunk sizes that force lines to straddle chunk
 // boundaries (7 bytes up to 1 MiB), across CRLF endings, missing trailing
@@ -115,7 +137,7 @@ func TestStreamParity(t *testing.T) {
 			}
 			for _, chunk := range chunks {
 				for _, blockRows := range []int{1, 13, 4096} {
-					gotX, gotY, err := ReadLibsvmStream(bytes.NewReader(variant),
+					gotX, gotY, err := drainStream(bytes.NewReader(variant),
 						StreamOptions{ChunkBytes: chunk, BlockRows: blockRows})
 					if err != nil {
 						t.Fatalf("seed %d %s chunk=%d block=%d: %v", cse.seed, name, chunk, blockRows, err)
@@ -141,7 +163,7 @@ func TestStreamErrorLineNumbers(t *testing.T) {
 		t.Fatal("ReadLibsvm accepted the malformed line")
 	}
 	for _, chunk := range []int{3, 1 << 20} {
-		_, _, err := ReadLibsvmStream(strings.NewReader(text), StreamOptions{ChunkBytes: chunk})
+		_, _, err := drainStream(strings.NewReader(text), StreamOptions{ChunkBytes: chunk})
 		if err == nil {
 			t.Fatalf("chunk=%d: streamed reader accepted the malformed line", chunk)
 		}

@@ -1,9 +1,11 @@
 package engines_test
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -186,6 +188,64 @@ func sameStats(t *testing.T, engine string, got, want solver.Stats) {
 	}
 	if got.Iterations == 0 || !got.Converged {
 		t.Errorf("%s engine reports no converged iterations: %+v", engine, got)
+	}
+}
+
+// TestConcurrentTrainMatchesSerial pins the Engine contract dcsvm relies on
+// when it sub-solves clusters on a goroutine each: every non-composite
+// classifier trains one seeded problem from several goroutines at once, and
+// each model's bytes must equal a serial call's. CI runs it under -race.
+func TestConcurrentTrainMatchesSerial(t *testing.T) {
+	prob, ds := classProblem(t)
+	opts := solver.Options{C: ds.C, Eps: 1e-3, Seed: 7}
+	var tested []string
+	for _, eng := range solver.Engines() {
+		caps := eng.Capabilities()
+		if !caps.Has(solver.CapClassify) || caps.Has(solver.CapComposite) {
+			continue
+		}
+		tested = append(tested, eng.Name())
+		p := prob
+		if !caps.Has(solver.CapKernels) {
+			p.Kernel = kernel.Params{Type: kernel.Linear}
+		}
+		modelBytes := func() ([]byte, error) {
+			res, err := eng.Train(context.Background(), p, opts)
+			if err != nil {
+				return nil, err
+			}
+			var buf bytes.Buffer
+			err = res.Model.Write(&buf)
+			return buf.Bytes(), err
+		}
+		t.Run(eng.Name(), func(t *testing.T) {
+			want, err := modelBytes()
+			if err != nil {
+				t.Fatal(err)
+			}
+			const goroutines = 4
+			got := make([][]byte, goroutines)
+			errs := make([]error, goroutines)
+			var wg sync.WaitGroup
+			for g := range got {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got[g], errs[g] = modelBytes()
+				}()
+			}
+			wg.Wait()
+			for g := range got {
+				if errs[g] != nil {
+					t.Errorf("goroutine %d: %v", g, errs[g])
+				} else if !bytes.Equal(got[g], want) {
+					t.Errorf("goroutine %d: model bytes differ from the serial call's", g)
+				}
+			}
+		})
+	}
+	if want := []string{"core", "linear", "smo", "smo2"}; !reflect.DeepEqual(tested, want) {
+		t.Errorf("concurrently trained engines = %v, want %v", tested, want)
 	}
 }
 

@@ -9,13 +9,12 @@ import (
 )
 
 // Batch prediction: the kernel-evaluation loop shared by every bulk scoring
-// path in the repository — the inference server (internal/serve), the
-// distributed evaluation harness (core.EvaluateParallel), and Platt
-// calibration (internal/probability). Prediction cost is dominated by
-// kernel evaluations against the support-vector set, so rows are fanned out
-// across a bounded worker pool in contiguous chunks: each worker streams
-// through the CSR payload of its chunk while dynamic chunk claiming keeps
-// load balanced when row lengths vary.
+// path in the repository — the inference server (internal/serve),
+// svmpredict, and Platt calibration (internal/probability). Prediction cost
+// is dominated by kernel evaluations against the support-vector set, so
+// rows are fanned out across a bounded worker pool in contiguous chunks:
+// each worker streams through the CSR payload of its chunk while dynamic
+// chunk claiming keeps load balanced when row lengths vary.
 
 // batchChunk is the number of rows a worker claims at a time. Small enough
 // to balance skewed row lengths, large enough that the atomic claim is

@@ -11,6 +11,7 @@ package model
 import (
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 
 	"repro/internal/kernel"
@@ -204,7 +205,16 @@ func (m *Model) decisionWith(st *predictState, x sparse.Row) float64 {
 	if p := m.packed; p != nil {
 		return p.decision(x, m.Coef, m.Beta, st.buf)
 	}
-	st.ev.RowRangeInto(&st.scr, x, kernel.SquaredNormOf(x), 0, len(m.Coef), st.buf)
+	nx := kernel.SquaredNormOf(x)
+	// Query columns at or past SV.Cols meet a zero in every support vector,
+	// so they enter the norm only. Cutting them from the pivot keeps the row
+	// engine's dense scratch at the model's width rather than the query's
+	// largest index, which a client may set near 2^31 (16 GiB of scratch).
+	if n := len(x.Idx); n > 0 && int(x.Idx[n-1]) >= m.SV.Cols {
+		k := sort.Search(n, func(k int) bool { return int(x.Idx[k]) >= m.SV.Cols })
+		x = sparse.Row{Idx: x.Idx[:k], Val: x.Val[:k]}
+	}
+	st.ev.RowRangeInto(&st.scr, x, nx, 0, len(m.Coef), st.buf)
 	var s float64
 	for i, c := range m.Coef {
 		s += c * st.buf[i]

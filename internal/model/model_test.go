@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -44,6 +45,26 @@ func TestDecisionValueHand(t *testing.T) {
 	xneg := sparse.FromDense([][]float64{{-2}}).RowView(0)
 	if m.Predict(xneg) != -1 {
 		t.Fatal("Predict(-2) != -1")
+	}
+}
+
+// TestDecisionValueFarColumn: a query feature past every support vector's
+// columns enters the RBF norm only, and must not size the row engine's
+// dense scratch (the serving path takes client rows with any index below
+// 2^31).
+func TestDecisionValueFarColumn(t *testing.T) {
+	m := handModel()
+	x := sparse.Row{Idx: []int32{0, 1 << 22}, Val: []float64{1, 0.5}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	v := m.DecisionValue(x)
+	runtime.ReadMemStats(&after)
+	// ||x - sv||^2 is (1 - sv)^2 + 0.5^2 for sv = -1, +1.
+	if want := -math.Exp(-4.25) + math.Exp(-0.25); math.Abs(v-want) > 1e-12 {
+		t.Fatalf("f(x) = %v, want %v", v, want)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("one decision value allocated %d bytes for a 1-column model", grew)
 	}
 }
 

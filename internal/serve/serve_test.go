@@ -210,6 +210,7 @@ func TestPredictErrors(t *testing.T) {
 		{"both single and batch", `{"libsvm":"1:1","instances":[{"libsvm":"1:1"}]}`, http.StatusBadRequest},
 		{"both encodings in instance", `{"model":"a","instances":[{"libsvm":"1:1","features":{"1":1}}]}`, http.StatusBadRequest},
 		{"bad feature index", `{"model":"a","features":{"zero":1}}`, http.StatusBadRequest},
+		{"duplicate feature index", `{"model":"a","features":{"1":1,"01":2}}`, http.StatusBadRequest},
 		{"bad libsvm row", `{"model":"a","libsvm":"1:1 junk"}`, http.StatusBadRequest},
 		{"unknown field", `{"model":"a","rows":[[1,2]]}`, http.StatusBadRequest},
 		{"not json", `hello`, http.StatusBadRequest},
@@ -229,6 +230,36 @@ func TestPredictErrors(t *testing.T) {
 		if err := json.Unmarshal(data, &e); err != nil || e["error"] == "" {
 			t.Errorf("%s: error body %s", tc.name, data)
 		}
+	}
+}
+
+// TestPredictIndexBounds: a JSON feature key past the int32 index range
+// must get a 400 naming the index. Cast to int32 it would wrap negative
+// and panic the batcher goroutine, which has no recover, so the process
+// would exit. The server keeps answering: the largest valid index scores
+// like any column past the support vectors'.
+func TestPredictIndexBounds(t *testing.T) {
+	m := testModel(0)
+	path := t.TempDir() + "/m.model"
+	saveModel(t, m, path)
+	_, ts := newTestServer(t, Config{}, map[string]string{"default": path})
+
+	resp, data := postJSON(t, ts.URL+"/v1/predict", json.RawMessage(`{"features":{"2147483649":1}}`))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", resp.StatusCode, data)
+	}
+	if !strings.Contains(string(data), "feature index 2147483649 exceeds the supported maximum") {
+		t.Fatalf("error does not name the index: %s", data)
+	}
+
+	resp, data = postJSON(t, ts.URL+"/v1/predict", json.RawMessage(`{"features":{"2147483647":1}}`))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d after the rejected request: %s", resp.StatusCode, data)
+	}
+	pr := decodePredictions(t, data)
+	want := m.DecisionValue(sparse.Row{Idx: []int32{math.MaxInt32 - 1}, Val: []float64{1}})
+	if len(pr.Predictions) != 1 || math.Abs(pr.Predictions[0].Decision-want) > 1e-12 {
+		t.Fatalf("predictions %+v, want one decision %v", pr.Predictions, want)
 	}
 }
 

@@ -602,9 +602,13 @@ func decodeInstance(inst Instance) (sparse.Row, error) {
 	idx := make([]int, 0, len(inst.Features))
 	byIdx := make(map[int]float64, len(inst.Features))
 	for k, v := range inst.Features {
-		i, err := strconv.Atoi(k)
-		if err != nil || i < 1 {
-			return sparse.Row{}, fmt.Errorf("feature index %q (want integer >= 1)", k)
+		i, err := dataset.FeatureIndex(k)
+		if err != nil {
+			return sparse.Row{}, err
+		}
+		if _, dup := byIdx[i]; dup {
+			// Distinct keys such as "1" and "01" name the same feature.
+			return sparse.Row{}, fmt.Errorf("duplicate feature index %d", i)
 		}
 		idx = append(idx, i)
 		byIdx[i] = v

@@ -308,8 +308,8 @@ type Result struct {
 }
 
 // Engine is one registered training path. Train must be safe for
-// concurrent calls (the one-vs-rest reduction invokes it from one
-// goroutine per class) and must validate (prob, opts) against its own
+// concurrent calls (dcsvm runs its sub-solver engine from one goroutine
+// per cluster) and must validate (prob, opts) against its own
 // capabilities before touching data — Validate does the generic part.
 type Engine interface {
 	Name() string
