@@ -335,6 +335,7 @@ func TestRunRejectsBeforeLoading(t *testing.T) {
 		{[]string{"-solver", "linear", "-stream", "-probability"}, "-probability needs in-memory data"},
 		{[]string{"-solver", "linear", "-mem-budget", "1MiB"}, "-mem-budget requires -stream"},
 		{[]string{"-solver", "linear", "-stream", "-mem-budget", "lots"}, `byte size "lots"`},
+		{[]string{"-solver", "linear", "-stream", "-mem-budget", "0"}, "memory budget 0 bytes"},
 		{[]string{"-shards", "2", "-p", "4"}, "-shards 2 must equal -p 4"},
 		{[]string{"-resume"}, "-resume requires -checkpoint-dir"},
 		{[]string{"-inject-crash-rank", "1"}, "-inject-crash-rank requires -inject-crash-at > 0"},

@@ -85,17 +85,3 @@ func checkLabels(y []float64) error {
 	}
 	return nil
 }
-
-// ClassBalance returns the fraction of positive training labels.
-func (d *Dataset) ClassBalance() float64 {
-	if len(d.Y) == 0 {
-		return 0
-	}
-	pos := 0
-	for _, v := range d.Y {
-		if v > 0 {
-			pos++
-		}
-	}
-	return float64(pos) / float64(len(d.Y))
-}

@@ -89,18 +89,6 @@ func TestDenseSpecsAreDense(t *testing.T) {
 	}
 }
 
-func TestClassBalance(t *testing.T) {
-	ds := MustGenerate("w7a", 0.2)
-	// w7a is heavily imbalanced (~10% positive after flips).
-	if b := ds.ClassBalance(); b < 0.03 || b > 0.2 {
-		t.Fatalf("w7a balance = %v", b)
-	}
-	ds2 := MustGenerate("usps", 0.2)
-	if b := ds2.ClassBalance(); b < 0.4 || b > 0.6 {
-		t.Fatalf("usps balance = %v", b)
-	}
-}
-
 func TestBinarySpecsHaveUnitValues(t *testing.T) {
 	ds := MustGenerate("mushrooms", 0.05)
 	first := ds.X.Val[0]

@@ -31,12 +31,12 @@ func FuzzChunkSplit(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte, chunkSize int) {
 		chunk := int(uint(chunkSize)%4093) + 1
-		cr := NewChunkReader(bytes.NewReader(data), chunk)
+		cr := newChunkReader(bytes.NewReader(data), chunk)
 		var rebuilt []byte
 		var trimmed [][]byte
 		lines := 0
 		for {
-			wantLine := cr.Line()
+			wantLine := cr.line
 			raw, err := cr.Next()
 			if err == io.EOF {
 				break
@@ -45,16 +45,16 @@ func FuzzChunkSplit(f *testing.F) {
 				t.Fatalf("chunk=%d: unexpected error: %v", chunk, err)
 			}
 			if len(raw) == 0 {
-				t.Fatalf("chunk=%d: empty raw line at offset %d", chunk, cr.Offset())
+				t.Fatalf("chunk=%d: empty raw line at offset %d", chunk, cr.offset)
 			}
 			lines++
 			if wantLine != lines {
 				t.Fatalf("chunk=%d: line numbered %d, want %d", chunk, wantLine, lines)
 			}
 			rebuilt = append(rebuilt, raw...)
-			trimmed = append(trimmed, append([]byte(nil), TrimEOL(raw)...))
-			if int64(len(rebuilt)) != cr.Offset() {
-				t.Fatalf("chunk=%d: offset %d after %d bytes", chunk, cr.Offset(), len(rebuilt))
+			trimmed = append(trimmed, append([]byte(nil), trimEOL(raw)...))
+			if int64(len(rebuilt)) != cr.offset {
+				t.Fatalf("chunk=%d: offset %d after %d bytes", chunk, cr.offset, len(rebuilt))
 			}
 		}
 		if !bytes.Equal(rebuilt, data) {
@@ -80,4 +80,17 @@ func FuzzChunkSplit(f *testing.F) {
 			t.Fatalf("chunk=%d: %d lines vs scanner's %d", chunk, len(trimmed), i)
 		}
 	})
+}
+
+// trimEOL strips one trailing "\n" or "\r\n", plus a bare trailing "\r" on
+// a terminator-less final line — byte-for-byte what bufio.ScanLines leaves
+// in its tokens.
+func trimEOL(raw []byte) []byte {
+	if n := len(raw); n > 0 && raw[n-1] == '\n' {
+		raw = raw[:n-1]
+	}
+	if n := len(raw); n > 0 && raw[n-1] == '\r' {
+		raw = raw[:n-1]
+	}
+	return raw
 }

@@ -103,34 +103,10 @@ func FeatureIndex(s string) (int, error) {
 // ReadLibsvm parses the libsvm text format, one ParseLine per data line.
 // Labels other than +1/-1 are accepted and mapped: positive labels (and
 // "+1") to +1, everything else to -1, matching the common binary-task
-// convention for these datasets.
+// convention for these datasets. Blank and '#' lines are skipped, and a
+// line longer than 64 MiB is an error.
 func ReadLibsvm(r io.Reader) (*sparse.Matrix, []float64, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<26)
-	b := sparse.NewBuilder(0)
-	var y []float64
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		label, row, err := ParseLine(line)
-		if err != nil {
-			return nil, nil, fmt.Errorf("libsvm: line %d: %w", lineNo, err)
-		}
-		if label > 0 {
-			y = append(y, 1)
-		} else {
-			y = append(y, -1)
-		}
-		b.AddRow(row.Idx, row.Val)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, nil, fmt.Errorf("libsvm: %w", err)
-	}
-	return b.Build(), y, nil
+	return readMatrix(newChunkReader(r, defaultChunkBytes), noEnd, false)
 }
 
 // WriteLibsvm writes (x, y) in libsvm text format with 1-based indices.
@@ -168,28 +144,7 @@ func WriteLibsvm(w io.Writer, x *sparse.Matrix, y []float64) error {
 // instead of sign-mapping them, so regression targets survive a round
 // trip. Everything else matches ReadLibsvm.
 func ReadLibsvmValues(r io.Reader) (*sparse.Matrix, []float64, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<26)
-	b := sparse.NewBuilder(0)
-	var y []float64
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		label, row, err := ParseLine(line)
-		if err != nil {
-			return nil, nil, fmt.Errorf("libsvm: line %d: %w", lineNo, err)
-		}
-		y = append(y, label)
-		b.AddRow(row.Idx, row.Val)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, nil, fmt.Errorf("libsvm: %w", err)
-	}
-	return b.Build(), y, nil
+	return readMatrix(newChunkReader(r, defaultChunkBytes), noEnd, true)
 }
 
 // WriteLibsvmValues writes (x, y) in libsvm text format with full-precision

@@ -1,8 +1,8 @@
 // Shard-aware loading. A multi-node run wants each rank to parse only its
 // slice of the input instead of rank 0 reading everything and scattering:
-// LoadShard splits one libsvm file by byte range (every rank seeks
-// independently, no coordination), while WriteShards/LoadSharded handle the
-// pre-split multi-file layout generators produce. Both conventions yield
+// LoadSharded either splits one libsvm file by byte range (every rank seeks
+// independently, no coordination) or loads the pre-split multi-file layout
+// WriteShards and the generators produce. Both conventions yield
 // row blocks that concatenate, in rank order, to exactly the single-file
 // parse — the compositional dataset fingerprint (internal/ckpt) depends on
 // that.
@@ -27,13 +27,13 @@ type Shard struct {
 	Lo int // global row index of the shard's first row (-1 when unknown)
 }
 
-// ShardRange splits size bytes into nranks contiguous byte ranges and
+// shardRange splits size bytes into nranks contiguous byte ranges and
 // returns rank's [lo, hi). The boundaries are the byte analogue of the row
 // partitioner core.BlockRange uses (q*n/p), so shard sizes differ by at
 // most one byte.
-func ShardRange(size int64, rank, nranks int) (lo, hi int64) {
+func shardRange(size int64, rank, nranks int) (lo, hi int64) {
 	if nranks <= 0 || rank < 0 || rank >= nranks {
-		panic(fmt.Sprintf("dataset: ShardRange(rank=%d, nranks=%d)", rank, nranks))
+		panic(fmt.Sprintf("dataset: shardRange(rank=%d, nranks=%d)", rank, nranks))
 	}
 	lo = int64(rank) * size / int64(nranks)
 	hi = int64(rank+1) * size / int64(nranks)
@@ -74,13 +74,13 @@ func shardStart(f io.ReaderAt, lo int64, size int64) (int64, error) {
 	return size, nil // the partial line runs to EOF; a later shard owns nothing
 }
 
-// LoadShard parses the lines of the libsvm file at path whose first byte
-// falls inside rank's ShardRange. Concatenating all ranks' shards in rank
+// loadShard parses the lines of the libsvm file at path whose first byte
+// falls inside rank's shardRange. Concatenating all ranks' shards in rank
 // order reproduces ReadLibsvm on the whole file bit-for-bit; comment and
 // blank lines are skipped as usual. The returned Shard's Lo is -1: global
 // row indices cannot be known without parsing the preceding shards (the
 // caller that loads all shards can assign them cumulatively).
-func LoadShard(path string, rank, nranks int) (Shard, error) {
+func loadShard(path string, rank, nranks int) (Shard, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return Shard{}, err
@@ -91,46 +91,19 @@ func LoadShard(path string, rank, nranks int) (Shard, error) {
 		return Shard{}, err
 	}
 	size := st.Size()
-	lo, hi := ShardRange(size, rank, nranks)
+	lo, hi := shardRange(size, rank, nranks)
 	start, err := shardStart(f, lo, size)
 	if err != nil {
 		return Shard{}, fmt.Errorf("libsvm: shard %d/%d: %w", rank, nranks, err)
 	}
-	b := sparse.NewBuilder(0)
-	var y []float64
-	if start < size {
-		cr := NewChunkReader(io.NewSectionReader(f, start, size-start), 0)
-		for {
-			// A line is owned iff its first byte precedes hi.
-			if start+cr.Offset() >= hi {
-				break
-			}
-			lineNo := cr.Line()
-			raw, err := cr.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return Shard{}, fmt.Errorf("libsvm: shard %d/%d: %w", rank, nranks, err)
-			}
-			line := strings.TrimSpace(string(TrimEOL(raw)))
-			if line == "" || strings.HasPrefix(line, "#") {
-				continue
-			}
-			label, row, err := ParseLine(line)
-			if err != nil {
-				return Shard{}, fmt.Errorf("libsvm: shard %d/%d: line %d (offset %d): %w",
-					rank, nranks, lineNo, start+cr.Offset()-int64(len(raw)), err)
-			}
-			if label > 0 {
-				y = append(y, 1)
-			} else {
-				y = append(y, -1)
-			}
-			b.AddRow(row.Idx, row.Val)
-		}
+	// A line is owned iff its first byte precedes hi; hi-start <= 0 leaves
+	// this rank no line at all.
+	cr := newChunkReader(io.NewSectionReader(f, start, size-start), defaultChunkBytes)
+	x, y, err := readMatrix(cr, hi-start, false)
+	if err != nil {
+		return Shard{}, fmt.Errorf("shard %d/%d (from byte %d): %w", rank, nranks, start, err)
 	}
-	return Shard{X: b.Build(), Y: y, Lo: -1}, nil
+	return Shard{X: x, Y: y, Lo: -1}, nil
 }
 
 // ShardFileName names shard i of n for a dataset base path.
@@ -166,10 +139,10 @@ func WriteShards(base string, x *sparse.Matrix, y []float64, n int) ([]string, e
 	return paths, nil
 }
 
-// DetectShards reports the shard count of a pre-split dataset at base, or 0
+// detectShards reports the shard count of a pre-split dataset at base, or 0
 // when base is a plain single file. It is an error for the shard set to be
 // incomplete (gaps betray a partial copy).
-func DetectShards(base string) (int, error) {
+func detectShards(base string) (int, error) {
 	if _, err := os.Stat(base); err == nil {
 		return 0, nil
 	}
@@ -209,13 +182,13 @@ func DetectShards(base string) (int, error) {
 // LoadSharded loads a dataset as nranks shards, parsing them in parallel.
 // When path names shard files written by WriteShards (path itself absent),
 // their count must equal nranks and each file is one shard; otherwise the
-// single file is byte-range split via LoadShard. Either way the shards
+// single file is byte-range split via loadShard. Either way the shards
 // concatenate, in order, to the single-file parse, Lo indices are assigned
 // cumulatively, and every shard's matrix is widened to the global column
 // count. nranks == 0 means "however the file is sharded on disk" (1 for a
 // plain file).
 func LoadSharded(path string, nranks int) ([]Shard, error) {
-	disk, err := DetectShards(path)
+	disk, err := detectShards(path)
 	if err != nil {
 		return nil, err
 	}
@@ -241,7 +214,7 @@ func LoadSharded(path string, nranks int) ([]Shard, error) {
 				shards[r], errs[r] = Shard{X: x, Y: y, Lo: -1}, err
 				return
 			}
-			shards[r], errs[r] = LoadShard(path, r, nranks)
+			shards[r], errs[r] = loadShard(path, r, nranks)
 		}(r)
 	}
 	wg.Wait()
@@ -265,13 +238,30 @@ func LoadSharded(path string, nranks int) ([]Shard, error) {
 }
 
 // ConcatShards splices shards (in order) into one in-memory dataset,
-// bit-identical to loading the unsharded file.
+// bit-identical to loading the unsharded file, with exact preallocation.
 func ConcatShards(shards []Shard) (*sparse.Matrix, []float64) {
-	parts := make([]*sparse.Matrix, len(shards))
-	var y []float64
-	for i := range shards {
-		parts[i] = shards[i].X
-		y = append(y, shards[i].Y...)
+	rows, cols := 0, 0
+	var nnz int64
+	for _, s := range shards {
+		rows += s.X.Rows()
+		nnz += int64(s.X.NNZ())
+		cols = max(cols, s.X.Cols)
 	}
-	return concatMatrices(parts), y
+	out := &sparse.Matrix{
+		RowPtr: make([]int64, 1, rows+1),
+		ColIdx: make([]int32, 0, nnz),
+		Val:    make([]float64, 0, nnz),
+		Cols:   cols,
+	}
+	var y []float64
+	for _, s := range shards {
+		base := int64(len(out.Val))
+		for _, p := range s.X.RowPtr[1:] {
+			out.RowPtr = append(out.RowPtr, base+p)
+		}
+		out.ColIdx = append(out.ColIdx, s.X.ColIdx...)
+		out.Val = append(out.Val, s.X.Val...)
+		y = append(y, s.Y...)
+	}
+	return out, y
 }

@@ -56,7 +56,7 @@ func TestShardRange(t *testing.T) {
 		for _, n := range []int{1, 2, 3, 7, 64} {
 			var prev int64
 			for r := 0; r < n; r++ {
-				lo, hi := ShardRange(size, r, n)
+				lo, hi := shardRange(size, r, n)
 				if lo != prev || hi < lo {
 					t.Fatalf("size=%d n=%d rank=%d: range [%d,%d) after %d", size, n, r, lo, hi, prev)
 				}
@@ -80,7 +80,7 @@ func TestLoadShardParity(t *testing.T) {
 		if err := os.WriteFile(path, variant, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		wantX, wantY, err := ReadLibsvm(bytes.NewReader(variant))
+		wantX, wantY, err := scanLibsvm(bytes.NewReader(variant))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,8 +144,8 @@ func TestWriteShardsConcat(t *testing.T) {
 		t.Fatal("concatenated shard files differ from the single-file encoding")
 	}
 
-	if got, err := DetectShards(base); err != nil || got != n {
-		t.Fatalf("DetectShards = %d, %v; want %d", got, err, n)
+	if got, err := detectShards(base); err != nil || got != n {
+		t.Fatalf("detectShards = %d, %v; want %d", got, err, n)
 	}
 	shards, err := LoadSharded(base, 0) // 0: take the on-disk shard count
 	if err != nil {
@@ -167,8 +167,8 @@ func TestWriteShardsConcat(t *testing.T) {
 	if err := os.Remove(paths[2]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DetectShards(base); err == nil {
-		t.Fatal("DetectShards accepted an incomplete shard set")
+	if _, err := detectShards(base); err == nil {
+		t.Fatal("detectShards accepted an incomplete shard set")
 	}
 }
 

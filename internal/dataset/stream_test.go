@@ -1,12 +1,15 @@
 package dataset
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -92,32 +95,66 @@ func labelsIdentical(a, b []float64) bool {
 	return true
 }
 
-// drainStream reads every StreamLibsvm block and splices them into one
-// matrix, the whole-file result ReadLibsvm is compared against.
-func drainStream(r io.Reader, opt StreamOptions) (*sparse.Matrix, []float64, error) {
-	s := StreamLibsvm(r, opt)
-	defer s.Close()
-	var parts []*sparse.Matrix
+// scanLibsvm is the reference whole-file reader the line loop is checked
+// against: bufio.Scanner lines with a 64 MiB token cap, independent of
+// chunkReader and readLines, mapping labels to +1/-1 like ReadLibsvm.
+func scanLibsvm(r io.Reader) (*sparse.Matrix, []float64, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<26)
+	b := sparse.NewBuilder(0)
 	var y []float64
-	for {
-		blk, ok := s.Next()
-		if !ok {
-			break
+	lineNo := 0
+	for sc.Scan() {
+		lineNo++
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
 		}
-		parts = append(parts, blk.X)
-		y = append(y, blk.Y...)
+		label, row, err := ParseLine(line)
+		if err != nil {
+			return nil, nil, fmt.Errorf("libsvm: line %d: %w", lineNo, err)
+		}
+		if label > 0 {
+			y = append(y, 1)
+		} else {
+			y = append(y, -1)
+		}
+		b.AddRow(row.Idx, row.Val)
 	}
-	if err := s.Err(); err != nil {
-		return nil, nil, err
+	if err := sc.Err(); err != nil {
+		return nil, nil, fmt.Errorf("libsvm: %w", err)
 	}
-	return concatMatrices(parts), y, nil
+	return b.Build(), y, nil
 }
 
-// TestStreamParity is the property test of the streaming reader: on seeded
-// random datasets, across chunk sizes that force lines to straddle chunk
+// loadOOC writes data to a file, opens it out of core at the given read
+// granularity and rows-per-block cap, and materializes the result; the
+// budget is generous, so blockRows alone decides the block boundaries.
+func loadOOC(t *testing.T, data []byte, chunkBytes, blockRows int) (*sparse.Matrix, []float64, error) {
+	t.Helper()
+	dir := t.TempDir()
+	path := filepath.Join(dir, "data.libsvm")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ooc, y, err := openOOC(path, OOCOptions{SpillDir: dir, MemBudget: 1 << 30}, chunkBytes, blockRows)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer ooc.Close()
+	x, err := ooc.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x, y, nil
+}
+
+// TestStreamParity is the property test of the line loop: on seeded random
+// datasets, across chunk sizes that force lines to straddle chunk
 // boundaries (7 bytes up to 1 MiB), across CRLF endings, missing trailing
-// newline, and comment/blank lines, StreamLibsvm reassembles a result
-// bit-identical to ReadLibsvm.
+// newline, and comment/blank lines, both the whole-file loop and the
+// out-of-core loader (cut into blocks of 1, 13 and 4096 rows) produce a
+// result bit-identical to the bufio.Scanner reference.
 func TestStreamParity(t *testing.T) {
 	chunks := []int{7, 64, 4 << 10, 1 << 20}
 	for _, cse := range []struct {
@@ -131,56 +168,116 @@ func TestStreamParity(t *testing.T) {
 	} {
 		data := randomLibsvm(t, cse.seed, cse.rows, cse.cols, cse.density)
 		for name, variant := range streamVariants(data) {
-			wantX, wantY, err := ReadLibsvm(bytes.NewReader(variant))
+			wantX, wantY, err := scanLibsvm(bytes.NewReader(variant))
 			if err != nil {
-				t.Fatalf("seed %d %s: ReadLibsvm: %v", cse.seed, name, err)
+				t.Fatalf("seed %d %s: reference reader: %v", cse.seed, name, err)
 			}
+			check := func(what string, gotX *sparse.Matrix, gotY []float64, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("seed %d %s %s: %v", cse.seed, name, what, err)
+				}
+				if !matricesIdentical(wantX, gotX) {
+					t.Fatalf("seed %d %s %s: matrix differs", cse.seed, name, what)
+				}
+				if !labelsIdentical(wantY, gotY) {
+					t.Fatalf("seed %d %s %s: labels differ", cse.seed, name, what)
+				}
+			}
+			gotX, gotY, err := ReadLibsvm(bytes.NewReader(variant))
+			check("ReadLibsvm", gotX, gotY, err)
 			for _, chunk := range chunks {
+				gotX, gotY, err := readMatrix(newChunkReader(bytes.NewReader(variant), chunk), noEnd, false)
+				check(fmt.Sprintf("chunk=%d", chunk), gotX, gotY, err)
 				for _, blockRows := range []int{1, 13, 4096} {
-					gotX, gotY, err := drainStream(bytes.NewReader(variant),
-						StreamOptions{ChunkBytes: chunk, BlockRows: blockRows})
-					if err != nil {
-						t.Fatalf("seed %d %s chunk=%d block=%d: %v", cse.seed, name, chunk, blockRows, err)
-					}
-					if !matricesIdentical(wantX, gotX) {
-						t.Fatalf("seed %d %s chunk=%d block=%d: matrix differs", cse.seed, name, chunk, blockRows)
-					}
-					if !labelsIdentical(wantY, gotY) {
-						t.Fatalf("seed %d %s chunk=%d block=%d: labels differ", cse.seed, name, chunk, blockRows)
-					}
+					gotX, gotY, err := loadOOC(t, variant, chunk, blockRows)
+					check(fmt.Sprintf("ooc chunk=%d block=%d", chunk, blockRows), gotX, gotY, err)
 				}
 			}
 		}
 	}
 }
 
-// TestStreamErrorLineNumbers checks the streamed parser reports the same
-// line number and cause as the whole-file parser.
+// TestStreamErrorLineNumbers checks the line loop reports the same line
+// number and cause as the bufio.Scanner reference, whatever the chunk size.
 func TestStreamErrorLineNumbers(t *testing.T) {
 	const text = "+1 1:0.5\n# comment\n\n-1 2:1.5\n+1 3:bad\n-1 4:2\n"
-	_, _, wantErr := ReadLibsvm(strings.NewReader(text))
+	_, _, wantErr := scanLibsvm(strings.NewReader(text))
 	if wantErr == nil {
-		t.Fatal("ReadLibsvm accepted the malformed line")
-	}
-	for _, chunk := range []int{3, 1 << 20} {
-		_, _, err := drainStream(strings.NewReader(text), StreamOptions{ChunkBytes: chunk})
-		if err == nil {
-			t.Fatalf("chunk=%d: streamed reader accepted the malformed line", chunk)
-		}
-		if err.Error() != wantErr.Error() {
-			t.Fatalf("chunk=%d: error %q, want %q", chunk, err, wantErr)
-		}
+		t.Fatal("the reference reader accepted the malformed line")
 	}
 	if !strings.Contains(wantErr.Error(), "line 5") {
 		t.Fatalf("error does not name line 5: %q", wantErr)
 	}
+	_, _, err := ReadLibsvm(strings.NewReader(text))
+	errs := map[string]error{"ReadLibsvm": err}
+	for _, chunk := range []int{3, 1 << 20} {
+		_, _, errs[fmt.Sprintf("chunk=%d", chunk)] = readMatrix(newChunkReader(strings.NewReader(text), chunk), noEnd, false)
+		_, _, errs[fmt.Sprintf("ooc chunk=%d", chunk)] = loadOOC(t, []byte(text), chunk, 4096)
+	}
+	for what, err := range errs {
+		if err == nil {
+			t.Fatalf("%s accepted the malformed line", what)
+		}
+		if err.Error() != wantErr.Error() {
+			t.Fatalf("%s: error %q, want %q", what, err, wantErr)
+		}
+	}
+}
+
+// blanks is an endless stream of spaces.
+type blanks struct{}
+
+var spaces = bytes.Repeat([]byte{' '}, 4096)
+
+func (blanks) Read(p []byte) (int, error) { return copy(p, spaces), nil }
+
+// longLineFile returns a valid first line followed by a second line just
+// over maxLineBytes, generated on the fly so no copy of it is held.
+func longLineFile() io.Reader {
+	return io.MultiReader(strings.NewReader("+1 1:1\n+1"),
+		io.LimitReader(blanks{}, maxLineBytes), strings.NewReader(" 2:1\n"))
+}
+
+// TestLineLengthBound checks that every reader rejects a line longer than
+// 64 MiB, naming its line number, instead of buffering it.
+func TestLineLengthBound(t *testing.T) {
+	// Each reader buffers the 64 MiB before it gives up; collect the
+	// garbage of its growing buffer early to keep the test's peak small.
+	defer debug.SetGCPercent(debug.SetGCPercent(10))
+	const want = "line 2: longer than 67108864 bytes"
+	check := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: error %v, want one containing %q", what, err, want)
+		}
+	}
+	_, _, err := ReadLibsvm(longLineFile())
+	check("ReadLibsvm", err)
+
+	dir := t.TempDir()
+	path := filepath.Join(dir, "long.libsvm")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.Copy(f, longLineFile()); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = loadShard(path, 0, 1)
+	check("loadShard", err)
+	_, _, err = OpenOOC(path, OOCOptions{SpillDir: dir, MemBudget: 1 << 20})
+	check("OpenOOC", err)
 }
 
 // TestChunkReaderOffsets checks offset/line bookkeeping, which the shard
 // loader relies on for byte-range ownership.
 func TestChunkReaderOffsets(t *testing.T) {
 	const text = "aa\nbbbb\r\n\nc"
-	cr := NewChunkReader(strings.NewReader(text), 4)
+	cr := newChunkReader(strings.NewReader(text), 4)
 	wants := []struct {
 		raw    string
 		offset int64
@@ -192,7 +289,7 @@ func TestChunkReaderOffsets(t *testing.T) {
 		{"c", 10, 4},
 	}
 	for _, w := range wants {
-		if got, line := cr.Offset(), cr.Line(); got != w.offset || line != w.line {
+		if got, line := cr.offset, cr.line; got != w.offset || line != w.line {
 			t.Fatalf("before %q: offset=%d line=%d, want %d/%d", w.raw, got, line, w.offset, w.line)
 		}
 		raw, err := cr.Next()
@@ -206,51 +303,8 @@ func TestChunkReaderOffsets(t *testing.T) {
 	if _, err := cr.Next(); err == nil {
 		t.Fatal("expected EOF")
 	}
-	if cr.Offset() != int64(len(text)) {
-		t.Fatalf("final offset %d, want %d", cr.Offset(), len(text))
-	}
-}
-
-// TestStreamEarlyClose abandons a stream after one block; the test passing
-// at all (and under -race) proves the producer exits rather than deadlocks
-// on the budget or the send.
-func TestStreamEarlyClose(t *testing.T) {
-	data := randomLibsvm(t, 9, 400, 30, 0.3)
-	s := StreamLibsvm(bytes.NewReader(data), StreamOptions{BlockRows: 10, MaxInFlightBytes: 1})
-	if _, ok := s.Next(); !ok {
-		t.Fatalf("no first block: %v", s.Err())
-	}
-	s.Close()
-	s.Close() // idempotent
-	if err := s.Err(); err != nil {
-		t.Fatalf("unexpected error after close: %v", err)
-	}
-}
-
-// TestStreamBlockOffsets checks Lo tracks the global row index of each
-// block, skipping comment lines.
-func TestStreamBlockOffsets(t *testing.T) {
-	const text = "# c\n+1 1:1\n-1 1:2\n\n+1 1:3\n-1 1:4\n+1 1:5\n"
-	s := StreamLibsvm(strings.NewReader(text), StreamOptions{BlockRows: 2})
-	defer s.Close()
-	var los []int
-	rows := 0
-	for {
-		blk, ok := s.Next()
-		if !ok {
-			break
-		}
-		if blk.Lo != rows {
-			t.Fatalf("block Lo=%d, want %d", blk.Lo, rows)
-		}
-		los = append(los, blk.Lo)
-		rows += blk.X.Rows()
-	}
-	if err := s.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if rows != 5 || len(los) != 3 {
-		t.Fatalf("rows=%d blocks=%d, want 5 rows in 3 blocks", rows, len(los))
+	if cr.offset != int64(len(text)) {
+		t.Fatalf("final offset %d, want %d", cr.offset, len(text))
 	}
 }
 
@@ -263,15 +317,14 @@ func TestOpenOOC(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	wantX, wantY, err := LoadLibsvmFile(path)
+	wantX, wantY, err := scanLibsvm(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ooc, gotY, err := OpenOOC(path, OOCOptions{
-		Stream:    StreamOptions{ChunkBytes: 64, BlockRows: 16},
+	ooc, gotY, err := openOOC(path, OOCOptions{
 		SpillDir:  dir,
 		MemBudget: 1 << 10, // far below the payload: forces evictions
-	})
+	}, 64, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,14 +359,15 @@ func TestOpenOOC(t *testing.T) {
 }
 
 // TestOpenOOCParseError checks parse failures surface with line numbers and
-// do not leave the spill file behind.
+// do not leave the spill file behind, and that a budget that is not
+// positive is rejected.
 func TestOpenOOCParseError(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "bad.libsvm")
 	if err := os.WriteFile(path, []byte("+1 1:1\n+1 nope\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := OpenOOC(path, OOCOptions{SpillDir: dir})
+	_, _, err := OpenOOC(path, OOCOptions{SpillDir: dir, MemBudget: 1 << 20})
 	if err == nil {
 		t.Fatal("OpenOOC accepted a malformed file")
 	}
@@ -323,5 +377,11 @@ func TestOpenOOCParseError(t *testing.T) {
 	spills, _ := filepath.Glob(filepath.Join(dir, "*.spill"))
 	if len(spills) != 0 {
 		t.Fatalf("spill files left behind: %v", spills)
+	}
+	for _, budget := range []int64{0, -1} {
+		_, _, err := OpenOOC(path, OOCOptions{SpillDir: dir, MemBudget: budget})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("memory budget %d bytes", budget)) {
+			t.Fatalf("budget %d: error %v, want a rejection naming the budget", budget, err)
+		}
 	}
 }

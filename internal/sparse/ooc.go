@@ -18,8 +18,8 @@ import (
 // solver whose access pattern is row-at-a-time (sparse.RowMatrix) trains
 // with peak memory proportional to the budget, not the dataset.
 //
-// Blocks are written once by an OOCWriter (the streaming libsvm parser
-// appends each parsed block as it comes off the wire) and are immutable
+// Blocks are written once by an OOCWriter (dataset.OpenOOC appends each
+// block of parsed rows as soon as it fills) and are immutable
 // afterwards. When the budget is smaller than the payload, a resident block
 // is cached exactly as encoded in the spill file, and RowView copies the one
 // requested row out of it, so no row handed out ever aliases cache storage:
@@ -245,14 +245,6 @@ func (m *OOCMatrix) Stats() (loads, hits, evictions uint64) {
 	return m.loads, m.hits, m.evictions
 }
 
-// ResidentBytes reports the payload bytes of the blocks currently held by
-// the LRU.
-func (m *OOCMatrix) ResidentBytes() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.residentBytes
-}
-
 // blockFor returns the index of the block holding global row i.
 func (m *OOCMatrix) blockFor(i int) int {
 	// First block whose startRow exceeds i, minus one.
@@ -397,6 +389,3 @@ func (m *OOCMatrix) Close() error {
 	}
 	return err
 }
-
-// SpillPath returns the path of the spill file (tests only).
-func (m *OOCMatrix) SpillPath() string { return m.path }

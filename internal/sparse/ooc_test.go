@@ -112,7 +112,7 @@ func TestOOCBudgetBoundsResidency(t *testing.T) {
 	for k := 0; k < 5000; k++ {
 		i := rng.Intn(m.Rows())
 		ooc.RowView(i)
-		if r := ooc.ResidentBytes(); r > budget && r > maxBlock {
+		if r := ooc.residentBytes; r > budget && r > maxBlock {
 			t.Fatalf("resident %d exceeds budget %d and max block %d", r, budget, maxBlock)
 		}
 	}
@@ -237,7 +237,7 @@ func TestOOCCounters(t *testing.T) {
 			t.Errorf("budget %d: loads/hits/evictions %d/%d/%d, want %d/%d/%d",
 				tc.budget, loads, hits, evictions, tc.loads, tc.hits, tc.evictions)
 		}
-		if r := ooc.ResidentBytes(); r != tc.resident {
+		if r := ooc.residentBytes; r != tc.resident {
 			t.Errorf("budget %d: resident %d bytes, want %d", tc.budget, r, tc.resident)
 		}
 	}
@@ -294,7 +294,7 @@ func TestOOCClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := ooc.SpillPath()
+	path := ooc.path
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("spill file missing before Close: %v", err)
 	}

@@ -35,6 +35,14 @@ git -C "$root" archive "$base" | tar -x -C "$work/src"
 	head -n 160 blobs.train >blobs-base.train
 	head -n 200 svr.train >svr-base.train
 	head -n 200 oc.train >oc-base.train
+	# Loader inputs: blobs.train with CRLF endings, a header comment and a
+	# comment and blank line after every tenth row (the same rows, so the
+	# same model); and a file whose third line does not parse.
+	{
+		echo "# blobs with CRLF, comments and blank lines"
+		awk '{ print } NR % 10 == 0 { print "# row " NR; print "" }' blobs.train
+	} | sed 's/$/\r/' >blobs-crlf.train
+	{ head -n 2 blobs.train; echo "+1 1:0.5 nope"; tail -n +3 blobs.train; } >bad.train
 )
 
 fail=0
@@ -81,8 +89,10 @@ for args in \
 	"dcd|-solver linear -linear-variant dcd -verify" \
 	"miso|-solver linear -linear-variant miso -verify" \
 	"stream|-solver linear -stream -mem-budget 2KiB" \
+	"stream-resident|-solver linear -stream" \
 	"shards-core|-shards 2 -p 2" \
 	"shards-linear|-solver linear -shards 2" \
+	"shards3-linear|-solver linear -shards 3" \
 	"prob|-probability" \
 	"verify|-p 2 -verify"; do
 	name=${args%%|*}
@@ -90,6 +100,12 @@ for args in \
 	run svmtrain -data $D/blobs.train ${args#*|} -model "$name.model"
 	same_model "$name.model"
 done
+
+# Loader coverage: the CRLF/comment variant trains the same model as the
+# plain file, and a malformed file fails on both sides.
+run svmtrain -data $D/blobs-crlf.train -model crlf.model
+same_model crlf.model
+run svmtrain -data $D/bad.train -model bad.model
 
 run svmtrain -task svr -data $D/svr.train -gamma 0.5 -svr-epsilon 0.1 -model svr.model -verify
 same_model svr.model
