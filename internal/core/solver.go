@@ -115,8 +115,11 @@ type workingPair struct {
 	Up, Low violator
 }
 
-// ByteSize implements mpi.Sized.
-func (w workingPair) ByteSize() int { return w.Up.ByteSize() + w.Low.ByteSize() }
+// ByteSize implements mpi.Sized: each side's ValLoc (16 bytes) plus its
+// sample. It sums the halves directly, the same count Carry.ByteSize
+// gives, because Carry.ByteSize boxes the pairHalf into an interface and
+// so allocates on every send.
+func (w workingPair) ByteSize() int { return 32 + w.Up.Data.ByteSize() + w.Low.Data.ByteSize() }
 
 // combinePair picks each side with MINLOC/MAXLOC semantics (ties to the
 // smaller index); the winner's sample travels with it.
@@ -198,21 +201,35 @@ type rankState struct {
 
 	alpha, gamma []float64
 	active       []bool
-	localActive  int
 	globalActive int
 
 	ev      *kernel.Evaluator // local block evaluator
 	scratch kernel.Scratch    // dense pivot scratch for the batched row engine
 
-	// per-iteration row-batch state: the active local indices (rebuilt
-	// each iteration) and the K(x_up, x_i)/K(x_low, x_i) rows over them,
-	// shared between selection and the gradient pass. diag holds the local
-	// kernel diagonal for second-order selection.
+	// activeIdx lists the local active indices in ascending order: the
+	// target list of every row batch (selection, gradient pass). Shrink
+	// checks compact it inside gradientPass and reconstruct resets it, so
+	// len(activeIdx) is the local active-set size. kuiBuf/kliBuf hold the
+	// K(x_up, x_i)/K(x_low, x_i) rows over it, shared between selection
+	// and the gradient pass. diag holds the local kernel diagonal for
+	// second-order selection.
 	diag      []float64
 	activeIdx []int
 	kuiBuf    []float64
 	kliBuf    []float64
 	blockBuf  []float64 // reconstruction scratch, one entry per stale target
+
+	// up and low are the local worst violators over activeIdx, recorded
+	// by the last gradient pass for the next selectPair. scanned is false
+	// when alpha, gamma or the active set changed outside a gradient pass
+	// and selectPair must scan: before the first selection (a warm start
+	// runs before it) and after a reconstruction.
+	up, low mpi.ValLoc
+	scanned bool
+
+	// beforeReduce, when set (tests), runs in selectPair once up and low
+	// are current, before the reduction.
+	beforeReduce func()
 
 	iter            int64
 	converged       bool
@@ -237,7 +254,7 @@ func newRankState(c *mpi.Comm, pt *Partition, cfg Config) *rankState {
 		alpha:        make([]float64, n),
 		gamma:        make([]float64, n),
 		active:       make([]bool, n),
-		localActive:  n,
+		activeIdx:    make([]int, n),
 		globalActive: pt.N,
 		ev:           kernel.NewEvaluator(cfg.Kernel, pt.X),
 		phase:        1,
@@ -245,10 +262,10 @@ func newRankState(c *mpi.Comm, pt *Partition, cfg Config) *rankState {
 	for i := 0; i < n; i++ {
 		s.gamma[i] = -pt.Y[i]
 		s.active[i] = true
+		s.activeIdx[i] = i
 	}
 	s.delta = cfg.Heuristic.InitialThreshold(pt.N)
 	s.deltaC = s.delta
-	s.activeIdx = make([]int, 0, n)
 	s.kuiBuf = make([]float64, n)
 	s.kliBuf = make([]float64, n)
 	if cfg.SecondOrder {
@@ -264,29 +281,47 @@ func newRankState(c *mpi.Comm, pt *Partition, cfg Config) *rankState {
 	return s
 }
 
-// selectPair scans the local active set for the worst KKT violators and
-// combines them globally with MINLOC/MAXLOC semantics (Algorithm 2, lines
-// 21-22), so every rank learns beta_up, beta_low and the violators' global
-// indices. The two reductions are fused into one Allreduce whose operand
-// also carries each local winner's sample: the result delivers x_up and
-// x_low to every rank, replacing the paper's hop through rank 0 and
-// broadcast (lines 3-10).
+// selectPair combines the local worst KKT violators globally with
+// MINLOC/MAXLOC semantics (Algorithm 2, lines 21-22), so every rank learns
+// beta_up, beta_low and the violators' global indices. The two reductions
+// are fused into one Allreduce whose operand also carries each local
+// winner's sample: the result delivers x_up and x_low to every rank,
+// replacing the paper's hop through rank 0 and broadcast (lines 3-10).
+// The local violators come from the last gradient pass; only after a
+// cold start, reconstruction or warm start does selectPair scan for them.
 func (s *rankState) selectPair() (workingPair, error) {
-	up := mpi.ValLoc{Val: math.Inf(1), Loc: -1}
-	low := mpi.ValLoc{Val: math.Inf(-1), Loc: -1}
-	for i := range s.alpha {
-		if !s.active[i] {
-			continue
-		}
-		g := s.pt.Global(i)
-		if solver.InUp(s.pt.Y[i], s.alpha[i], s.cfg.C) {
-			up = mpi.MinLoc(up, mpi.ValLoc{Val: s.gamma[i], Loc: g})
-		}
-		if solver.InLow(s.pt.Y[i], s.alpha[i], s.cfg.C) {
-			low = mpi.MaxLoc(low, mpi.ValLoc{Val: s.gamma[i], Loc: g})
-		}
+	if !s.scanned {
+		s.up, s.low = s.scanViolators()
+		s.scanned = true
 	}
-	return mpi.Allreduce(s.c, workingPair{Up: s.violator(up), Low: s.violator(low)}, combinePair)
+	if s.beforeReduce != nil {
+		s.beforeReduce()
+	}
+	return mpi.Allreduce(s.c, workingPair{Up: s.violator(s.up), Low: s.violator(s.low)}, combinePair)
+}
+
+// scanViolators returns the local worst up and low violators over the
+// active set (Loc -1 for an empty side), ties to the smaller index.
+func (s *rankState) scanViolators() (up, low mpi.ValLoc) {
+	up = mpi.ValLoc{Val: math.Inf(1), Loc: -1}
+	low = mpi.ValLoc{Val: math.Inf(-1), Loc: -1}
+	for _, i := range s.activeIdx {
+		s.observe(i, &up, &low)
+	}
+	return up, low
+}
+
+// observe folds local sample i into the running violators. Callers visit
+// indices in ascending order, so MinLoc/MaxLoc's tie rule keeps the first.
+func (s *rankState) observe(i int, up, low *mpi.ValLoc) {
+	y, a, c := s.pt.Y[i], s.alpha[i], s.cfg.C
+	v := mpi.ValLoc{Val: s.gamma[i], Loc: s.pt.Global(i)}
+	if solver.InUp(y, a, c) {
+		*up = mpi.MinLoc(*up, v)
+	}
+	if solver.InLow(y, a, c) {
+		*low = mpi.MaxLoc(*low, v)
+	}
 }
 
 // violator attaches the local sample behind v; an empty side (Loc -1)
@@ -368,10 +403,9 @@ func (s *rankState) solve() error {
 			return nil
 		}
 		s.iter++
-		actives := s.collectActive()
 
 		if s.cfg.SecondOrder {
-			if j, err := s.selectSecondOrder(actives, pair.Up.Data); err != nil {
+			if j, err := s.selectSecondOrder(pair.Up.Data); err != nil {
 				return err
 			} else if j.Loc >= 0 {
 				pair.Low = j
@@ -393,16 +427,16 @@ func (s *rankState) solve() error {
 				shrinkNow = true
 			}
 		}
-		s.gradientPass(st, pair, betaUp, betaLow, actives, shrinkNow)
+		s.gradientPass(st, pair, betaUp, betaLow, shrinkNow)
 
 		if s.cfg.Lambda > 0 {
-			s.c.Compute(s.cfg.Lambda * float64(3+2*s.localActive))
+			s.c.Compute(s.cfg.Lambda * float64(3+2*len(s.activeIdx)))
 		}
 
 		if shrinkNow {
 			s.shrinkEvents++
 			prevActive := s.globalActive
-			ga, err := mpi.Allreduce(s.c, s.localActive, mpi.SumInt)
+			ga, err := mpi.Allreduce(s.c, len(s.activeIdx), mpi.SumInt)
 			if err != nil {
 				return err
 			}
@@ -437,30 +471,17 @@ func (s *rankState) solve() error {
 	}
 }
 
-// collectActive refreshes s.activeIdx with the local active indices in
-// ascending order — the target list every row batch of this iteration
-// shares (selection, gradient pass). The slice is only valid until the
-// next call.
-func (s *rankState) collectActive() []int {
-	s.activeIdx = s.activeIdx[:0]
-	for i, a := range s.active {
-		if a {
-			s.activeIdx = append(s.activeIdx, i)
-		}
-	}
-	return s.activeIdx
-}
-
 // selectSecondOrder picks the partner of i_up by maximal analytic gain
 // among local low-side violators, then combines globally with a MAXLOC
 // Allreduce that carries the winner's sample like selectPair does (Loc -1
 // when no rank has a candidate). It fills s.kuiBuf with K(x_up, x_i) over
-// actives as a side effect — one batched row evaluation — and the
+// the actives as a side effect — one batched row evaluation — and the
 // gradient pass reuses those values, so the second-order rule costs no
 // extra kernel evaluations.
-func (s *rankState) selectSecondOrder(actives []int, up pairHalf) (violator, error) {
+func (s *rankState) selectSecondOrder(up pairHalf) (violator, error) {
 	kUU := s.cfg.Kernel.Eval(up.Row, up.Row, up.Norm, up.Norm)
 	s.manualEvals++
+	actives := s.activeIdx
 	kui := s.kuiBuf[:len(actives)]
 	s.ev.RowInto(&s.scratch, up.Row, up.Norm, actives, kui)
 	best := mpi.ValLoc{Val: math.Inf(-1), Loc: -1}
@@ -483,15 +504,21 @@ func (s *rankState) selectSecondOrder(actives []int, up pairHalf) (violator, err
 
 // gradientPass applies the Eq. 2 gradient update to every local active
 // sample, installs the new alphas on the owners of the selected pair, and
-// optionally applies the Eq. 9 shrink condition (Algorithm 4 lines 12-24).
+// optionally applies the Eq. 9 shrink condition (Algorithm 4 lines 12-24),
+// compacting activeIdx to the survivors. On the way it records the local
+// worst violators over the survivors for the next selectPair: the same
+// ascending fold over the final gamma and alpha values that
+// scanViolators makes, as Keerthi et al. keep b_up/b_low current during
+// the update sweep.
 // The K(x_up, .) and K(x_low, .) rows over actives come from the batched
 // row engine: one fused pair batch in first-order mode (each active row's
 // CSR payload read once for both pivots), or — in second-order mode,
 // where selection already filled kuiBuf — one more row batch for the low
 // pivot.
-func (s *rankState) gradientPass(st solver.Step, pair workingPair, betaUp, betaLow float64, actives []int, shrinkNow bool) {
+func (s *rankState) gradientPass(st solver.Step, pair workingPair, betaUp, betaLow float64, shrinkNow bool) {
 	c := s.cfg.C
 	up, low := pair.Up.Data, pair.Low.Data
+	actives := s.activeIdx
 	kui := s.kuiBuf[:len(actives)]
 	kli := s.kliBuf[:len(actives)]
 	if s.cfg.SecondOrder {
@@ -500,6 +527,9 @@ func (s *rankState) gradientPass(st solver.Step, pair workingPair, betaUp, betaL
 	} else {
 		s.ev.PairRowsInto(&s.scratch, up.Row, low.Row, up.Norm, low.Norm, actives, kui, kli)
 	}
+	vUp := mpi.ValLoc{Val: math.Inf(1), Loc: -1}
+	vLow := mpi.ValLoc{Val: math.Inf(-1), Loc: -1}
+	kept := 0
 	for k, i := range actives {
 		s.gamma[i] += solver.GradientDelta(st.T, kui[k], kli[k])
 		g := s.pt.Global(i)
@@ -513,10 +543,15 @@ func (s *rankState) gradientPass(st solver.Step, pair workingPair, betaUp, betaL
 			set := solver.Classify(s.pt.Y[i], s.alpha[i], c)
 			if solver.Shrinkable(set, s.gamma[i], betaUp, betaLow) {
 				s.active[i] = false
-				s.localActive--
+				continue
 			}
 		}
+		actives[kept] = i
+		kept++
+		s.observe(i, &vUp, &vLow)
 	}
+	s.activeIdx = actives[:kept]
+	s.up, s.low, s.scanned = vUp, vLow, true
 }
 
 // buildSVBlock collects the local samples with alpha > 0.
@@ -577,11 +612,13 @@ func (s *rankState) reconstruct() error {
 
 	// Re-admit every sample (the re-introduced samples participate in the
 	// next beta reduction, Algorithm 3 lines 7-12).
+	s.activeIdx = s.activeIdx[:len(s.active)]
 	for i := range s.active {
 		s.active[i] = true
+		s.activeIdx[i] = i
 	}
-	s.localActive = len(s.active)
 	s.globalActive = s.pt.N
+	s.scanned = false
 
 	if s.trace != nil {
 		s.trace.AddRecon(s.iter, totalShrunk, totalSVs)
@@ -654,16 +691,16 @@ func (s *rankState) warmStart() error {
 		return fmt.Errorf("core: initial alpha violates sum alpha_i*y_i = 0 (residual %.3g)", gsum)
 	}
 
-	targets := make([]int, s.pt.Len())
-	for i := range targets {
-		targets[i] = i
+	for i := range s.gamma {
 		s.gamma[i] = -s.pt.Y[i]
 	}
 	block, err := s.buildSVBlock()
 	if err != nil {
 		return err
 	}
-	return s.ringPass(block, targets)
+	// Every sample is still active before the first iteration, so the
+	// active list is the full target list.
+	return s.ringPass(block, s.activeIdx)
 }
 
 // saveCheckpoint takes a coordinated snapshot: a barrier pins every rank at

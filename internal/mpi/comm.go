@@ -17,7 +17,9 @@ type world struct {
 	abortOnce sync.Once
 
 	// fault injection (tests): sendFaults[rank] > 0 means that rank's
-	// sends start failing after that many successful sends.
+	// sends start failing after that many successful sends. Both maps are
+	// nil unless Options.SendFaults names a rank; sendFaults is fixed
+	// before the ranks start, so the empty case needs no lock.
 	faultMu    sync.Mutex
 	sendFaults map[int]int
 	sendCounts map[int]int
@@ -25,11 +27,9 @@ type world struct {
 
 func newWorld(size int, net NetModel) *world {
 	w := &world{
-		size:       size,
-		boxes:      make([]*mailbox, size),
-		net:        net,
-		sendFaults: make(map[int]int),
-		sendCounts: make(map[int]int),
+		size:  size,
+		boxes: make([]*mailbox, size),
+		net:   net,
 	}
 	for i := range w.boxes {
 		w.boxes[i] = newMailbox()
@@ -57,6 +57,9 @@ func (w *world) kill(rank int) {
 }
 
 func (w *world) checkFault(rank int) error {
+	if w.sendFaults == nil {
+		return nil
+	}
 	w.faultMu.Lock()
 	defer w.faultMu.Unlock()
 	limit, ok := w.sendFaults[rank]
@@ -292,8 +295,12 @@ func RunTimed(p int, opts Options, fn func(*Comm) error) ([]float64, error) {
 	if w.plan.CrashAtOp > 0 && (w.plan.CrashRank < 0 || w.plan.CrashRank >= p) {
 		return nil, fmt.Errorf("mpi: fault plan crash rank %d out of range [0,%d)", w.plan.CrashRank, p)
 	}
-	for r, f := range opts.SendFaults {
-		w.sendFaults[r] = f
+	if len(opts.SendFaults) > 0 {
+		w.sendFaults = make(map[int]int, len(opts.SendFaults))
+		w.sendCounts = make(map[int]int, len(opts.SendFaults))
+		for r, f := range opts.SendFaults {
+			w.sendFaults[r] = f
+		}
 	}
 	comms := make([]*Comm, p)
 	errs := make([]error, p)

@@ -1,6 +1,25 @@
 package mpi
 
-import "sync"
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+)
+
+// pollBudget is how many times a receiver re-reads the put counter before
+// it parks on the condition variable, and pollYield how often within that
+// budget it yields the processor, so the sender can run when there are
+// more ranks than GOMAXPROCS. Parking costs a futex sleep and wake per
+// message. On a 2-vCPU x86-64 host the budget spins for about 45 us, and
+// 99.8% of the receives of a p=2 core training on 416 cod-rna rows
+// waited less than 32 us; budgets from 2048 to 16384 polls all cut
+// BenchmarkTrainCodrnaP2 from about 12.5 to 6-7 us per iteration. Longer
+// waits (a reconstruction ring, a checkpoint write) still end in a park
+// rather than a burned core.
+const (
+	pollBudget = 8192
+	pollYield  = 32
+)
 
 // message is an in-flight point-to-point message.
 type message struct {
@@ -21,6 +40,10 @@ type mailbox struct {
 	cond     *sync.Cond
 	queue    []message
 	abortErr error // non-nil once the world aborted; returned by get
+
+	// puts counts puts and aborts. It changes under mu, and a receiver
+	// with no match polls it outside mu before parking on cond.
+	puts atomic.Uint64
 }
 
 func newMailbox() *mailbox {
@@ -43,6 +66,7 @@ func matches(m *message, src, tag int) bool {
 func (b *mailbox) put(m message) {
 	b.mu.Lock()
 	b.queue = append(b.queue, m)
+	b.puts.Add(1)
 	b.mu.Unlock()
 	// Broadcast rather than Signal: receivers match selectively, so the
 	// woken waiter is not necessarily the one this message satisfies.
@@ -50,7 +74,8 @@ func (b *mailbox) put(m message) {
 }
 
 // get blocks until a matching message arrives (or the world aborts) and
-// removes it from the queue.
+// removes it from the queue. With no match it first polls the put counter
+// for up to pollBudget reads, then parks on cond.
 func (b *mailbox) get(src, tag int) (message, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -58,14 +83,37 @@ func (b *mailbox) get(src, tag int) (message, error) {
 		for i := range b.queue {
 			if matches(&b.queue[i], src, tag) {
 				m := b.queue[i]
-				b.queue = append(b.queue[:i], b.queue[i+1:]...)
+				last := len(b.queue) - 1
+				copy(b.queue[i:], b.queue[i+1:])
+				b.queue[last] = message{} // drop the payload reference
+				b.queue = b.queue[:last]
 				return m, nil
 			}
 		}
 		if b.abortErr != nil {
 			return message{}, b.abortErr
 		}
-		b.cond.Wait()
+		seen := b.puts.Load()
+		b.mu.Unlock()
+		b.poll(seen)
+		b.mu.Lock()
+		// A put or abort after the poll gave up must take mu, so it
+		// cannot slip between this check and Wait.
+		if b.puts.Load() == seen {
+			b.cond.Wait()
+		}
+	}
+}
+
+// poll spins until the put counter moves off seen or the budget runs out.
+func (b *mailbox) poll(seen uint64) {
+	for i := 1; i <= pollBudget; i++ {
+		if b.puts.Load() != seen {
+			return
+		}
+		if i%pollYield == 0 {
+			runtime.Gosched()
+		}
 	}
 }
 
@@ -74,6 +122,7 @@ func (b *mailbox) get(src, tag int) (message, error) {
 func (b *mailbox) abort(err error) {
 	b.mu.Lock()
 	b.abortErr = err
+	b.puts.Add(1)
 	b.mu.Unlock()
 	b.cond.Broadcast()
 }

@@ -26,6 +26,16 @@
 // mutate a payload after send. This mirrors how the solver uses MPI (CSR
 // blocks are immutable once built).
 //
+// A receive whose message has not arrived polls the rank's mailbox (an
+// atomic put counter, read outside the lock) for a bounded budget before
+// it parks on a condition variable, the way shared-memory MPI transports
+// hand off between processes on one node: at p=2 the partner's message
+// usually lands within one iteration's compute, and a park and wake per
+// message would cost more than the iteration. The poller yields the
+// processor every few dozen reads, so worlds larger than GOMAXPROCS still
+// progress. Matching (source, tag, wildcards, per-pair send order) is the
+// same whether the receiver polled or parked.
+//
 // Every rank additionally carries a virtual clock advanced by Comm.Compute
 // and by message transfers under a Hockney alpha-beta network model
 // (NetModel). With a zero NetModel the clock degenerates to pure compute
