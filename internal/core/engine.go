@@ -41,6 +41,7 @@ func (e coreEngine) Train(ctx context.Context, prob solver.Problem, opts solver.
 		Checkpoint:   opts.Checkpoint, CheckpointEvery: opts.CheckpointEvery,
 		CheckpointSeed: opts.Seed, CheckpointFingerprint: opts.CheckpointFingerprint,
 		RecordTrace: opts.RecordTrace, DatasetName: opts.DatasetName,
+		CacheBytes: opts.CacheBytes,
 	}
 	if opts.Heuristic != "" {
 		h, err := HeuristicByName(opts.Heuristic)

@@ -149,26 +149,34 @@ func TestReconstructRescansViolators(t *testing.T) {
 }
 
 // TestSteadyStateIterationAllocs pins the allocations of one p=2
-// iteration: the working pair is boxed into an interface once per send,
-// one send per rank, and nothing else allocates. The count is the
-// difference between two iteration caps, which cancels set-up and model
-// assembly; Original never shrinks, so no shrink check falls in between.
+// iteration, in both selection modes: the working pair is boxed into an
+// interface once per send, one send per rank, and nothing else allocates
+// (second-order's extra Carry Allreduce reports its payload's size without
+// boxing it). The count is the difference between two iteration caps,
+// which cancels set-up and model assembly; Original never shrinks, so no
+// shrink check falls in between.
 func TestSteadyStateIterationAllocs(t *testing.T) {
 	ds := dataset.MustGenerate("blobs", 0.1)
-	allocs := func(iters int64) float64 {
-		cfg := blobCfg(ds, Original)
-		cfg.MaxIter = iters
-		return testing.AllocsPerRun(5, func() {
-			if _, st, err := TrainParallel(ds.X, ds.Y, 2, cfg); err != nil || st.Iterations != iters {
-				t.Fatalf("MaxIter %d: %d iterations, err %v", iters, st.Iterations, err)
-			}
-		})
-	}
-	const lo, hi = 50, 250
-	perIter := (allocs(hi) - allocs(lo)) / (hi - lo)
-	t.Logf("%.2f allocations per iteration at p=2", perIter)
-	if perIter > 2 {
-		t.Fatalf("%.2f allocations per iteration at p=2, want <= 2", perIter)
+	for _, second := range []bool{false, true} {
+		allocs := func(iters int64) float64 {
+			cfg := blobCfg(ds, Original)
+			cfg.SecondOrder = second
+			cfg.MaxIter = iters
+			return testing.AllocsPerRun(5, func() {
+				if _, st, err := TrainParallel(ds.X, ds.Y, 2, cfg); err != nil || st.Iterations != iters {
+					t.Fatalf("SecondOrder %v, MaxIter %d: %d iterations, err %v", second, iters, st.Iterations, err)
+				}
+			})
+		}
+		lo, hi := int64(50), int64(250)
+		if second {
+			lo, hi = 20, 120 // blobs converges in 149 second-order iterations
+		}
+		perIter := (allocs(hi) - allocs(lo)) / float64(hi-lo)
+		t.Logf("SecondOrder %v: %.2f allocations per iteration at p=2", second, perIter)
+		if perIter > 2 {
+			t.Errorf("SecondOrder %v: %.2f allocations per iteration at p=2, want <= 2", second, perIter)
+		}
 	}
 }
 

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
+	"repro/internal/cache"
 	"repro/internal/ckpt"
 	"repro/internal/kernel"
 	"repro/internal/model"
@@ -66,8 +68,22 @@ type Config struct {
 
 	// Lambda, when positive, charges each rank's virtual clock
 	// Lambda seconds per kernel evaluation, so RunTimed makespans can be
-	// compared against the analytic performance model.
+	// compared against the analytic performance model. The charge is the
+	// paper's cacheless cost, 3+2|active| evaluations per iteration,
+	// whatever the kernel-row cache answers, so modeled times do not
+	// depend on CacheBytes.
 	Lambda float64
+
+	// CacheBytes is the total kernel-row cache budget, split evenly
+	// across the ranks; 0 means 1 GiB, the smo engine's default, and a
+	// negative value turns the cache off. Each rank caches K(x_g, .) over
+	// its own block of samples for the pair samples g, so the budget is
+	// only a ceiling: a rank never holds more than its block of the Gram
+	// matrix, and rows are made only for samples that enter the working
+	// pair. The paper's solver has no cache (Section III-A2); see
+	// DESIGN.md for why a per-rank one differs. Models, iterates and
+	// message counts are the same at every budget.
+	CacheBytes int64
 }
 
 func (c *Config) withDefaults() Config {
@@ -80,6 +96,9 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.Heuristic.Name == "" {
 		out.Heuristic = Original
+	}
+	if out.CacheBytes == 0 {
+		out.CacheBytes = 1 << 30
 	}
 	return out
 }
@@ -116,10 +135,8 @@ type workingPair struct {
 }
 
 // ByteSize implements mpi.Sized: each side's ValLoc (16 bytes) plus its
-// sample. It sums the halves directly, the same count Carry.ByteSize
-// gives, because Carry.ByteSize boxes the pairHalf into an interface and
-// so allocates on every send.
-func (w workingPair) ByteSize() int { return 32 + w.Up.Data.ByteSize() + w.Low.Data.ByteSize() }
+// sample.
+func (w workingPair) ByteSize() int { return w.Up.ByteSize() + w.Low.ByteSize() }
 
 // combinePair picks each side with MINLOC/MAXLOC semantics (ties to the
 // smaller index); the winner's sample travels with it.
@@ -209,15 +226,26 @@ type rankState struct {
 	// activeIdx lists the local active indices in ascending order: the
 	// target list of every row batch (selection, gradient pass). Shrink
 	// checks compact it inside gradientPass and reconstruct resets it, so
-	// len(activeIdx) is the local active-set size. kuiBuf/kliBuf hold the
-	// K(x_up, x_i)/K(x_low, x_i) rows over it, shared between selection
-	// and the gradient pass. diag holds the local kernel diagonal for
-	// second-order selection.
+	// len(activeIdx) is the local active-set size. diag holds the local
+	// kernel diagonal for second-order selection.
 	diag      []float64
 	activeIdx []int
-	kuiBuf    []float64
-	kliBuf    []float64
 	blockBuf  []float64 // reconstruction scratch, one entry per stale target
+
+	// rows caches the pair rows K(x_g, x_i) over the local block, keyed
+	// by the pair sample's global index g; NaN marks an entry not
+	// computed yet. A kernel value never goes stale, so shrinking needs
+	// no invalidation: each iteration computes only the active entries
+	// its rows lack. rowUp and rowLow are the current pair's rows, shared
+	// between second-order selection and the gradient pass; tmpUp and
+	// tmpLow stand in for them when the budget holds no row. missUp and
+	// missLow list the entries a row lacks, valUp and valLow their
+	// computed values.
+	rows            *cache.RowCache
+	rowUp, rowLow   []float64
+	tmpUp, tmpLow   []float64
+	missUp, missLow []int
+	valUp, valLow   []float64
 
 	// up and low are the local worst violators over activeIdx, recorded
 	// by the last gradient pass for the next selectPair. scanned is false
@@ -226,6 +254,13 @@ type rankState struct {
 	// runs before it) and after a reconstruction.
 	up, low mpi.ValLoc
 	scanned bool
+
+	// partner is this rank's operand of the second-order Allreduce, which
+	// reduces pointers so that its sends allocate nothing. The result
+	// points at some rank's partner and is copied at once; no rank
+	// rewrites its partner before the next selection Allreduce, which no
+	// rank leaves before every rank has entered it.
+	partner violator
 
 	// beforeReduce, when set (tests), runs in selectPair once up and low
 	// are current, before the reduction.
@@ -266,8 +301,9 @@ func newRankState(c *mpi.Comm, pt *Partition, cfg Config) *rankState {
 	}
 	s.delta = cfg.Heuristic.InitialThreshold(pt.N)
 	s.deltaC = s.delta
-	s.kuiBuf = make([]float64, n)
-	s.kliBuf = make([]float64, n)
+	s.rows = cache.New(cfg.CacheBytes/int64(pt.P), pt.N, n)
+	s.missUp, s.missLow = make([]int, n), make([]int, n)
+	s.valUp, s.valLow = make([]float64, n), make([]float64, n)
 	if cfg.SecondOrder {
 		s.diag = make([]float64, n)
 		s.ev.DiagInto(s.diag)
@@ -405,7 +441,7 @@ func (s *rankState) solve() error {
 		s.iter++
 
 		if s.cfg.SecondOrder {
-			if j, err := s.selectSecondOrder(pair.Up.Data); err != nil {
+			if j, err := s.selectSecondOrder(pair.Up); err != nil {
 				return err
 			} else if j.Loc >= 0 {
 				pair.Low = j
@@ -474,32 +510,38 @@ func (s *rankState) solve() error {
 // selectSecondOrder picks the partner of i_up by maximal analytic gain
 // among local low-side violators, then combines globally with a MAXLOC
 // Allreduce that carries the winner's sample like selectPair does (Loc -1
-// when no rank has a candidate). It fills s.kuiBuf with K(x_up, x_i) over
-// the actives as a side effect — one batched row evaluation — and the
-// gradient pass reuses those values, so the second-order rule costs no
-// extra kernel evaluations.
-func (s *rankState) selectSecondOrder(up pairHalf) (violator, error) {
-	kUU := s.cfg.Kernel.Eval(up.Row, up.Row, up.Norm, up.Norm)
+// when no rank has a candidate). It completes s.rowUp, K(x_up, x_i) over
+// the actives, as a side effect — at most one batched row evaluation —
+// and the gradient pass reuses those values, so the second-order rule
+// costs no extra kernel evaluations.
+func (s *rankState) selectSecondOrder(up violator) (violator, error) {
+	kUU := s.cfg.Kernel.Eval(up.Data.Row, up.Data.Row, up.Data.Norm, up.Data.Norm)
 	s.manualEvals++
-	actives := s.activeIdx
-	kui := s.kuiBuf[:len(actives)]
-	s.ev.RowInto(&s.scratch, up.Row, up.Norm, actives, kui)
+	var miss []int
+	s.rowUp, miss = s.lookupRow(up.Loc, &s.tmpUp, s.missUp)
+	s.fillRow(up.Data, s.rowUp, miss, s.valUp)
+	kui := s.rowUp
 	best := mpi.ValLoc{Val: math.Inf(-1), Loc: -1}
-	for k, i := range actives {
+	for _, i := range s.activeIdx {
 		if !solver.InLow(s.pt.Y[i], s.alpha[i], s.cfg.C) {
 			continue
 		}
-		b := s.gamma[i] - up.Gamma
+		b := s.gamma[i] - up.Data.Gamma
 		if b <= 0 {
 			continue
 		}
-		eta := kUU + s.diag[i] - 2*kui[k]
+		eta := kUU + s.diag[i] - 2*kui[i]
 		if eta <= solver.Tau {
 			eta = solver.Tau
 		}
 		best = mpi.MaxLoc(best, mpi.ValLoc{Val: b * b / eta, Loc: s.pt.Global(i)})
 	}
-	return mpi.Allreduce(s.c, s.violator(best), mpi.MaxLocCarry[pairHalf])
+	s.partner = s.violator(best)
+	j, err := mpi.Allreduce(s.c, &s.partner, mpi.MaxLocCarryRef[pairHalf])
+	if err != nil {
+		return violator{}, err
+	}
+	return *j, nil
 }
 
 // gradientPass applies the Eq. 2 gradient update to every local active
@@ -510,28 +552,19 @@ func (s *rankState) selectSecondOrder(up pairHalf) (violator, error) {
 // ascending fold over the final gamma and alpha values that
 // scanViolators makes, as Keerthi et al. keep b_up/b_low current during
 // the update sweep.
-// The K(x_up, .) and K(x_low, .) rows over actives come from the batched
-// row engine: one fused pair batch in first-order mode (each active row's
-// CSR payload read once for both pivots), or — in second-order mode,
-// where selection already filled kuiBuf — one more row batch for the low
-// pivot.
+// The K(x_up, .) and K(x_low, .) rows over actives come from the pair
+// rows (fillPairRows); in second-order mode selection already completed
+// the up row.
 func (s *rankState) gradientPass(st solver.Step, pair workingPair, betaUp, betaLow float64, shrinkNow bool) {
 	c := s.cfg.C
-	up, low := pair.Up.Data, pair.Low.Data
+	s.fillPairRows(pair)
+	kui, kli := s.rowUp, s.rowLow
 	actives := s.activeIdx
-	kui := s.kuiBuf[:len(actives)]
-	kli := s.kliBuf[:len(actives)]
-	if s.cfg.SecondOrder {
-		// kui was computed during selection.
-		s.ev.RowInto(&s.scratch, low.Row, low.Norm, actives, kli)
-	} else {
-		s.ev.PairRowsInto(&s.scratch, up.Row, low.Row, up.Norm, low.Norm, actives, kui, kli)
-	}
 	vUp := mpi.ValLoc{Val: math.Inf(1), Loc: -1}
 	vLow := mpi.ValLoc{Val: math.Inf(-1), Loc: -1}
 	kept := 0
-	for k, i := range actives {
-		s.gamma[i] += solver.GradientDelta(st.T, kui[k], kli[k])
+	for _, i := range actives {
+		s.gamma[i] += solver.GradientDelta(st.T, kui[i], kli[i])
 		g := s.pt.Global(i)
 		if g == pair.Up.Loc {
 			s.alpha[i] = st.NewAlphaUp
@@ -554,9 +587,76 @@ func (s *rankState) gradientPass(st solver.Step, pair workingPair, betaUp, betaL
 	s.up, s.low, s.scanned = vUp, vLow, true
 }
 
+// fillPairRows makes s.rowUp and s.rowLow hold K(x_up, x_i) and
+// K(x_low, x_i) at every local active i, computing only what the cached
+// rows lack. When both rows lack the same entries (two fresh rows, the
+// usual miss) one fused pair batch computes them, reading each target's
+// CSR payload once for both pivots; otherwise each row gets its own row
+// batch. In second-order mode selection has completed the up row.
+func (s *rankState) fillPairRows(pair workingPair) {
+	up, low := pair.Up.Data, pair.Low.Data
+	var missUp, missLow []int
+	if !s.cfg.SecondOrder {
+		s.rowUp, missUp = s.lookupRow(pair.Up.Loc, &s.tmpUp, s.missUp)
+	}
+	s.rowLow, missLow = s.lookupRow(pair.Low.Loc, &s.tmpLow, s.missLow)
+	if len(missUp) > 0 && slices.Equal(missUp, missLow) {
+		vu, vl := s.valUp[:len(missUp)], s.valLow[:len(missUp)]
+		s.ev.PairRowsInto(&s.scratch, up.Row, low.Row, up.Norm, low.Norm, missUp, vu, vl)
+		for k, i := range missUp {
+			s.rowUp[i], s.rowLow[i] = vu[k], vl[k]
+		}
+		return
+	}
+	s.fillRow(up, s.rowUp, missUp, s.valUp)
+	s.fillRow(low, s.rowLow, missLow, s.valLow)
+}
+
+// lookupRow returns the row for pair sample g (a global index) and the
+// local active indices whose entries it lacks, listed in miss's storage.
+// A cached row lacks its NaN entries; a newly admitted row, or tmp when
+// the budget holds no row, lacks every active entry.
+func (s *rankState) lookupRow(g int, tmp *[]float64, miss []int) ([]float64, []int) {
+	if row, ok := s.rows.Get(g); ok {
+		miss = miss[:0]
+		for _, i := range s.activeIdx {
+			if math.IsNaN(row[i]) {
+				miss = append(miss, i)
+			}
+		}
+		return row, miss
+	}
+	if row := s.rows.Put(g); row != nil {
+		return row, s.activeIdx
+	}
+	if *tmp == nil {
+		*tmp = make([]float64, s.pt.Len())
+	}
+	return *tmp, s.activeIdx
+}
+
+// fillRow computes the entries miss lists of pivot h's row in one row
+// batch, through vals.
+func (s *rankState) fillRow(h pairHalf, row []float64, miss []int, vals []float64) {
+	if len(miss) == 0 {
+		return
+	}
+	vals = vals[:len(miss)]
+	s.ev.RowInto(&s.scratch, h.Row, h.Norm, miss, vals)
+	for k, i := range miss {
+		row[i] = vals[k]
+	}
+}
+
 // buildSVBlock collects the local samples with alpha > 0.
 func (s *rankState) buildSVBlock() (*svBlock, error) {
-	var idx []int
+	n := 0
+	for _, a := range s.alpha {
+		if a > 0 {
+			n++
+		}
+	}
+	idx := make([]int, 0, n)
 	for i, a := range s.alpha {
 		if a > 0 {
 			idx = append(idx, i)
@@ -806,8 +906,8 @@ func (s *rankState) finish() (*model.Model, *Stats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	evals := s.ev.Evals() + s.manualEvals
-	totalEvals, err := mpi.Allreduce(s.c, evals, func(a, b uint64) uint64 { return a + b })
+	hits, misses, evictions := s.rows.Stats()
+	total, err := mpi.Allreduce(s.c, counters{s.ev.Evals() + s.manualEvals, hits, misses, evictions}, addCounters)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -822,8 +922,11 @@ func (s *rankState) finish() (*model.Model, *Stats, error) {
 		ShrinkEvents:    s.shrinkEvents,
 		Reconstructions: s.reconstructions,
 		FinalActive:     s.globalActive,
-		KernelEvals:     totalEvals,
+		KernelEvals:     total.Evals,
 		Objective:       obj / 2,
+		CacheHits:       total.Hits,
+		CacheMisses:     total.Misses,
+		CacheEvictions:  total.Evictions,
 	}}
 	if s.trace != nil {
 		s.trace.Iterations = s.iter
@@ -861,6 +964,17 @@ func (s *rankState) finish() (*model.Model, *Stats, error) {
 		Iterations:   s.iter,
 	}
 	return m, st, nil
+}
+
+// counters are the per-rank counts finish sums in one Allreduce: kernel
+// evaluations and the kernel-row cache's traffic.
+type counters struct{ Evals, Hits, Misses, Evictions uint64 }
+
+// ByteSize implements mpi.Sized.
+func (counters) ByteSize() int { return 32 }
+
+func addCounters(a, b counters) counters {
+	return counters{a.Evals + b.Evals, a.Hits + b.Hits, a.Misses + b.Misses, a.Evictions + b.Evictions}
 }
 
 // avgNNZGlobal is computed locally on rank 0 from its block — blocks are

@@ -481,6 +481,11 @@ func TestSecondOrderSelection(t *testing.T) {
 	ds := dataset.MustGenerate("blobs", 0.2)
 	first := blobCfg(ds, Multi5pc)
 	first.RecordTrace = true
+	// The eval-rate check below measures the K(up, .) row being shared
+	// within an iteration, so both runs go without the kernel-row cache:
+	// its misses are mostly first fills of a pair sample's row, which
+	// second-order's far fewer iterations amortize less.
+	first.CacheBytes = -1
 	second := first
 	second.SecondOrder = true
 	_, st1, err := TrainParallel(ds.X, ds.Y, 3, first)

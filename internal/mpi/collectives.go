@@ -231,18 +231,20 @@ func maxLocTakes(a, b ValLoc) bool { return b.Val > a.Val || (b.Val == a.Val && 
 // it, so one Allreduce both selects an element and delivers it to every
 // rank (the solver's working pair, instead of a hop through a root and a
 // broadcast).
-type Carry[T any] struct {
+type Carry[T Sized] struct {
 	ValLoc
 	Data T
 }
 
-// ByteSize implements Sized: the ValLoc plus the payload's size.
-func (c Carry[T]) ByteSize() int { return 16 + PayloadBytes(c.Data) }
+// ByteSize implements Sized: the ValLoc plus the payload's size. The
+// payload reports its own size, so a send does not box it into an
+// interface to ask.
+func (c Carry[T]) ByteSize() int { return 16 + c.Data.ByteSize() }
 
 // MinLocCarry is MinLoc over Carry operands. On an exact ValLoc tie the
 // left operand wins, which Allreduce makes the lower ranks' partial, so
 // the result matches a sequential fold in rank order.
-func MinLocCarry[T any](a, b Carry[T]) Carry[T] {
+func MinLocCarry[T Sized](a, b Carry[T]) Carry[T] {
 	if minLocTakes(a.ValLoc, b.ValLoc) {
 		return b
 	}
@@ -250,7 +252,20 @@ func MinLocCarry[T any](a, b Carry[T]) Carry[T] {
 }
 
 // MaxLocCarry is MaxLoc over Carry operands, with MinLocCarry's tie rule.
-func MaxLocCarry[T any](a, b Carry[T]) Carry[T] {
+func MaxLocCarry[T Sized](a, b Carry[T]) Carry[T] {
+	if maxLocTakes(a.ValLoc, b.ValLoc) {
+		return b
+	}
+	return a
+}
+
+// MaxLocCarryRef is MaxLocCarry over pointers to Carry operands. It
+// returns one of its operands and makes no new value, so an Allreduce over
+// *Carry sends pointers, which box into an interface without allocating.
+// Every rank's result then points at some rank's operand: each owner must
+// leave its operand unchanged until every rank has read the result (for
+// example, until the next collective they all enter).
+func MaxLocCarryRef[T Sized](a, b *Carry[T]) *Carry[T] {
 	if maxLocTakes(a.ValLoc, b.ValLoc) {
 		return b
 	}

@@ -143,8 +143,12 @@ func TestBcastPropertyVsReference(t *testing.T) {
 // payload exactly as a sequential fold in rank order produces them. Small
 // value ranges force value ties (broken toward the smaller Loc) and
 // duplicate locations with different payloads (the lower rank's wins).
+// payload is TestAllreduceCarryPropertyVsSequential's Carry payload.
+type payload struct{ rank, loc int }
+
+func (payload) ByteSize() int { return 16 }
+
 func TestAllreduceCarryPropertyVsSequential(t *testing.T) {
-	type payload struct{ rank, loc int }
 	for p := 1; p <= 9; p++ {
 		for trial := 0; trial < 20; trial++ {
 			rng := rand.New(rand.NewSource(int64(9000 + 100*p + trial)))
@@ -172,22 +176,30 @@ func TestAllreduceCarryPropertyVsSequential(t *testing.T) {
 
 			gotMin := make([]Carry[payload], p)
 			gotMax := make([]Carry[payload], p)
+			gotRef := make([]Carry[payload], p)
 			err := Run(p, func(c *Comm) error {
 				mn, err := Allreduce(c, vals[c.Rank()], MinLocCarry[payload])
 				if err != nil {
 					return err
 				}
 				mx, err := Allreduce(c, vals[c.Rank()], MaxLocCarry[payload])
+				if err != nil {
+					return err
+				}
+				ref, err := Allreduce(c, &vals[c.Rank()], MaxLocCarryRef[payload])
 				gotMin[c.Rank()], gotMax[c.Rank()] = mn, mx
+				if ref != nil {
+					gotRef[c.Rank()] = *ref
+				}
 				return err
 			})
 			if err != nil {
 				t.Fatalf("p=%d trial %d: %v", p, trial, err)
 			}
 			for r := 0; r < p; r++ {
-				if gotMin[r] != wantMin || gotMax[r] != wantMax {
-					t.Errorf("p=%d trial %d (vals=%v): rank %d got min %+v max %+v, want %+v %+v",
-						p, trial, vals, r, gotMin[r], gotMax[r], wantMin, wantMax)
+				if gotMin[r] != wantMin || gotMax[r] != wantMax || gotRef[r] != wantMax {
+					t.Errorf("p=%d trial %d (vals=%v): rank %d got min %+v max %+v max by reference %+v, want %+v %+v",
+						p, trial, vals, r, gotMin[r], gotMax[r], gotRef[r], wantMin, wantMax)
 				}
 			}
 		}

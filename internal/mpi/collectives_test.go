@@ -297,12 +297,17 @@ func TestConsecutiveCollectivesDoNotCrossMatch(t *testing.T) {
 	}
 }
 
+// sizedInt is an int Carry payload.
+type sizedInt int
+
+func (sizedInt) ByteSize() int { return 8 }
+
 func TestMixedCollectiveSequence(t *testing.T) {
 	// The solver's pattern: one Carry Allreduce per iteration selects and
 	// delivers the working pair, a SumInt Allreduce at each shrink check,
 	// Barrier + Gather for each checkpoint, and a final Gather assembles
 	// the model. Exercise the sequence under all sizes.
-	type pair struct{ Up, Low Carry[int] }
+	type pair struct{ Up, Low Carry[sizedInt] }
 	combine := func(a, b pair) pair {
 		return pair{Up: MinLocCarry(a.Up, b.Up), Low: MaxLocCarry(a.Low, b.Low)}
 	}
@@ -310,12 +315,12 @@ func TestMixedCollectiveSequence(t *testing.T) {
 		err := Run(p, func(c *Comm) error {
 			r := c.Rank()
 			for i := 0; i < 10; i++ {
-				mine := Carry[int]{ValLoc: ValLoc{float64(r), r}, Data: 100*i + r}
+				mine := Carry[sizedInt]{ValLoc: ValLoc{float64(r), r}, Data: sizedInt(100*i + r)}
 				got, err := Allreduce(c, pair{Up: mine, Low: mine}, combine)
 				if err != nil {
 					return err
 				}
-				if got.Up.Loc != 0 || got.Up.Data != 100*i || got.Low.Loc != p-1 || got.Low.Data != 100*i+p-1 {
+				if got.Up.Loc != 0 || got.Up.Data != sizedInt(100*i) || got.Low.Loc != p-1 || got.Low.Data != sizedInt(100*i+p-1) {
 					return fmt.Errorf("p=%d i=%d: pair %+v", p, i, got)
 				}
 				if i%3 == 2 {

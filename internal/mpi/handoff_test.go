@@ -81,9 +81,9 @@ func TestGetReleasesConsumedPayload(t *testing.T) {
 func TestAllreduceCarryOversubscribed(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const p, rounds = 6, 3000
-	operand := func(round, rank int) Carry[int] {
+	operand := func(round, rank int) Carry[sizedInt] {
 		v := ValLoc{Val: float64((round*7 + rank*13) % 5), Loc: (round + rank*3) % 11}
-		return Carry[int]{ValLoc: v, Data: 100*round + rank}
+		return Carry[sizedInt]{ValLoc: v, Data: sizedInt(100*round + rank)}
 	}
 	err := Run(p, func(c *Comm) error {
 		for round := 0; round < rounds; round++ {
@@ -91,7 +91,7 @@ func TestAllreduceCarryOversubscribed(t *testing.T) {
 			for r := 1; r < p; r++ {
 				want = MinLocCarry(want, operand(round, r))
 			}
-			got, err := Allreduce(c, operand(round, c.Rank()), MinLocCarry[int])
+			got, err := Allreduce(c, operand(round, c.Rank()), MinLocCarry[sizedInt])
 			if err != nil {
 				return err
 			}
@@ -106,15 +106,20 @@ func TestAllreduceCarryOversubscribed(t *testing.T) {
 	}
 }
 
+// quad is BenchmarkAllreduceCarryP2's 32-byte Carry payload.
+type quad [4]float64
+
+func (quad) ByteSize() int { return 32 }
+
 // BenchmarkAllreduceCarryP2 is a ping-pong: one op is one Carry Allreduce
 // on two ranks, a send and a matching receive on each, so ns/op is the
 // in-process hand-off latency of one exchange.
 func BenchmarkAllreduceCarryP2(b *testing.B) {
 	b.ReportAllocs()
 	err := Run(2, func(c *Comm) error {
-		v := Carry[[4]float64]{ValLoc: ValLoc{Val: float64(c.Rank()), Loc: c.Rank()}}
+		v := Carry[quad]{ValLoc: ValLoc{Val: float64(c.Rank()), Loc: c.Rank()}}
 		for i := 0; i < b.N; i++ {
-			if _, err := Allreduce(c, v, MinLocCarry[[4]float64]); err != nil {
+			if _, err := Allreduce(c, v, MinLocCarry[quad]); err != nil {
 				return err
 			}
 		}

@@ -264,7 +264,7 @@ func newState(x *sparse.Matrix, y []float64, cfg Config) *state {
 		active:  make([]bool, n),
 		nActive: n,
 		ev:      kernel.NewEvaluator(cfg.Kernel, x),
-		rows:    cache.New(cfg.CacheBytes),
+		rows:    cache.New(cfg.CacheBytes, n, n),
 	}
 	for i := 0; i < n; i++ {
 		// Algorithm 1 line 1: gamma_i <- y_i*p_i, alpha_i <- 0. The
@@ -409,19 +409,21 @@ func (s *state) selectSecondOrder(u int, rowU []float64) int {
 // Entries are NaN until computed; the gradient loop fills them lazily so a
 // row computed under a small active set stays reusable and is completed on
 // demand if the active set grows back.
+// The lookup after an admission is counted as a hit, so each miss also
+// adds a hit to the reported cache statistics.
 func (s *state) getRow(u int) []float64 {
 	if row, ok := s.rows.Get(u); ok {
 		return row
 	}
-	row := make([]float64, len(s.alpha))
+	s.rows.Put(u)
+	if row, ok := s.rows.Get(u); ok {
+		return row
+	}
+	row := make([]float64, len(s.alpha)) // cache disabled: a transient row
 	for i := range row {
 		row[i] = math.NaN()
 	}
-	s.rows.Put(u, row)
-	if got, ok := s.rows.Get(u); ok {
-		return got
-	}
-	return row // cache disabled: caller uses the transient row
+	return row
 }
 
 // kernelAt returns K(u, i) via the row, computing and memoizing on miss.

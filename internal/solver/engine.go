@@ -225,7 +225,8 @@ type Options struct {
 	// MaxIter bounds the iteration count; 0 means the engine default.
 	MaxIter int64
 	// CacheBytes is the kernel-row cache budget for engines that cache;
-	// 0 means the engine default (1 GiB for smo-family engines).
+	// 0 means the engine default (1 GiB for smo-family engines, and for
+	// core split across its ranks).
 	CacheBytes int64
 
 	// InitialAlpha warm-starts the engine from a feasible dual point (a

@@ -291,11 +291,15 @@ func (m *Matrix) RowRangeView(lo, hi int) (*Matrix, error) {
 // SelectRows returns a new matrix holding the given rows of m, in order.
 // Used to extract support vectors when building the final model.
 func (m *Matrix) SelectRows(rows []int) (*Matrix, error) {
-	out := &Matrix{RowPtr: make([]int64, 1, len(rows)+1), Cols: m.Cols}
+	nnz := 0
 	for _, r := range rows {
 		if r < 0 || r >= m.Rows() {
 			return nil, fmt.Errorf("sparse: SelectRows index %d out of range for %d rows", r, m.Rows())
 		}
+		nnz += int(m.RowPtr[r+1] - m.RowPtr[r])
+	}
+	out := &Matrix{RowPtr: make([]int64, 1, len(rows)+1), ColIdx: make([]int32, 0, nnz), Val: make([]float64, 0, nnz), Cols: m.Cols}
+	for _, r := range rows {
 		rv := m.RowView(r)
 		out.ColIdx = append(out.ColIdx, rv.Idx...)
 		out.Val = append(out.Val, rv.Val...)
