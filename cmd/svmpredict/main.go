@@ -13,7 +13,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/model"
 	"repro/internal/serve"
-	"repro/internal/sparse"
 )
 
 func main() {
@@ -76,13 +75,11 @@ func run() error {
 	// packed layout amortize over whole blocks instead of single rows.
 	correct := 0
 	for lo := 0; lo < x.Rows(); lo += *chunk {
-		hi := min(lo+*chunk, x.Rows())
-		b := sparse.NewBuilder(m.FeatureDim())
-		for i := lo; i < hi; i++ {
-			row := x.RowView(i)
-			b.AddRow(row.Idx, row.Val)
+		view, err := x.RowRangeView(lo, min(lo+*chunk, x.Rows()))
+		if err != nil {
+			return err
 		}
-		dv := m.DecisionValues(b.Build(), *workers)
+		dv := m.DecisionValues(view, *workers)
 		for i, v := range dv {
 			pred := 1.0
 			if v < 0 {

@@ -102,26 +102,16 @@ type State struct {
 	Reconstructions int32
 }
 
-// The dataset fingerprint is compositional: each row hashes independently
-// (bound to its global row index and label), a block of rows contributes the
-// wrapping sum of its row hashes, and the final fingerprint mixes the sum
-// with the global shape. Summation is associative, so ranks that load
-// disjoint shards compute partial sums independently and combine them in any
-// grouping — the result is identical to fingerprinting the whole dataset on
-// one node, for every shard count. Binding the global index into each row
-// hash keeps the commutative sum order-sensitive: moving a row changes its
-// hash, so permuted or shifted datasets do not collide.
-
-// RowFingerprint hashes one row of the dataset: its global (file-order)
-// index, its label, and its sparse content.
-func RowFingerprint(globalRow int, r sparse.Row, label float64) uint64 {
+// rowFingerprint hashes one row of the dataset: its (file-order) index, its
+// label, and its sparse content.
+func rowFingerprint(row int, r sparse.Row, label float64) uint64 {
 	h := crc64.New(fpTable)
 	var b [8]byte
 	put := func(v uint64) {
 		binary.LittleEndian.PutUint64(b[:], v)
 		h.Write(b[:])
 	}
-	put(uint64(globalRow))
+	put(uint64(row))
 	put(math.Float64bits(label))
 	put(uint64(len(r.Idx)))
 	for k, c := range r.Idx {
@@ -131,45 +121,29 @@ func RowFingerprint(globalRow int, r sparse.Row, label float64) uint64 {
 	return h.Sum64()
 }
 
-// PartialFingerprint returns the fingerprint contribution of a row block
-// whose first row sits at global index lo: the wrapping sum of its row
-// hashes. Partials from disjoint blocks add (in any order or grouping) to
-// the whole dataset's partial.
-func PartialFingerprint(x sparse.RowMatrix, y []float64, lo int) uint64 {
+// Fingerprint returns the content hash of a training set: row content,
+// labels, and shape. Two datasets fingerprint equally exactly when their
+// stored rows are identical, which is the resume-safety contract: a
+// checkpoint's alpha vector is only meaningful against the exact rows it
+// was trained on. Each row hashes on its own, bound to its index and label;
+// the rows' wrapping sum is then sealed with the shape. The index keeps the
+// sum order-sensitive: moving a row changes its hash, so permuted or
+// shifted datasets do not collide.
+func Fingerprint(x *sparse.Matrix, y []float64) uint64 {
 	var sum uint64
 	for i := 0; i < x.Rows(); i++ {
-		sum += RowFingerprint(lo+i, x.RowView(i), y[i])
+		sum += rowFingerprint(i, x.RowView(i), y[i])
 	}
-	return sum
-}
-
-// FinishFingerprint seals a summed partial with the global shape.
-func FinishFingerprint(rows, cols int, partial uint64) uint64 {
 	h := crc64.New(fpTable)
 	var b [8]byte
 	put := func(v uint64) {
 		binary.LittleEndian.PutUint64(b[:], v)
 		h.Write(b[:])
 	}
-	put(uint64(rows))
-	put(uint64(cols))
-	put(partial)
+	put(uint64(x.Rows()))
+	put(uint64(x.Cols))
+	put(sum)
 	return h.Sum64()
-}
-
-// FingerprintOf fingerprints any row-iterable training set — in-memory or
-// out-of-core — without materializing it.
-func FingerprintOf(x sparse.RowMatrix, y []float64) uint64 {
-	return FinishFingerprint(x.Rows(), x.Dim(), PartialFingerprint(x, y, 0))
-}
-
-// Fingerprint returns the content hash of a training set: row content,
-// labels, and shape. Two datasets fingerprint equally exactly when their
-// stored rows are identical, which is the resume-safety contract: a
-// checkpoint's alpha vector is only meaningful against the exact rows it
-// was trained on.
-func Fingerprint(x *sparse.Matrix, y []float64) uint64 {
-	return FingerprintOf(x, y)
 }
 
 // BindModel mixes a base-model content hash into a dataset fingerprint.
@@ -195,17 +169,7 @@ func (s *State) Matches(x *sparse.Matrix, y []float64) error {
 	if len(y) != x.Rows() {
 		return fmt.Errorf("ckpt: %d labels for %d rows", len(y), x.Rows())
 	}
-	return s.MatchesFingerprint(x.Rows(), Fingerprint(x, y))
-}
-
-// MatchesFingerprint is Matches for callers that composed the fingerprint
-// themselves — the sharded loader combines per-shard partials without ever
-// holding the dataset in one matrix.
-func (s *State) MatchesFingerprint(n int, fp uint64) error {
-	if s.N != n {
-		return fmt.Errorf("ckpt: checkpoint holds %d samples, dataset has %d", s.N, n)
-	}
-	if fp != s.Fingerprint {
+	if fp := Fingerprint(x, y); fp != s.Fingerprint {
 		return fmt.Errorf("ckpt: dataset fingerprint %016x does not match checkpoint fingerprint %016x — resumed data differs from the data the checkpoint was trained on", fp, s.Fingerprint)
 	}
 	return nil
@@ -436,12 +400,6 @@ const (
 	tmpName    = "checkpoint.ckpt.tmp"
 )
 
-// LatestPath returns the path Save writes the newest generation to.
-func LatestPath(dir string) string { return filepath.Join(dir, latestName) }
-
-// PrevPath returns the path of the retained previous generation.
-func PrevPath(dir string) string { return filepath.Join(dir, prevName) }
-
 // Writer persists checkpoint generations into one directory. It is safe for
 // concurrent use (dcsvm's cluster goroutines share one writer); saves are
 // serialized under a mutex so generations never interleave.
@@ -465,9 +423,6 @@ func NewWriter(dir string) (*Writer, error) {
 	}
 	return &Writer{dir: dir}, nil
 }
-
-// Dir returns the checkpoint directory.
-func (w *Writer) Dir() string { return w.dir }
 
 // Saves returns how many generations this writer has written (stats/bench).
 func (w *Writer) Saves() int {

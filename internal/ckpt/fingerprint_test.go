@@ -31,30 +31,6 @@ func fpDataset(seed int64, rows, cols int) (*sparse.Matrix, []float64) {
 	return m, y
 }
 
-// TestFingerprintComposes checks the shard-composition contract: partial
-// fingerprints of disjoint row blocks sum to the whole dataset's partial for
-// every shard count, so FinishFingerprint over the combined sum equals
-// Fingerprint over the whole dataset.
-func TestFingerprintComposes(t *testing.T) {
-	x, y := fpDataset(1, 157, 40)
-	want := Fingerprint(x, y)
-	for _, n := range []int{1, 2, 3, 7, 16, 157} {
-		var sum uint64
-		for r := 0; r < n; r++ {
-			lo := r * x.Rows() / n
-			hi := (r + 1) * x.Rows() / n
-			blk, err := x.RowRangeView(lo, hi)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sum += PartialFingerprint(blk, y[lo:hi], lo)
-		}
-		if got := FinishFingerprint(x.Rows(), x.Cols, sum); got != want {
-			t.Fatalf("n=%d shards: composed fingerprint %016x, want %016x", n, got, want)
-		}
-	}
-}
-
 // TestFingerprintOrderSensitive checks the commutative sum does not make the
 // fingerprint permutation-blind: swapping two distinct rows (or their
 // labels) changes it.
@@ -123,26 +99,24 @@ func TestFingerprintDetectsMutation(t *testing.T) {
 	}
 }
 
-// TestFingerprintOf checks the RowMatrix path agrees with the concrete
-// matrix path (the OOC loader fingerprints through the interface).
-func TestFingerprintOf(t *testing.T) {
-	x, y := fpDataset(4, 30, 10)
-	if FingerprintOf(x, y) != Fingerprint(x, y) {
-		t.Fatal("FingerprintOf(Matrix) diverges from Fingerprint")
-	}
-}
-
-// TestMatchesFingerprint checks the precomposed-fingerprint validator.
+// TestMatchesFingerprint checks Matches against datasets that differ in a
+// label or in their row count.
 func TestMatchesFingerprint(t *testing.T) {
 	x, y := fpDataset(5, 25, 12)
 	st := &State{N: x.Rows(), Fingerprint: Fingerprint(x, y)}
-	if err := st.MatchesFingerprint(x.Rows(), Fingerprint(x, y)); err != nil {
+	if err := st.Matches(x, y); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.MatchesFingerprint(x.Rows()+1, Fingerprint(x, y)); err == nil {
-		t.Fatal("row-count mismatch accepted")
-	}
-	if err := st.MatchesFingerprint(x.Rows(), Fingerprint(x, y)^1); err == nil {
+	y[3] = -y[3]
+	if err := st.Matches(x, y); err == nil {
 		t.Fatal("fingerprint mismatch accepted")
+	}
+	y[3] = -y[3]
+	head, err := x.SubMatrix(0, x.Rows()-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Matches(head, y[:x.Rows()-1]); err == nil {
+		t.Fatal("row-count mismatch accepted")
 	}
 }

@@ -24,8 +24,8 @@ type cachedRun struct {
 
 // trainRanks trains on p ranks inside its own mpi.Run, so each rank's send
 // count can be read, and returns the model file, rank 0's stats and, when
-// cfg checkpoints, the latest checkpoint's bytes.
-func trainRanks(t *testing.T, ds *dataset.Dataset, p int, cfg Config) cachedRun {
+// cfg checkpoints into ckptDir, the latest checkpoint's bytes.
+func trainRanks(t *testing.T, ds *dataset.Dataset, p int, cfg Config, ckptDir string) cachedRun {
 	t.Helper()
 	run := cachedRun{sends: make([]int, p)}
 	var m *model.Model
@@ -52,8 +52,8 @@ func trainRanks(t *testing.T, ds *dataset.Dataset, p int, cfg Config) cachedRun 
 		t.Fatal(err)
 	}
 	run.model = buf.Bytes()
-	if cfg.Checkpoint != nil {
-		if run.ckpt, err = os.ReadFile(ckpt.LatestPath(cfg.Checkpoint.Dir())); err != nil {
+	if ckptDir != "" {
+		if run.ckpt, err = os.ReadFile(filepath.Join(ckptDir, "checkpoint.ckpt")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -74,31 +74,33 @@ func TestCacheBudgetEquivalence(t *testing.T) {
 	warmFrom, _ := solveChecked(t, ds, 1, partial)
 
 	// A variant's cfg is the configuration to compare at budget
-	// cacheBytes on p ranks.
+	// cacheBytes on p ranks, and the directory it checkpoints into ("" for
+	// none).
 	type variant struct {
 		name string
-		cfg  func(t *testing.T, p int, cacheBytes int64) Config
+		cfg  func(t *testing.T, p int, cacheBytes int64) (Config, string)
 	}
 	var variants []variant
 	for _, h := range []Heuristic{Original, Single500, Multi5pc, Multi2} {
 		for _, second := range []bool{false, true} {
 			h, second := h, second
-			variants = append(variants, variant{fmt.Sprintf("%s/second=%v", h.Name, second), func(_ *testing.T, _ int, cacheBytes int64) Config {
+			variants = append(variants, variant{fmt.Sprintf("%s/second=%v", h.Name, second), func(_ *testing.T, _ int, cacheBytes int64) (Config, string) {
 				cfg := blobCfg(ds, h)
 				cfg.SecondOrder, cfg.CacheBytes = second, cacheBytes
-				return cfg
+				return cfg, ""
 			}})
 		}
 	}
-	variants = append(variants, variant{"WarmStart", func(_ *testing.T, _ int, cacheBytes int64) Config {
+	variants = append(variants, variant{"WarmStart", func(_ *testing.T, _ int, cacheBytes int64) (Config, string) {
 		cfg := blobCfg(ds, Multi5pc)
 		cfg.InitialAlpha, cfg.CacheBytes = warmFrom, cacheBytes
-		return cfg
+		return cfg, ""
 	}})
 	// Checkpoint resume: a run checkpoints and stops at MaxIter (as a
 	// crash would), and a second run resumes from the checkpoint's alpha.
-	variants = append(variants, variant{"CheckpointResume", func(t *testing.T, p int, cacheBytes int64) Config {
-		w, err := ckpt.NewWriter(filepath.Join(t.TempDir(), "ck"))
+	variants = append(variants, variant{"CheckpointResume", func(t *testing.T, p int, cacheBytes int64) (Config, string) {
+		dir := filepath.Join(t.TempDir(), "ck")
+		w, err := ckpt.NewWriter(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,18 +110,19 @@ func TestCacheBudgetEquivalence(t *testing.T) {
 		if _, _, err := TrainParallel(ds.X, ds.Y, p, cfg); err != nil {
 			t.Fatal(err)
 		}
-		state, _, err := ckpt.Load(w.Dir())
+		state, _, err := ckpt.Load(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resume := blobCfg(ds, Multi2)
 		resume.InitialAlpha, resume.CacheBytes = state.Alpha, cacheBytes
-		w2, err := ckpt.NewWriter(filepath.Join(t.TempDir(), "ck2"))
+		dir2 := filepath.Join(t.TempDir(), "ck2")
+		w2, err := ckpt.NewWriter(dir2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resume.Checkpoint, resume.CheckpointEvery = w2, 25
-		return resume
+		return resume, dir2
 	}})
 
 	for _, v := range variants {
@@ -132,7 +135,8 @@ func TestCacheBudgetEquivalence(t *testing.T) {
 				}{{"default", 0}, {"below-one-row", 8}, {"three-rows", 3 * 8 * width * int64(p)}}
 				var ref cachedRun
 				for k, b := range budgets {
-					got := trainRanks(t, ds, p, v.cfg(t, p, b.bytes))
+					cfg, dir := v.cfg(t, p, b.bytes)
+					got := trainRanks(t, ds, p, cfg, dir)
 					switch b.name {
 					case "default":
 						if got.st.CacheHits == 0 {

@@ -14,11 +14,20 @@ import (
 	"repro/internal/sparse"
 )
 
+// alternating returns n labels alternating +1, -1.
+func alternating(n int) []float64 {
+	y := make([]float64, n)
+	for i := range y {
+		y[i] = float64(1 - 2*(i%2))
+	}
+	return y
+}
+
 func TestKFoldPartition(t *testing.T) {
-	for _, tc := range []struct{ n, k int }{{10, 2}, {10, 3}, {100, 10}, {7, 7}} {
-		splits, err := KFold(tc.n, tc.k, 1)
+	for _, tc := range []struct{ n, k int }{{10, 2}, {10, 3}, {100, 10}, {14, 7}, {15, 7}} {
+		splits, err := StratifiedKFold(alternating(tc.n), tc.k, 1)
 		if err != nil {
-			t.Fatalf("KFold(%d,%d): %v", tc.n, tc.k, err)
+			t.Fatalf("StratifiedKFold(%d,%d): %v", tc.n, tc.k, err)
 		}
 		if len(splits) != tc.k {
 			t.Fatalf("got %d splits", len(splits))
@@ -51,25 +60,25 @@ func TestKFoldPartition(t *testing.T) {
 }
 
 func TestKFoldErrors(t *testing.T) {
-	if _, err := KFold(10, 1, 0); err == nil {
+	if _, err := StratifiedKFold(alternating(10), 1, 0); err == nil {
 		t.Error("k=1 accepted")
 	}
-	if _, err := KFold(3, 5, 0); err == nil {
-		t.Error("n<k accepted")
+	if _, err := StratifiedKFold(alternating(9), 5, 0); err == nil {
+		t.Error("a class smaller than k accepted")
 	}
 }
 
 func TestKFoldDeterministic(t *testing.T) {
-	a, _ := KFold(50, 5, 42)
-	b, _ := KFold(50, 5, 42)
+	a, _ := StratifiedKFold(alternating(50), 5, 42)
+	b, _ := StratifiedKFold(alternating(50), 5, 42)
 	for f := range a {
 		for i := range a[f].TestIdx {
 			if a[f].TestIdx[i] != b[f].TestIdx[i] {
-				t.Fatal("KFold not deterministic")
+				t.Fatal("StratifiedKFold not deterministic")
 			}
 		}
 	}
-	c, _ := KFold(50, 5, 43)
+	c, _ := StratifiedKFold(alternating(50), 5, 43)
 	same := true
 	for f := range a {
 		for i := range a[f].TestIdx {
@@ -138,7 +147,7 @@ func TestCrossValidateWithStub(t *testing.T) {
 			y[i] = -1
 		}
 	}
-	splits, err := KFold(n, 5, 3)
+	splits, err := StratifiedKFold(y, 5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +171,7 @@ func TestCrossValidateWithStub(t *testing.T) {
 func TestCrossValidatePropagatesErrors(t *testing.T) {
 	x := sparse.FromDense([][]float64{{1}, {2}, {3}, {4}})
 	y := []float64{1, -1, 1, -1}
-	splits, _ := KFold(4, 2, 0)
+	splits, _ := StratifiedKFold(y, 2, 0)
 	_, err := CrossValidate(x, y, splits, func(_ *sparse.Matrix, _ []float64) (*model.Model, error) {
 		return nil, fmt.Errorf("boom")
 	})
@@ -177,11 +186,8 @@ func TestCrossValidatePropagatesErrors(t *testing.T) {
 func TestGridSearchPicksBest(t *testing.T) {
 	x := sparse.FromDense(make([][]float64, 20))
 	x.Cols = 1
-	y := make([]float64, 20)
-	for i := range y {
-		y[i] = float64(1 - 2*(i%2))
-	}
-	splits, _ := KFold(20, 4, 0)
+	y := alternating(20)
+	splits, _ := StratifiedKFold(y, 4, 0)
 	// Rig the search: accuracy peaks at C=2, sigma2=8.
 	trainAt := func(c, s2 float64) TrainFunc {
 		return func(_ *sparse.Matrix, _ []float64) (*model.Model, error) {
@@ -257,13 +263,13 @@ func TestEndToEndGridSearch(t *testing.T) {
 	}
 }
 
-// Property: KFold test folds are a permutation partition for random n, k.
+// Property: the test folds are a permutation partition for random n, k.
 func TestKFoldQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		k := 2 + rng.Intn(6)
-		n := k + rng.Intn(200)
-		splits, err := KFold(n, k, seed)
+		n := 2*k + rng.Intn(200)
+		splits, err := StratifiedKFold(alternating(n), k, seed)
 		if err != nil {
 			return false
 		}

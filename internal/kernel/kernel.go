@@ -117,21 +117,14 @@ func (p Params) Eval(a, b sparse.Row, normA, normB float64) float64 {
 	return p.finishDot(sparse.DotRows(a, b), normA, normB)
 }
 
-// FinishDot maps a raw inner product <a, b> (plus the squared norms, used
-// only by the Gaussian kernel) to the kernel value. Exported for predict-time
-// layouts that compute dot products outside the row engine (model.PackedSVs):
-// both funnel through the same arithmetic, so their kernel values are
-// bit-identical to the pairwise Eval and the batched row engine.
-func (p Params) FinishDot(dot, normA, normB float64) float64 {
-	return p.finishDot(dot, normA, normB)
-}
-
 // WeightedFinishDots accumulates sum_i coef[i] * Phi(dots[i]) with the
 // kernel-type dispatch hoisted out of the per-element loop — finishDot is
 // too large to inline, and a call per support vector is measurable next to
 // the arithmetic. Each element evaluates exactly finishDot's expression in
 // finishDot's operation order, and the sum accumulates in ascending i, so
-// the result is bit-identical to looping over FinishDot.
+// the result is bit-identical to looping over finishDot. Predict-time
+// layouts that compute dot products outside the row engine
+// (model.PackedSVs) map them to kernel values through it.
 func (p Params) WeightedFinishDots(coef, dots, norms []float64, normB float64) float64 {
 	var s float64
 	switch p.Type {

@@ -62,7 +62,7 @@ func TestLinearKernel(t *testing.T) {
 	ev := NewEvaluator(Params{Type: Linear}, m)
 	for i := 0; i < m.Rows(); i++ {
 		for j := 0; j < m.Rows(); j++ {
-			if got, want := ev.At(i, j), m.Dot(i, j); math.Abs(got-want) > 1e-14 {
+			if got, want := ev.At(i, j), sparse.DotRows(m.RowView(i), m.RowView(j)); math.Abs(got-want) > 1e-14 {
 				t.Fatalf("linear At(%d,%d) = %v, want %v", i, j, got, want)
 			}
 		}

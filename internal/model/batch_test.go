@@ -61,13 +61,12 @@ func TestDecisionValuesMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestPredictBatchMatchesPredict(t *testing.T) {
+func TestDecisionValuesSignMatchesPredict(t *testing.T) {
 	m := randomModel(40, 20, 0.4, 3)
 	x := randomMatrix(rand.New(rand.NewSource(4)), 63, 20, 0.4)
-	got := m.PredictBatch(x, 4)
-	for i := range got {
-		if want := m.Predict(x.RowView(i)); got[i] != want {
-			t.Fatalf("row %d: %v != %v", i, got[i], want)
+	for i, v := range m.DecisionValues(x, 4) {
+		if want := m.Predict(x.RowView(i)); (v >= 0) != (want == 1) {
+			t.Fatalf("row %d: decision %v, Predict %v", i, v, want)
 		}
 	}
 }
@@ -149,16 +148,6 @@ func BenchmarkDecisionValuesParallel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.DecisionValues(x, 0)
-	}
-	b.ReportMetric(float64(x.Rows())*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-}
-
-func BenchmarkPredictBatch(b *testing.B) {
-	m, x := benchModelAndRows(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.PredictBatch(x, 0)
 	}
 	b.ReportMetric(float64(x.Rows())*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }

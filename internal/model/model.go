@@ -306,15 +306,6 @@ func (m *Model) Predict(x sparse.Row) float64 {
 	return -1
 }
 
-// PredictAll classifies every row of x.
-func (m *Model) PredictAll(x *sparse.Matrix) []float64 {
-	out := make([]float64, x.Rows())
-	for i := range out {
-		out[i] = m.Predict(x.RowView(i))
-	}
-	return out
-}
-
 // Metrics summarizes classification quality on a labeled set.
 type Metrics struct {
 	Total    int

@@ -68,13 +68,12 @@ func TestDecisionValueFarColumn(t *testing.T) {
 	}
 }
 
-func TestPredictAllAndEvaluate(t *testing.T) {
+func TestPredictAndEvaluate(t *testing.T) {
 	m := handModel()
 	x := sparse.FromDense([][]float64{{-1.5}, {-0.5}, {0.5}, {1.5}})
 	y := []float64{-1, -1, 1, 1}
-	preds := m.PredictAll(x)
-	for i, p := range preds {
-		if p != y[i] {
+	for i := range y {
+		if p := m.Predict(x.RowView(i)); p != y[i] {
 			t.Fatalf("pred[%d] = %v", i, p)
 		}
 	}

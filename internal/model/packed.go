@@ -107,9 +107,6 @@ func (m *Model) Pack(budget int64) bool {
 	return true
 }
 
-// IsPacked reports whether the dense predict-time layout is built.
-func (m *Model) IsPacked() bool { return m.packed != nil }
-
 // PackedBytes returns the dense block's size in bytes (0 when unpacked).
 func (m *Model) PackedBytes() int64 {
 	if m.packed == nil {
@@ -195,7 +192,8 @@ func (p *PackedSVs) dotsDense(x sparse.Row, dst []float64) {
 
 // decision evaluates the packed decision function into the borrowed dots
 // buffer: the same coef-weighted kernel sum as the row-engine path, with
-// kernel.FinishDot mapping each dot to Phi exactly as the engine does.
+// kernel.WeightedFinishDots mapping each dot to Phi exactly as the engine
+// does.
 func (p *PackedSVs) decision(x sparse.Row, coef []float64, beta float64, buf []float64) float64 {
 	p.DotsInto(x, buf)
 	nx := kernel.SquaredNormOf(x)

@@ -46,8 +46,8 @@ func packedPair(t *testing.T, kp kernel.Params, n, cols int, density float64) (p
 	if !packed.Pack(0) {
 		t.Fatalf("Pack refused a %dx%d model under the default budget", n, cols)
 	}
-	if !packed.IsPacked() || packed.PackedBytes() < int64(n*cols*8) {
-		t.Fatalf("packed state: IsPacked=%v bytes=%d want >= %d", packed.IsPacked(), packed.PackedBytes(), n*cols*8)
+	if packed.PackedBytes() < int64(n*cols*8) {
+		t.Fatalf("packed state: bytes=%d want >= %d", packed.PackedBytes(), n*cols*8)
 	}
 	return plain, packed
 }
@@ -112,7 +112,7 @@ func TestDecisionValuesRowsParity(t *testing.T) {
 			for i, r := range rows {
 				want := m.DecisionValue(r)
 				if math.Float64bits(got[i]) != math.Float64bits(want) {
-					t.Fatalf("packed=%v workers=%d row %d: got %v want %v", m.IsPacked(), workers, i, got[i], want)
+					t.Fatalf("packed=%v workers=%d row %d: got %v want %v", m.PackedBytes() > 0, workers, i, got[i], want)
 				}
 			}
 		}
@@ -137,7 +137,7 @@ func TestPackBudgetGate(t *testing.T) {
 	if m.Pack(32*16*8 - 1) {
 		t.Fatal("Pack accepted a model one byte over budget")
 	}
-	if m.IsPacked() {
+	if m.PackedBytes() != 0 {
 		t.Fatal("failed Pack left packed state behind")
 	}
 	if !m.Pack(32 * 16 * 8) {

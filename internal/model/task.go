@@ -93,14 +93,6 @@ func (m *Model) AnomalyScore(x sparse.Row) float64 {
 	return m.DecisionValue(x)
 }
 
-// PredictAnomaly classifies one sample as inlier (+1) or outlier (-1).
-func (m *Model) PredictAnomaly(x sparse.Row) float64 {
-	if m.AnomalyScore(x) >= 0 {
-		return 1
-	}
-	return -1
-}
-
 // RegressionMetrics summarizes regression quality on a held-out set.
 type RegressionMetrics struct {
 	Total int

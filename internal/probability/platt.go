@@ -13,7 +13,6 @@ import (
 	"math"
 
 	"repro/internal/cv"
-	"repro/internal/model"
 	"repro/internal/sparse"
 )
 
@@ -142,19 +141,6 @@ func Fit(decisionValues, y []float64) (Sigmoid, error) {
 		}
 	}
 	return Sigmoid{A: a, B: b}, nil
-}
-
-// Calibrate fits a sigmoid for a trained model using a held-out labeled
-// set (do not reuse the training set: its decision values are biased
-// toward ±1, which is why libsvm calibrates with internal cross
-// validation).
-func Calibrate(m *model.Model, x *sparse.Matrix, y []float64) (Sigmoid, error) {
-	if x.Rows() != len(y) {
-		return Sigmoid{}, fmt.Errorf("probability: %d rows for %d labels", x.Rows(), len(y))
-	}
-	// Score the calibration set through the shared batch hot loop.
-	dv := m.DecisionValues(x, 0)
-	return Fit(dv, y)
 }
 
 // CalibrateCV fits a sigmoid from out-of-fold decision values: for each

@@ -100,7 +100,10 @@ func TestCalibrateEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Calibrate(m, ds.TestX, ds.TestY)
+	// Calibrate on held-out decision values: the training set's are biased
+	// toward ±1.
+	dv := m.DecisionValues(ds.TestX, 0)
+	s, err := Fit(dv, ds.TestY)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +128,7 @@ func TestCalibrateEndToEnd(t *testing.T) {
 	if meanNeg := sumNeg / float64(nNeg); meanNeg > 0.2 {
 		t.Fatalf("mean P(+|negative) = %v", meanNeg)
 	}
-	if _, err := Calibrate(m, ds.TestX, ds.TestY[:3]); err == nil {
+	if _, err := Fit(dv, ds.TestY[:3]); err == nil {
 		t.Error("mismatched labels accepted")
 	}
 }

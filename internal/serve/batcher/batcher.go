@@ -56,7 +56,7 @@ type Config struct {
 	// or executing (default 1024). Submissions past the bound are rejected
 	// with ErrQueueFull.
 	Queue int
-	// Workers is passed to model.DecisionValues per batch; 0 selects
+	// Workers is passed to model.DecisionValuesRows per batch; 0 selects
 	// GOMAXPROCS.
 	Workers int
 	// Gate, when non-nil, bounds concurrent batch executions.
@@ -79,16 +79,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Result is one answered prediction.
+// Result is one answered prediction: the decision value and the model
+// snapshot the whole batch ran against, so a caller maps the decision to
+// a label or probability with the model that computed it.
 type Result struct {
 	Decision float64
-	Label    float64
-	Prob     float64
-	HasProb  bool
-	// Version is the model snapshot version the whole batch ran against.
-	Version uint64
-	// BatchSize is how many rows shared this evaluation.
-	BatchSize int
+	Model    *model.Model
+	Version  uint64
 }
 
 type response struct {
@@ -317,22 +314,8 @@ func (b *Batcher) runBatch(reqs []*request) {
 		rows[i] = r.row
 	}
 	dv := m.DecisionValuesRows(rows, b.cfg.Workers)
-	svr := m.TaskKind() == model.TaskSVR
 	for i, r := range live {
-		res := Result{Decision: dv[i], Version: version, BatchSize: len(live)}
-		switch {
-		case svr:
-			// Regression: the decision value IS the prediction.
-			res.Label = dv[i]
-		case dv[i] >= 0:
-			res.Label = 1
-		default:
-			res.Label = -1
-		}
-		if p, ok := m.ProbabilityFromDecision(dv[i]); ok {
-			res.Prob, res.HasProb = p, true
-		}
-		b.deliver(r, res, nil)
+		b.deliver(r, Result{Decision: dv[i], Model: m, Version: version}, nil)
 	}
 	if b.cfg.OnBatch != nil {
 		b.cfg.OnBatch(len(live), start.Sub(oldest), time.Since(start))

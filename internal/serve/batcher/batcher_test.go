@@ -256,13 +256,18 @@ func TestHotReloadDuringBatches(t *testing.T) {
 					errs[g] = err
 					return
 				}
-				want := wantA
+				want, wantBeta := wantA, betaA
 				if res.Version%2 == 0 {
-					want = wantB
+					want, wantBeta = wantB, betaB
 				}
 				if math.Float64bits(res.Decision) != math.Float64bits(want) {
 					errs[g] = fmt.Errorf("version %d answered %v, want %v: batch straddled a reload",
 						res.Version, res.Decision, want)
+					return
+				}
+				// The answer carries the model it was computed with.
+				if res.Model == nil || res.Model.Beta != wantBeta {
+					errs[g] = fmt.Errorf("version %d answered with model %p, want the one with beta %v", res.Version, res.Model, wantBeta)
 					return
 				}
 			}

@@ -84,49 +84,86 @@ func decodePredictions(t *testing.T, data []byte) PredictResponse {
 	return pr
 }
 
+// TestPredictParityWithModel: a multi-row request (the direct path) and
+// each of its rows posted alone (the coalesced path) answer with the
+// decision, label and probability of the model itself, bit for bit, for
+// every encoding and with the model served packed and unpacked.
 func TestPredictParityWithModel(t *testing.T) {
 	m := testModel(0.1)
 	m.ProbA, m.ProbB, m.HasProb = -1.5, 0.25, true
 	path := t.TempDir() + "/m.model"
 	saveModel(t, m, path)
-	_, ts := newTestServer(t, Config{}, map[string]string{"default": path})
+	m, err := model.Load(path) // the reference is the model as served
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	probe := sparse.FromDense([][]float64{{0.7, 0.2}, {-1.3, 0.1}, {0, 0}})
 	// One request per encoding, all against the same probe rows.
-	requests := []any{
-		PredictRequest{Instances: []Instance{
+	requests := []PredictRequest{
+		{Instances: []Instance{
 			{Features: map[string]float64{"1": 0.7, "2": 0.2}},
 			{Features: map[string]float64{"1": -1.3, "2": 0.1}},
 			{Features: map[string]float64{"1": 0}}, // explicit zero == all-zero row
 		}},
-		PredictRequest{Instances: []Instance{
+		{Instances: []Instance{
 			{Libsvm: "1:0.7 2:0.2"},
 			{Libsvm: "1:-1.3 2:0.1"},
 			{Libsvm: "1:0"}, // explicit zero == all-zero row
 		}},
 	}
+	check := func(name string, p Prediction, row sparse.Row) {
+		t.Helper()
+		wantDV := m.DecisionValue(row)
+		if math.Float64bits(p.Decision) != math.Float64bits(wantDV) {
+			t.Fatalf("%s: decision %v, want %v", name, p.Decision, wantDV)
+		}
+		if p.Label != m.Predict(row) {
+			t.Fatalf("%s: label %v", name, p.Label)
+		}
+		wantP, _ := m.ProbabilityFromDecision(wantDV)
+		if p.Probability == nil || math.Float64bits(*p.Probability) != math.Float64bits(wantP) {
+			t.Fatalf("%s: probability %v, want %v", name, p.Probability, wantP)
+		}
+	}
 
-	for ri, req := range requests {
-		resp, data := postJSON(t, ts.URL+"/v1/predict", req)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("request %d: status %d: %s", ri, resp.StatusCode, data)
+	for _, packed := range []bool{false, true} {
+		reg := NewRegistry()
+		if packed {
+			reg.SetPackBudget(model.DefaultPackBudget)
 		}
-		pr := decodePredictions(t, data)
-		if pr.Model != "default" || len(pr.Predictions) != 3 {
-			t.Fatalf("request %d: response %+v", ri, pr)
+		if err := reg.Add("default", path); err != nil {
+			t.Fatal(err)
 		}
-		for i, p := range pr.Predictions {
-			row := probe.RowView(i)
-			wantDV := m.DecisionValue(row)
-			if math.Abs(p.Decision-wantDV) > 1e-12 {
-				t.Fatalf("request %d row %d: decision %v, want %v", ri, i, p.Decision, wantDV)
+		if snap, _ := reg.Get("default"); snap.Packed != packed {
+			t.Fatalf("packed = %v, want %v", snap.Packed, packed)
+		}
+		s := New(reg, Config{})
+		t.Cleanup(s.Close)
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(ts.Close) // runs before s.Close
+		for ri, req := range requests {
+			resp, data := postJSON(t, ts.URL+"/v1/predict", req)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("packed=%v request %d: status %d: %s", packed, ri, resp.StatusCode, data)
 			}
-			if p.Label != m.Predict(row) {
-				t.Fatalf("request %d row %d: label %v", ri, i, p.Label)
+			pr := decodePredictions(t, data)
+			if pr.Model != "default" || len(pr.Predictions) != 3 {
+				t.Fatalf("packed=%v request %d: response %+v", packed, ri, pr)
 			}
-			wantP, _ := m.Probability(row)
-			if p.Probability == nil || math.Abs(*p.Probability-wantP) > 1e-12 {
-				t.Fatalf("request %d row %d: probability %v, want %v", ri, i, p.Probability, wantP)
+			for i, p := range pr.Predictions {
+				check(fmt.Sprintf("packed=%v request %d row %d", packed, ri, i), p, probe.RowView(i))
+			}
+			for i, inst := range req.Instances {
+				resp, data := postJSON(t, ts.URL+"/v1/predict", PredictRequest{Features: inst.Features, Libsvm: inst.Libsvm})
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("packed=%v request %d row %d alone: status %d: %s", packed, ri, i, resp.StatusCode, data)
+				}
+				pr := decodePredictions(t, data)
+				if len(pr.Predictions) != 1 {
+					t.Fatalf("packed=%v request %d row %d alone: response %+v", packed, ri, i, pr)
+				}
+				check(fmt.Sprintf("packed=%v request %d row %d alone", packed, ri, i), pr.Predictions[0], probe.RowView(i))
 			}
 		}
 	}
@@ -349,19 +386,36 @@ func TestMetricsEndpoint(t *testing.T) {
 func TestHotReloadUnderConcurrentTraffic(t *testing.T) {
 	dir := t.TempDir()
 	path := dir + "/m.model"
-	saveModel(t, testModel(0), path)
+	// The two versions differ in beta and in their Platt parameters, so an
+	// answer mixing one version's decision with the other's probability or
+	// model_version shows.
+	versions := []*model.Model{testModel(0), testModel(5)}
+	versions[0].ProbA, versions[0].ProbB, versions[0].HasProb = -1.5, 0.25, true
+	versions[1].ProbA, versions[1].ProbB, versions[1].HasProb = -0.5, -2, true
+	saveModel(t, versions[1], dir+"/v2.model")
+	saveModel(t, versions[0], path)
 	_, ts := newTestServer(t, Config{}, map[string]string{"default": path})
 
 	// Hammer predict from several goroutines while the model file is
-	// rewritten and reloaded; every response must be coherent (either
-	// version's decision value, never an error, never a torn model).
+	// rewritten and reloaded; every response must be coherent (one
+	// version's model_version, decision value and probability, never an
+	// error, never a torn model).
 	const goroutines = 8
 	const perG = 30
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines*perG)
 	row := sparse.FromDense([][]float64{{0.7, 0.2}}).RowView(0)
-	dvOld := testModel(0).DecisionValue(row)
-	dvNew := testModel(5).DecisionValue(row)
+	type answer struct{ dv, prob float64 }
+	var want [2]answer
+	for v, p := range []string{path, dir + "/v2.model"} {
+		m, err := model.Load(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[v].dv = m.DecisionValue(row)
+		want[v].prob, _ = m.ProbabilityFromDecision(want[v].dv)
+	}
+	dvNew := want[1].dv
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func() {
@@ -384,9 +438,14 @@ func TestHotReloadUnderConcurrentTraffic(t *testing.T) {
 					errs <- err
 					return
 				}
-				dv := pr.Predictions[0].Decision
-				if math.Abs(dv-dvOld) > 1e-12 && math.Abs(dv-dvNew) > 1e-12 {
-					errs <- fmt.Errorf("torn decision value %v (want %v or %v)", dv, dvOld, dvNew)
+				if pr.Version != 1 && pr.Version != 2 {
+					errs <- fmt.Errorf("model_version %d, want 1 or 2", pr.Version)
+					return
+				}
+				p, w := pr.Predictions[0], want[pr.Version-1]
+				if p.Probability == nil || math.Float64bits(p.Decision) != math.Float64bits(w.dv) ||
+					math.Float64bits(*p.Probability) != math.Float64bits(w.prob) {
+					errs <- fmt.Errorf("torn answer for version %d: %+v, want decision %v probability %v", pr.Version, p, w.dv, w.prob)
 					return
 				}
 			}
@@ -394,7 +453,7 @@ func TestHotReloadUnderConcurrentTraffic(t *testing.T) {
 	}
 
 	// Mid-traffic: rewrite the file and reload.
-	saveModel(t, testModel(5), path)
+	saveModel(t, versions[1], path)
 	resp, err := http.Post(ts.URL+"/v1/models/default/reload", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)

@@ -423,9 +423,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	task := snap.Model.TaskKind()
 	if p, ok := s.pipelines[name]; ok && len(rows) == 1 {
-		s.predictCoalesced(w, r, name, task, p, rows[0])
+		s.predictCoalesced(w, r, name, p, rows[0])
 		return
 	}
 
@@ -442,46 +441,41 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		}
 		defer p.shed.ReleaseBatch()
 	}
+	// The decoders hand over sorted rows with no repeated index, so they
+	// are scored as they are, with no copy into a matrix.
 	m := snap.Model
-	b := sparse.NewBuilder(m.FeatureDim())
-	for _, row := range rows {
-		b.AddRow(row.Idx, row.Val)
-	}
-	x := b.Build()
-	dv := m.DecisionValues(x, s.cfg.Workers)
-
+	dv := m.DecisionValuesRows(rows, s.cfg.Workers)
 	preds := make([]Prediction, len(dv))
 	for i, v := range dv {
-		preds[i].Decision = v
-		preds[i].Label = taskLabel(task, v)
-		if p, ok := m.ProbabilityFromDecision(v); ok {
-			preds[i].Probability = &p
-		}
+		preds[i] = prediction(m, v)
 	}
 	s.met.batchSizes.observe(float64(len(dv)))
 	s.met.predictions.add(uint64(len(dv)), name)
-	writeJSON(w, http.StatusOK, PredictResponse{Model: name, Task: string(task), Version: snap.Version, Predictions: preds})
+	writeJSON(w, http.StatusOK, PredictResponse{Model: name, Task: string(m.TaskKind()), Version: snap.Version, Predictions: preds})
 }
 
-// taskLabel maps a decision value to the task's label semantics: the
-// regression value itself for SVR, the sign for classification and
-// one-class anomaly verdicts.
-func taskLabel(task model.Task, v float64) float64 {
-	if task == model.TaskSVR {
-		return v
+// prediction is the one mapping from a decision value to an answer, made
+// with the model that computed the value: the label is the regression
+// value itself for SVR and the sign for classification and one-class
+// verdicts; the probability is the model's Platt sigmoid, when it has one.
+func prediction(m *model.Model, v float64) Prediction {
+	p := Prediction{Label: v, Decision: v}
+	if m.TaskKind() != model.TaskSVR {
+		p.Label = -1
+		if v >= 0 {
+			p.Label = 1
+		}
 	}
-	if v >= 0 {
-		return 1
+	if prob, ok := m.ProbabilityFromDecision(v); ok {
+		p.Probability = &prob
 	}
-	return -1
+	return p
 }
 
 // predictCoalesced answers one row through the serving pipeline:
-// admission control, then the coalescing batcher. The task kind is
-// pinned per endpoint (Registry.Reload rejects kind changes), so reading it
-// from the resolved snapshot stays correct even if the batch executes
-// against a newer version.
-func (s *Server) predictCoalesced(w http.ResponseWriter, r *http.Request, name string, task model.Task, p *pipeline, row sparse.Row) {
+// admission control, then the coalescing batcher. The answer, its task
+// and its model_version all come from the snapshot the batch ran against.
+func (s *Server) predictCoalesced(w http.ResponseWriter, r *http.Request, name string, p *pipeline, row sparse.Row) {
 	ctx := r.Context()
 	if _, has := ctx.Deadline(); !has && s.cfg.RequestTimeout > 0 {
 		var cancel context.CancelFunc
@@ -505,14 +499,10 @@ func (s *Server) predictCoalesced(w http.ResponseWriter, r *http.Request, name s
 		writeOverload(w, err)
 		return
 	}
-	pred := Prediction{Label: res.Label, Decision: res.Decision}
-	if res.HasProb {
-		prob := res.Prob
-		pred.Probability = &prob
-	}
 	s.met.batchSizes.observe(1)
 	s.met.predictions.add(1, name)
-	writeJSON(w, http.StatusOK, PredictResponse{Model: name, Task: string(task), Version: res.Version, Predictions: []Prediction{pred}})
+	writeJSON(w, http.StatusOK, PredictResponse{Model: name, Task: string(res.Model.TaskKind()), Version: res.Version,
+		Predictions: []Prediction{prediction(res.Model, res.Decision)}})
 }
 
 func overloadReason(err error) string {

@@ -43,10 +43,10 @@ type Config struct {
 	MaxQueue int
 	// MaxInFlight bounds concurrently executing batches (default 2).
 	MaxInFlight int
-	// EWMAAlpha is the smoothing factor of the per-row service-time
-	// estimate (default 0.2).
-	EWMAAlpha float64
 }
+
+// ewmaAlpha is the smoothing factor of the per-row service-time estimate.
+const ewmaAlpha = 0.2
 
 func (c Config) withDefaults() Config {
 	if c.MaxQueue <= 0 {
@@ -54,9 +54,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 2
-	}
-	if c.EWMAAlpha <= 0 || c.EWMAAlpha > 1 {
-		c.EWMAAlpha = 0.2
 	}
 	return c
 }
@@ -140,7 +137,7 @@ func (s *Shedder) ObserveBatch(rows int, took time.Duration) {
 		cur := math.Float64frombits(old)
 		next := sample
 		if cur > 0 {
-			next = (1-s.cfg.EWMAAlpha)*cur + s.cfg.EWMAAlpha*sample
+			next = (1-ewmaAlpha)*cur + ewmaAlpha*sample
 		}
 		if s.perRowBits.CompareAndSwap(old, math.Float64bits(next)) {
 			return

@@ -238,7 +238,10 @@ type Options struct {
 	// Checkpoint, when non-nil, makes the engine persist crash-consistent
 	// snapshots every CheckpointEvery iterations; requires CapCheckpoint.
 	// CheckpointFingerprint overrides the dataset hash (computed from the
-	// problem when zero) — shard-composed loads pass their own.
+	// problem when zero). tasks passes the hash of the caller's problem,
+	// not of the reshaped QP the smo engine solves, and binds it to the
+	// base model for an incremental update; dc passes the full problem's
+	// hash to its polish.
 	Checkpoint            *ckpt.Writer
 	CheckpointEvery       int64
 	CheckpointFingerprint uint64
@@ -280,7 +283,7 @@ type Stats struct {
 	Reconstructions int
 	FinalActive     int
 	// CacheHits, CacheMisses and CacheEvictions count kernel-row cache
-	// traffic (smo family).
+	// traffic (core and the smo family).
 	CacheHits      uint64
 	CacheMisses    uint64
 	CacheEvictions uint64

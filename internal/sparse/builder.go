@@ -1,9 +1,6 @@
 package sparse
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // Builder incrementally assembles a CSR matrix one row at a time.
 // Entries within a row may be added in any order; EndRow sorts them and
@@ -109,48 +106,4 @@ func (m *Matrix) ToDense() [][]float64 {
 		}
 	}
 	return out
-}
-
-// Triplet is a single (row, col, value) entry used by FromTriplets.
-type Triplet struct {
-	Row, Col int
-	Val      float64
-}
-
-// FromTriplets builds a CSR matrix with the given number of rows from an
-// arbitrary-order triplet list. Duplicate (row, col) entries are summed.
-func FromTriplets(rows, cols int, ts []Triplet) (*Matrix, error) {
-	for _, t := range ts {
-		if t.Row < 0 || t.Row >= rows {
-			return nil, fmt.Errorf("sparse: triplet row %d out of range [0,%d)", t.Row, rows)
-		}
-		if t.Col < 0 || (cols > 0 && t.Col >= cols) {
-			return nil, fmt.Errorf("sparse: triplet col %d out of range [0,%d)", t.Col, cols)
-		}
-	}
-	sorted := append([]Triplet(nil), ts...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Row != sorted[j].Row {
-			return sorted[i].Row < sorted[j].Row
-		}
-		return sorted[i].Col < sorted[j].Col
-	})
-	b := NewBuilder(cols)
-	cur := 0
-	for _, t := range sorted {
-		for cur < t.Row {
-			b.EndRow()
-			cur++
-		}
-		b.Add(t.Col, t.Val)
-	}
-	for cur < rows {
-		b.EndRow()
-		cur++
-	}
-	m := b.Build()
-	if cols > m.Cols {
-		m.Cols = cols
-	}
-	return m, nil
 }

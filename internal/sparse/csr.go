@@ -71,9 +71,6 @@ func (m *Matrix) RowView(i int) Row {
 	return Row{Idx: m.ColIdx[lo:hi], Val: m.Val[lo:hi]}
 }
 
-// RowNNZ returns the number of stored entries in row i.
-func (m *Matrix) RowNNZ(i int) int { return int(m.RowPtr[i+1] - m.RowPtr[i]) }
-
 // Key returns a binary content key for the row: two rows have equal keys
 // exactly when their stored (index, value) sequences are bit-identical.
 // Callers use it to match rows across matrices (e.g. a model's support
@@ -98,12 +95,6 @@ func (m *Matrix) AvgRowNNZ() float64 {
 		return 0
 	}
 	return float64(m.NNZ()) / float64(m.Rows())
-}
-
-// Dot returns the inner product of rows a and b of m.
-func (m *Matrix) Dot(a, b int) float64 {
-	ra, rb := m.RowView(a), m.RowView(b)
-	return DotRows(ra, rb)
 }
 
 // DotRows returns the inner product of two sparse rows using a two-pointer
@@ -374,15 +365,4 @@ func (m *Matrix) Validate() error {
 // are charged realistically by the communication time model.
 func (m *Matrix) ByteSize() int {
 	return 8*len(m.RowPtr) + 4*len(m.ColIdx) + 8*len(m.Val)
-}
-
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	c := &Matrix{
-		RowPtr: append([]int64(nil), m.RowPtr...),
-		ColIdx: append([]int32(nil), m.ColIdx...),
-		Val:    append([]float64(nil), m.Val...),
-		Cols:   m.Cols,
-	}
-	return c
 }

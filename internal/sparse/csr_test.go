@@ -56,10 +56,10 @@ func TestDotMatchesDense(t *testing.T) {
 	m := FromDense(d)
 	for i := 0; i < m.Rows(); i++ {
 		for j := 0; j < m.Rows(); j++ {
-			got := m.Dot(i, j)
+			got := DotRows(m.RowView(i), m.RowView(j))
 			want := denseDot(d[i], d[j])
 			if !almostEqual(got, want, 1e-12) {
-				t.Fatalf("Dot(%d,%d) = %v, want %v", i, j, got, want)
+				t.Fatalf("DotRows(%d,%d) = %v, want %v", i, j, got, want)
 			}
 		}
 	}
@@ -77,7 +77,7 @@ func TestSquaredNormAndDistance(t *testing.T) {
 		for j := 0; j < m.Rows(); j++ {
 			// ||x-y||^2 == ||x||^2 + ||y||^2 - 2<x,y>
 			direct := m.SquaredDistance(i, j)
-			decomp := norms[i] + norms[j] - 2*m.Dot(i, j)
+			decomp := norms[i] + norms[j] - 2*DotRows(m.RowView(i), m.RowView(j))
 			if !almostEqual(direct, decomp, 1e-10) {
 				t.Fatalf("distance decomposition mismatch (%d,%d): %v vs %v", i, j, direct, decomp)
 			}
@@ -196,7 +196,10 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		{"inf value", func(m *Matrix) { m.Val[2] = math.Inf(1) }},
 	}
 	for _, tc := range cases {
-		m := good.Clone()
+		m, err := good.SubMatrix(0, good.Rows()) // a deep copy
+		if err != nil {
+			t.Fatal(err)
+		}
 		tc.mutate(m)
 		if err := m.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted corrupted matrix", tc.name)
@@ -242,36 +245,12 @@ func TestBuilderDuplicatesAndOrder(t *testing.T) {
 	if len(r0.Idx) != 2 || r0.Idx[0] != 2 || r0.Idx[1] != 5 || r0.Val[1] != 4.0 {
 		t.Fatalf("row0 = %+v", r0)
 	}
-	if m.RowNNZ(1) != 0 {
-		t.Fatalf("row1 nnz = %d", m.RowNNZ(1))
+	if r1 := m.RowView(1); len(r1.Idx) != 0 {
+		t.Fatalf("row1 = %+v", r1)
 	}
 }
 
-func TestFromTriplets(t *testing.T) {
-	ts := []Triplet{{2, 1, 5}, {0, 0, 1}, {2, 1, 2}, {0, 3, 7}}
-	m, err := FromTriplets(4, 4, ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	d := m.ToDense()
-	if d[0][0] != 1 || d[0][3] != 7 || d[2][1] != 7 {
-		t.Fatalf("content: %v", d)
-	}
-	if m.Rows() != 4 {
-		t.Fatalf("rows = %d", m.Rows())
-	}
-	if _, err := FromTriplets(2, 2, []Triplet{{2, 0, 1}}); err == nil {
-		t.Fatal("want row range error")
-	}
-	if _, err := FromTriplets(2, 2, []Triplet{{0, 2, 1}}); err == nil {
-		t.Fatal("want col range error")
-	}
-}
-
-// Property: for random sparse matrices, Dot is symmetric and the
+// Property: for random sparse matrices, DotRows is symmetric and the
 // Cauchy-Schwarz inequality holds.
 func TestDotPropertyQuick(t *testing.T) {
 	f := func(seed int64) bool {
@@ -283,7 +262,7 @@ func TestDotPropertyQuick(t *testing.T) {
 			return false
 		}
 		i, j := rng.Intn(rows), rng.Intn(rows)
-		dij, dji := m.Dot(i, j), m.Dot(j, i)
+		dij, dji := DotRows(m.RowView(i), m.RowView(j)), DotRows(m.RowView(j), m.RowView(i))
 		if dij != dji {
 			return false
 		}

@@ -91,18 +91,6 @@ func (t *Trace) AddRecon(iter int64, shrunk, svs int) {
 	t.SetActive(iter, t.N)
 }
 
-// ActiveAt returns the global active-set size at the given iteration.
-func (t *Trace) ActiveAt(iter int64) int {
-	active := t.N
-	for _, s := range t.Segments {
-		if s.FromIter > iter {
-			break
-		}
-		active = s.Active
-	}
-	return active
-}
-
 // EachSegment calls fn with every (active, iterations) run of the trace.
 func (t *Trace) EachSegment(fn func(active int, iters int64)) {
 	for si, s := range t.Segments {

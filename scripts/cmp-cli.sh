@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # cmp-cli.sh <base-rev> — old-vs-new CLI equivalence check.
 #
-# Builds svmtrain and svmtune from <base-rev> and from the working tree,
-# runs both over the same list of training paths and tuning grids, and
-# compares every model file byte for byte and every stdout with wall-clock
-# timings normalised. Exits nonzero on the first difference. A refactor
-# that must not change behaviour proves it with:
+# Builds svmtrain, svmtune and svmpredict from <base-rev> and from the
+# working tree, runs both over the same list of training paths, tuning
+# grids and predictions, and compares every model and prediction file byte
+# for byte and every stdout with wall-clock timings normalised. Exits
+# nonzero after the whole list when anything differed. A refactor that
+# must not change behaviour proves it with:
 #
 #	scripts/cmp-cli.sh origin/main
 #
@@ -21,16 +22,17 @@ trap 'rm -rf "$work"' EXIT
 # repository's own .git changes.
 mkdir -p "$work/src" "$work/old" "$work/new" "$work/data"
 git -C "$root" archive "$base" | tar -x -C "$work/src"
-(cd "$work/src" && go build -o "$work/old/bin/" ./cmd/svmtrain ./cmd/svmtune)
-(cd "$root" && go build -o "$work/new/bin/" ./cmd/svmtrain ./cmd/svmtune ./cmd/svmgen)
+(cd "$work/src" && go build -o "$work/old/bin/" ./cmd/svmtrain ./cmd/svmtune ./cmd/svmpredict)
+(cd "$root" && go build -o "$work/new/bin/" ./cmd/svmtrain ./cmd/svmtune ./cmd/svmpredict ./cmd/svmgen)
 
 # Shared inputs, generated once. Each *-base file is a prefix of its full
 # file, as -update-from requires.
 (
 	cd "$work/data"
 	gen=$work/new/bin/svmgen
-	$gen -dataset blobs -scale 0.1 -out blobs.train >/dev/null
+	$gen -dataset blobs -scale 0.1 -out blobs.train -test-out blobs.test >/dev/null
 	$gen -task svr -n 240 -dim 4 -seed 3 -out svr.train >/dev/null
+	$gen -task svr -n 80 -dim 4 -seed 5 -out svr.test >/dev/null
 	$gen -task oneclass -n 240 -dim 4 -seed 3 -out oc.train >/dev/null
 	head -n 160 blobs.train >blobs-base.train
 	head -n 200 svr.train >svr-base.train
@@ -70,10 +72,11 @@ run() {
 		echo "same: $*"
 	fi
 }
-# same_model <file>: the model written on both sides must be byte-equal.
-same_model() {
+# same_file <file>: the model or prediction file written on both sides
+# must be byte-equal.
+same_file() {
 	if ! cmp -s "$work/old/$1" "$work/new/$1"; then
-		echo "DIFF model: $1" && fail=1
+		echo "DIFF file: $1" && fail=1
 	fi
 }
 
@@ -98,30 +101,30 @@ for args in \
 	name=${args%%|*}
 	# shellcheck disable=SC2086
 	run svmtrain -data $D/blobs.train ${args#*|} -model "$name.model"
-	same_model "$name.model"
+	same_file "$name.model"
 done
 
 # Loader coverage: the CRLF/comment variant trains the same model as the
 # plain file, and a malformed file fails on both sides.
 run svmtrain -data $D/blobs-crlf.train -model crlf.model
-same_model crlf.model
+same_file crlf.model
 run svmtrain -data $D/bad.train -model bad.model
 
 run svmtrain -task svr -data $D/svr.train -gamma 0.5 -svr-epsilon 0.1 -model svr.model -verify
-same_model svr.model
+same_file svr.model
 run svmtrain -task oneclass -data $D/oc.train -gamma 0.5 -nu 0.1 -model oc.model -verify
-same_model oc.model
+same_file oc.model
 
 # Incremental updates from base models trained on each prefix.
 run svmtrain -task svr -data $D/svr-base.train -gamma 0.5 -model svr-base.model
 run svmtrain -update-from svr-base.model -task svr -data $D/svr.train -model svr-upd.model -verify
-same_model svr-upd.model
+same_file svr-upd.model
 run svmtrain -task oneclass -data $D/oc-base.train -gamma 0.5 -nu 0.1 -model oc-base.model
 run svmtrain -update-from oc-base.model -data $D/oc.train -model oc-upd.model -verify
-same_model oc-upd.model
+same_file oc-upd.model
 run svmtrain -solver smo -data $D/blobs-base.train -model cls-base.model
 run svmtrain -update-from cls-base.model -data $D/blobs.train -model cls-upd.model -verify
-same_model cls-upd.model
+same_file cls-upd.model
 
 # Checkpoint drill: crash rank 1 mid-run (both sides must fail), then
 # resume both sides from copies of one checkpoint directory.
@@ -129,7 +132,7 @@ run svmtrain -data $D/blobs.train -p 2 -checkpoint-dir ck -checkpoint-every 5 \
 	-checkpoint-min-interval 0 -inject-crash-rank 1 -inject-crash-at 116 -model crash.model
 rm -rf "$work/new/ck" && cp -r "$work/old/ck" "$work/new/ck"
 run svmtrain -data $D/blobs.train -p 2 -checkpoint-dir ck -resume -verify -model resumed.model
-same_model resumed.model
+same_file resumed.model
 
 # Sharded checkpoint drill: the checkpoint a sharded run writes carries the
 # dataset fingerprint, so it must be byte-equal across sides, and a resume
@@ -140,7 +143,23 @@ if ! cmp -s "$work/old/cks/checkpoint.ckpt" "$work/new/cks/checkpoint.ckpt"; the
 	echo "DIFF checkpoint: cks/checkpoint.ckpt" && fail=1
 fi
 run svmtrain -data $D/blobs.train -shards 3 -p 3 -checkpoint-dir cks -resume -verify -model resumed-shards.model
-same_model resumed-shards.model
+same_file resumed-shards.model
+
+# Prediction: each side's svmpredict scores that side's models (byte-equal
+# above) over held-out rows: labels over several chunks, probabilities,
+# decision values of a dense-hyperplane and an SVR model, and labels with
+# the packed layout off.
+for args in \
+	"core-p2|core-p2.model|blobs.test|-chunk 7" \
+	"prob|prob.model|blobs.test|-prob" \
+	"dcd|dcd.model|blobs.test|-decision-values" \
+	"svr|svr.model|svr.test|-decision-values" \
+	"core-p2-nopack|core-p2.model|blobs.test|-no-pack"; do
+	IFS='|' read -r name model data flags <<<"$args"
+	# shellcheck disable=SC2086
+	run svmpredict -model "$model" -data "$D/$data" $flags -out "$name.pred"
+	same_file "$name.pred"
+done
 
 run svmtune -data $D/blobs.train -folds 3 -c-grid 1,10 -sigma2-grid 1,4
 run svmtune -data $D/blobs.train -folds 3 -solver linear -c-grid 0.5,1
@@ -149,4 +168,4 @@ if [ "$fail" -ne 0 ]; then
 	echo "cmp-cli: old ($base) and new CLIs differ"
 	exit 1
 fi
-echo "cmp-cli: $step commands identical against $base (models byte-equal, stdout timing-normalised)"
+echo "cmp-cli: $step commands identical against $base (models and predictions byte-equal, stdout timing-normalised)"
