@@ -1,5 +1,7 @@
-// Command svmpredict classifies a libsvm-format dataset with a trained
-// model and reports accuracy when labels are present.
+// Command svmpredict scores a libsvm-format dataset with a trained model
+// and reports how the model did by its task: accuracy for a classifier,
+// MSE, MAE and R² against the raw targets for an epsilon-SVR model, and
+// the share of rows flagged as outliers for a one-class model.
 //
 //	svmpredict -model svm.model -data test.libsvm -out predictions.txt
 package main
@@ -8,32 +10,39 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/dataset"
 	"repro/internal/model"
 	"repro/internal/serve"
+	"repro/internal/sparse"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "svmpredict:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run parses args, scores the data and prints the task's report line to
+// stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("svmpredict", flag.ContinueOnError)
 	var (
-		modelPath = flag.String("model", "svm.model", "model file from svmtrain")
-		dataPath  = flag.String("data", "", "data in libsvm format (labels used for accuracy)")
-		outPath   = flag.String("out", "", "optional predictions output file (one ±1 per line)")
-		decisions = flag.Bool("decision-values", false, "write raw decision values instead of labels")
-		probs     = flag.Bool("prob", false, "write calibrated probabilities (model must be trained with -probability)")
-		workers   = flag.Int("workers", 0, "prediction worker pool size (0 = GOMAXPROCS)")
-		chunk     = flag.Int("chunk", 4096, "rows evaluated per batched prediction call")
-		noPack    = flag.Bool("no-pack", false, "skip the packed predict-time support-vector layout")
+		modelPath = fs.String("model", "svm.model", "model file from svmtrain")
+		dataPath  = fs.String("data", "", "data in libsvm format (labels or targets used for the report)")
+		outPath   = fs.String("out", "", "optional predictions output file (one ±1 label, or one SVR estimate, per line)")
+		decisions = fs.Bool("decision-values", false, "write raw decision values instead of labels")
+		probs     = fs.Bool("prob", false, "write calibrated probabilities (model must be trained with -probability)")
+		workers   = fs.Int("workers", 0, "prediction worker pool size (0 = GOMAXPROCS)")
+		chunk     = fs.Int("chunk", 4096, "rows evaluated per batched prediction call")
+		noPack    = fs.Bool("no-pack", false, "skip the packed predict-time support-vector layout")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *dataPath == "" {
 		return fmt.Errorf("-data is required")
 	}
@@ -51,7 +60,14 @@ func run() error {
 	if !*noPack {
 		m.Pack(model.DefaultPackBudget)
 	}
-	x, y, err := dataset.LoadLibsvmFile(*dataPath)
+	task := m.TaskKind()
+	// An SVR model is judged against the raw targets; the other tasks
+	// read labels as signs.
+	load := dataset.LoadLibsvmFile
+	if task == model.TaskSVR {
+		load = dataset.LoadLibsvmValuesFile
+	}
+	x, y, err := load(*dataPath)
 	if err != nil {
 		return err
 	}
@@ -73,7 +89,7 @@ func run() error {
 	// Predictions stream through the same batched path the server uses:
 	// chunks of rows per DecisionValues call, so the worker pool and the
 	// packed layout amortize over whole blocks instead of single rows.
-	correct := 0
+	correct, outliers := 0, 0
 	for lo := 0; lo < x.Rows(); lo += *chunk {
 		view, err := x.RowRangeView(lo, min(lo+*chunk, x.Rows()))
 		if err != nil {
@@ -88,12 +104,15 @@ func run() error {
 			if pred == y[lo+i] {
 				correct++
 			}
+			if pred < 0 {
+				outliers++
+			}
 			if out != nil {
 				switch {
 				case *probs:
 					p, _ := m.ProbabilityFromDecision(v)
 					fmt.Fprintf(out, "%.6f\n", p)
-				case *decisions:
+				case *decisions || task == model.TaskSVR:
 					fmt.Fprintf(out, "%v\n", v)
 				default:
 					fmt.Fprintf(out, "%+g\n", pred)
@@ -101,7 +120,28 @@ func run() error {
 			}
 		}
 	}
-	fmt.Printf("accuracy = %.4f%% (%d/%d) with %d support vectors\n",
-		100*float64(correct)/float64(max(1, x.Rows())), correct, x.Rows(), m.NumSV())
+	return report(stdout, m, x, y, correct, outliers)
+}
+
+// report prints the task's summary line: regression metrics for SVR, the
+// share of rows flagged as outliers for one-class, and label accuracy for
+// a classifier.
+func report(stdout io.Writer, m *model.Model, x *sparse.Matrix, y []float64, correct, outliers int) error {
+	rows := x.Rows()
+	switch m.TaskKind() {
+	case model.TaskSVR:
+		mt, err := m.EvaluateRegression(x, y)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "mse = %.6g, mae = %.6g, r2 = %.4f (%d rows) with %d support vectors\n",
+			mt.MSE, mt.MAE, mt.R2, rows, m.NumSV())
+	case model.TaskOneClass:
+		fmt.Fprintf(stdout, "outliers = %.4f%% (%d/%d) with %d support vectors\n",
+			100*float64(outliers)/float64(max(1, rows)), outliers, rows, m.NumSV())
+	default:
+		fmt.Fprintf(stdout, "accuracy = %.4f%% (%d/%d) with %d support vectors\n",
+			100*float64(correct)/float64(max(1, rows)), correct, rows, m.NumSV())
+	}
 	return nil
 }

@@ -140,8 +140,9 @@ func (w workingPair) ByteSize() int { return w.Up.ByteSize() + w.Low.ByteSize() 
 
 // combinePair picks each side with MINLOC/MAXLOC semantics (ties to the
 // smaller index); the winner's sample travels with it.
-func combinePair(a, b workingPair) workingPair {
-	return workingPair{Up: mpi.MinLocCarry(a.Up, b.Up), Low: mpi.MaxLocCarry(a.Low, b.Low)}
+func combinePair(dst, a, b *workingPair) {
+	mpi.MinLocCarry(&dst.Up, &a.Up, &b.Up)
+	mpi.MaxLocCarry(&dst.Low, &a.Low, &b.Low)
 }
 
 // svBlock is a rank's contribution to the gradient-reconstruction ring and
@@ -255,12 +256,11 @@ type rankState struct {
 	up, low mpi.ValLoc
 	scanned bool
 
-	// partner is this rank's operand of the second-order Allreduce, which
-	// reduces pointers so that its sends allocate nothing. The result
-	// points at some rank's partner and is copied at once; no rank
-	// rewrites its partner before the next selection Allreduce, which no
-	// rank leaves before every rank has entered it.
-	partner violator
+	// pairSlots and partnerSlots hold this rank's buffers for the
+	// selection Allreduce and the second-order one. A pair or partner
+	// they return stays valid until the next call on the same slots.
+	pairSlots    *mpi.Slots[workingPair]
+	partnerSlots *mpi.Slots[violator]
 
 	// beforeReduce, when set (tests), runs in selectPair once up and low
 	// are current, before the reduction.
@@ -292,6 +292,7 @@ func newRankState(c *mpi.Comm, pt *Partition, cfg Config) *rankState {
 		activeIdx:    make([]int, n),
 		globalActive: pt.N,
 		ev:           kernel.NewEvaluator(cfg.Kernel, pt.X),
+		pairSlots:    mpi.NewSlots[workingPair](c),
 		phase:        1,
 	}
 	for i := 0; i < n; i++ {
@@ -307,6 +308,7 @@ func newRankState(c *mpi.Comm, pt *Partition, cfg Config) *rankState {
 	if cfg.SecondOrder {
 		s.diag = make([]float64, n)
 		s.ev.DiagInto(s.diag)
+		s.partnerSlots = mpi.NewSlots[violator](c)
 	}
 	if cfg.RecordTrace && c.Rank() == 0 {
 		s.trace = trace.New(cfg.DatasetName, cfg.Heuristic.Name, pt.N, 0, cfg.Eps)
@@ -325,7 +327,8 @@ func newRankState(c *mpi.Comm, pt *Partition, cfg Config) *rankState {
 // replacing the paper's hop through rank 0 and broadcast (lines 3-10).
 // The local violators come from the last gradient pass; only after a
 // cold start, reconstruction or warm start does selectPair scan for them.
-func (s *rankState) selectPair() (workingPair, error) {
+// The pair is valid, and read-only, until the next selectPair.
+func (s *rankState) selectPair() (*workingPair, error) {
 	if !s.scanned {
 		s.up, s.low = s.scanViolators()
 		s.scanned = true
@@ -333,7 +336,10 @@ func (s *rankState) selectPair() (workingPair, error) {
 	if s.beforeReduce != nil {
 		s.beforeReduce()
 	}
-	return mpi.Allreduce(s.c, workingPair{Up: s.violator(s.up), Low: s.violator(s.low)}, combinePair)
+	op := s.pairSlots.Operand()
+	s.setViolator(&op.Up, s.up)
+	s.setViolator(&op.Low, s.low)
+	return mpi.AllreduceSlots(s.c, s.pairSlots, combinePair)
 }
 
 // scanViolators returns the local worst up and low violators over the
@@ -360,14 +366,14 @@ func (s *rankState) observe(i int, up, low *mpi.ValLoc) {
 	}
 }
 
-// violator attaches the local sample behind v; an empty side (Loc -1)
-// carries none.
-func (s *rankState) violator(v mpi.ValLoc) violator {
-	out := violator{ValLoc: v}
+// setViolator stores v in dst with the local sample behind it attached;
+// an empty side (Loc -1) carries none.
+func (s *rankState) setViolator(dst *violator, v mpi.ValLoc) {
+	dst.ValLoc = v
+	dst.Data = pairHalf{}
 	if l, ok := s.pt.Local(v.Loc); ok {
-		out.Data = pairHalf{Row: s.pt.X.RowView(l), Norm: s.ev.Norm(l), Y: s.pt.Y[l], Alpha: s.alpha[l], Gamma: s.gamma[l]}
+		dst.Data = pairHalf{Row: s.pt.X.RowView(l), Norm: s.ev.Norm(l), Y: s.pt.Y[l], Alpha: s.alpha[l], Gamma: s.gamma[l]}
 	}
-	return out
 }
 
 // firstSyncFactor scales eps for the first synchronization in
@@ -440,14 +446,15 @@ func (s *rankState) solve() error {
 		}
 		s.iter++
 
+		upV, lowV := &pair.Up, &pair.Low
 		if s.cfg.SecondOrder {
-			if j, err := s.selectSecondOrder(pair.Up); err != nil {
+			if j, err := s.selectSecondOrder(upV); err != nil {
 				return err
 			} else if j.Loc >= 0 {
-				pair.Low = j
+				lowV = j
 			}
 		}
-		up, low := pair.Up.Data, pair.Low.Data
+		up, low := &upV.Data, &lowV.Data
 		// All ranks compute the identical analytic step (Eq. 6/7).
 		kUU := s.cfg.Kernel.Eval(up.Row, up.Row, up.Norm, up.Norm)
 		kLL := s.cfg.Kernel.Eval(low.Row, low.Row, low.Norm, low.Norm)
@@ -463,7 +470,7 @@ func (s *rankState) solve() error {
 				shrinkNow = true
 			}
 		}
-		s.gradientPass(st, pair, betaUp, betaLow, shrinkNow)
+		s.gradientPass(st, upV, lowV, betaUp, betaLow, shrinkNow)
 
 		if s.cfg.Lambda > 0 {
 			s.c.Compute(s.cfg.Lambda * float64(3+2*len(s.activeIdx)))
@@ -513,13 +520,14 @@ func (s *rankState) solve() error {
 // when no rank has a candidate). It completes s.rowUp, K(x_up, x_i) over
 // the actives, as a side effect — at most one batched row evaluation —
 // and the gradient pass reuses those values, so the second-order rule
-// costs no extra kernel evaluations.
-func (s *rankState) selectSecondOrder(up violator) (violator, error) {
+// costs no extra kernel evaluations. The partner is valid, and read-only,
+// until the next selectSecondOrder.
+func (s *rankState) selectSecondOrder(up *violator) (*violator, error) {
 	kUU := s.cfg.Kernel.Eval(up.Data.Row, up.Data.Row, up.Data.Norm, up.Data.Norm)
 	s.manualEvals++
 	var miss []int
 	s.rowUp, miss = s.lookupRow(up.Loc, &s.tmpUp, s.missUp)
-	s.fillRow(up.Data, s.rowUp, miss, s.valUp)
+	s.fillRow(&up.Data, s.rowUp, miss, s.valUp)
 	kui := s.rowUp
 	best := mpi.ValLoc{Val: math.Inf(-1), Loc: -1}
 	for _, i := range s.activeIdx {
@@ -536,12 +544,8 @@ func (s *rankState) selectSecondOrder(up violator) (violator, error) {
 		}
 		best = mpi.MaxLoc(best, mpi.ValLoc{Val: b * b / eta, Loc: s.pt.Global(i)})
 	}
-	s.partner = s.violator(best)
-	j, err := mpi.Allreduce(s.c, &s.partner, mpi.MaxLocCarryRef[pairHalf])
-	if err != nil {
-		return violator{}, err
-	}
-	return *j, nil
+	s.setViolator(s.partnerSlots.Operand(), best)
+	return mpi.AllreduceSlots(s.c, s.partnerSlots, mpi.MaxLocCarry[pairHalf])
 }
 
 // gradientPass applies the Eq. 2 gradient update to every local active
@@ -555,9 +559,9 @@ func (s *rankState) selectSecondOrder(up violator) (violator, error) {
 // The K(x_up, .) and K(x_low, .) rows over actives come from the pair
 // rows (fillPairRows); in second-order mode selection already completed
 // the up row.
-func (s *rankState) gradientPass(st solver.Step, pair workingPair, betaUp, betaLow float64, shrinkNow bool) {
+func (s *rankState) gradientPass(st solver.Step, up, low *violator, betaUp, betaLow float64, shrinkNow bool) {
 	c := s.cfg.C
-	s.fillPairRows(pair)
+	s.fillPairRows(up, low)
 	kui, kli := s.rowUp, s.rowLow
 	actives := s.activeIdx
 	vUp := mpi.ValLoc{Val: math.Inf(1), Loc: -1}
@@ -566,10 +570,10 @@ func (s *rankState) gradientPass(st solver.Step, pair workingPair, betaUp, betaL
 	for _, i := range actives {
 		s.gamma[i] += solver.GradientDelta(st.T, kui[i], kli[i])
 		g := s.pt.Global(i)
-		if g == pair.Up.Loc {
+		if g == up.Loc {
 			s.alpha[i] = st.NewAlphaUp
 		}
-		if g == pair.Low.Loc {
+		if g == low.Loc {
 			s.alpha[i] = st.NewAlphaLow
 		}
 		if shrinkNow {
@@ -593,13 +597,13 @@ func (s *rankState) gradientPass(st solver.Step, pair workingPair, betaUp, betaL
 // usual miss) one fused pair batch computes them, reading each target's
 // CSR payload once for both pivots; otherwise each row gets its own row
 // batch. In second-order mode selection has completed the up row.
-func (s *rankState) fillPairRows(pair workingPair) {
-	up, low := pair.Up.Data, pair.Low.Data
+func (s *rankState) fillPairRows(upV, lowV *violator) {
+	up, low := &upV.Data, &lowV.Data
 	var missUp, missLow []int
 	if !s.cfg.SecondOrder {
-		s.rowUp, missUp = s.lookupRow(pair.Up.Loc, &s.tmpUp, s.missUp)
+		s.rowUp, missUp = s.lookupRow(upV.Loc, &s.tmpUp, s.missUp)
 	}
-	s.rowLow, missLow = s.lookupRow(pair.Low.Loc, &s.tmpLow, s.missLow)
+	s.rowLow, missLow = s.lookupRow(lowV.Loc, &s.tmpLow, s.missLow)
 	if len(missUp) > 0 && slices.Equal(missUp, missLow) {
 		vu, vl := s.valUp[:len(missUp)], s.valLow[:len(missUp)]
 		s.ev.PairRowsInto(&s.scratch, up.Row, low.Row, up.Norm, low.Norm, missUp, vu, vl)
@@ -637,7 +641,7 @@ func (s *rankState) lookupRow(g int, tmp *[]float64, miss []int) ([]float64, []i
 
 // fillRow computes the entries miss lists of pivot h's row in one row
 // batch, through vals.
-func (s *rankState) fillRow(h pairHalf, row []float64, miss []int, vals []float64) {
+func (s *rankState) fillRow(h *pairHalf, row []float64, miss []int, vals []float64) {
 	if len(miss) == 0 {
 		return
 	}

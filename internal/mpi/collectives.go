@@ -66,16 +66,73 @@ func Bcast[T any](c *Comm, v T, root int) (T, error) {
 	return v, nil
 }
 
-// Allreduce combines one value per rank with op and returns the global
-// result on every rank. The implementation is recursive doubling with the
-// standard pre/post phases for non-power-of-two worlds; op must be
-// commutative and associative. The combine order is fixed (lower
-// participant's partial on the left), so all ranks produce bitwise
-// identical results even for floating-point sums.
-func Allreduce[T any](c *Comm, v T, op func(T, T) T) (T, error) {
-	var zero T
+// Slots is one rank's operand and partial-result buffers for
+// AllreduceSlots over T. The caller writes its operand in place through
+// Operand, and each round of the reduction sends only a pointer to the
+// partial it holds, which boxes into an interface without allocating;
+// the combine op writes every new partial into the next of the rank's own
+// buffers. Slots belong to one rank's Comm and are not safe for
+// concurrent use.
+//
+// Lifetime rule: calls alternate between two buffer sets by parity. The
+// result of a call, which may point into another rank's slots, is valid
+// and must not be written until the caller's next AllreduceSlots on the
+// same slots. A rank rewrites a buffer set only two calls after it last
+// used it, and it cannot get there before every rank has entered the call
+// in between: no rank completes a reduction before every rank's operand
+// has reached it. By then every rank has finished the call that read the
+// set, including a folded-out rank of a non-power-of-two world that took
+// its result from its neighbour's buffer.
+type Slots[T any] struct {
+	bufs  []T // two sets of stride buffers: the operand, then one per partial
+	calls int
+}
+
+// NewSlots returns the buffers one rank of c needs for AllreduceSlots.
+func NewSlots[T any](c *Comm) *Slots[T] {
+	stride := 2 // the operand and the fold's partial
+	for p2 := 1; p2 < c.Size(); p2 *= 2 {
+		stride++ // one partial per doubling round
+	}
+	return &Slots[T]{bufs: make([]T, 2*stride)}
+}
+
+// set returns the buffer set of the next call; element 0 is its operand.
+func (s *Slots[T]) set() []T {
+	stride := len(s.bufs) / 2
+	lo := (s.calls % 2) * stride
+	return s.bufs[lo : lo+stride]
+}
+
+// Operand returns the buffer the caller fills before its next
+// AllreduceSlots on s. The reduction reads it and leaves it unchanged.
+func (s *Slots[T]) Operand() *T { return &s.set()[0] }
+
+// elemBytes is the modeled size of the value a partial points at: its
+// ByteSize when T has one, otherwise what PayloadBytes charges the value
+// itself, never the nominal size of a pointer.
+func elemBytes[T any](v *T) int {
+	if sz, ok := any(v).(Sized); ok {
+		return sz.ByteSize()
+	}
+	return PayloadBytes(*v)
+}
+
+// AllreduceSlots combines every rank's operand (s.Operand) with op and
+// returns a pointer to the global result on every rank; see Slots for how
+// long it stays valid. op(dst, a, b) stores the combination of *a and *b
+// in *dst, which never aliases a or b; it must be commutative and
+// associative. The implementation is recursive doubling with the standard
+// pre/post phases for non-power-of-two worlds. The combine order is fixed
+// (lower participant's partial on the left), so all ranks produce bitwise
+// identical results even for floating-point sums. Each send is charged the
+// size of the value, as if it were sent by value.
+func AllreduceSlots[T any](c *Comm, s *Slots[T], op func(dst, a, b *T)) (*T, error) {
 	p, rank := c.Size(), c.rank
 	tag := c.nextCollTag()
+	bufs := s.set()
+	s.calls++
+	v, next := &bufs[0], 1
 	if p == 1 {
 		return v, nil
 	}
@@ -84,6 +141,12 @@ func Allreduce[T any](c *Comm, v T, op func(T, T) T) (T, error) {
 		p2 *= 2
 	}
 	rem := p - p2
+	combine := func(a, b *T) *T {
+		dst := &bufs[next]
+		next++
+		op(dst, a, b)
+		return dst
+	}
 
 	// Fold the "extra" ranks into the power-of-two participant set:
 	// among the first 2*rem ranks, evens hand their value to the odd
@@ -91,19 +154,19 @@ func Allreduce[T any](c *Comm, v T, op func(T, T) T) (T, error) {
 	newRank := -1
 	switch {
 	case rank < 2*rem && rank%2 == 0:
-		if err := c.send(rank+1, tag, v); err != nil {
-			return zero, err
+		if err := c.sendSized(rank+1, tag, v, elemBytes(v)); err != nil {
+			return nil, err
 		}
 	case rank < 2*rem: // odd
 		data, st, err := c.recv(rank-1, tag)
 		if err != nil {
-			return zero, err
+			return nil, err
 		}
-		other, err := assertPayload[T](c, data, st)
+		other, err := assertPayload[*T](c, data, st)
 		if err != nil {
-			return zero, err
+			return nil, err
 		}
-		v = op(other, v) // lower rank's value on the left
+		v = combine(other, v) // lower rank's value on the left
 		newRank = rank / 2
 	default:
 		newRank = rank - rem
@@ -120,36 +183,54 @@ func Allreduce[T any](c *Comm, v T, op func(T, T) T) (T, error) {
 		for mask := 1; mask < p2; mask <<= 1 {
 			partnerNew := newRank ^ mask
 			partner := oldRank(partnerNew)
-			data, st, err := c.sendrecv(partner, tag, v, partner, tag)
-			if err != nil {
-				return zero, err
+			if err := c.sendSized(partner, tag, v, elemBytes(v)); err != nil {
+				return nil, err
 			}
-			other, err := assertPayload[T](c, data, st)
+			data, st, err := c.recv(partner, tag)
 			if err != nil {
-				return zero, err
+				return nil, err
+			}
+			other, err := assertPayload[*T](c, data, st)
+			if err != nil {
+				return nil, err
 			}
 			if newRank < partnerNew {
-				v = op(v, other)
+				v = combine(v, other)
 			} else {
-				v = op(other, v)
+				v = combine(other, v)
 			}
 		}
 	}
 
-	// Return results to the folded-out even ranks.
+	// Return results to the folded-out even ranks, which keep a pointer
+	// to their neighbour's buffer.
 	switch {
 	case rank < 2*rem && rank%2 == 0:
 		data, st, err := c.recv(rank+1, tag)
 		if err != nil {
-			return zero, err
+			return nil, err
 		}
-		return assertPayload[T](c, data, st)
+		return assertPayload[*T](c, data, st)
 	case rank < 2*rem: // odd
-		if err := c.send(rank-1, tag, v); err != nil {
-			return zero, err
+		if err := c.sendSized(rank-1, tag, v, elemBytes(v)); err != nil {
+			return nil, err
 		}
 	}
 	return v, nil
+}
+
+// Allreduce combines one value per rank with op and returns the global
+// result on every rank: AllreduceSlots over slots of its own, with the
+// same messages, combine order and modeled bytes.
+func Allreduce[T any](c *Comm, v T, op func(T, T) T) (T, error) {
+	s := NewSlots[T](c)
+	*s.Operand() = v
+	r, err := AllreduceSlots(c, s, func(dst, a, b *T) { *dst = op(*a, *b) })
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return *r, nil
 }
 
 // Barrier blocks until every rank has entered it (dissemination algorithm,
@@ -241,35 +322,25 @@ type Carry[T Sized] struct {
 // interface to ask.
 func (c Carry[T]) ByteSize() int { return 16 + c.Data.ByteSize() }
 
-// MinLocCarry is MinLoc over Carry operands. On an exact ValLoc tie the
-// left operand wins, which Allreduce makes the lower ranks' partial, so
-// the result matches a sequential fold in rank order.
-func MinLocCarry[T Sized](a, b Carry[T]) Carry[T] {
+// MinLocCarry stores in dst the MinLoc of a and b with its payload. On an
+// exact ValLoc tie the left operand wins, which AllreduceSlots makes the
+// lower ranks' partial, so the result matches a sequential fold in rank
+// order.
+func MinLocCarry[T Sized](dst, a, b *Carry[T]) {
 	if minLocTakes(a.ValLoc, b.ValLoc) {
-		return b
+		*dst = *b
+	} else {
+		*dst = *a
 	}
-	return a
 }
 
 // MaxLocCarry is MaxLoc over Carry operands, with MinLocCarry's tie rule.
-func MaxLocCarry[T Sized](a, b Carry[T]) Carry[T] {
+func MaxLocCarry[T Sized](dst, a, b *Carry[T]) {
 	if maxLocTakes(a.ValLoc, b.ValLoc) {
-		return b
+		*dst = *b
+	} else {
+		*dst = *a
 	}
-	return a
-}
-
-// MaxLocCarryRef is MaxLocCarry over pointers to Carry operands. It
-// returns one of its operands and makes no new value, so an Allreduce over
-// *Carry sends pointers, which box into an interface without allocating.
-// Every rank's result then points at some rank's operand: each owner must
-// leave its operand unchanged until every rank has read the result (for
-// example, until the next collective they all enter).
-func MaxLocCarryRef[T Sized](a, b *Carry[T]) *Carry[T] {
-	if maxLocTakes(a.ValLoc, b.ValLoc) {
-		return b
-	}
-	return a
 }
 
 // SumF64 and SumInt are the sum operators for Allreduce.

@@ -161,9 +161,9 @@ func TestAllreduceCarryPropertyVsSequential(t *testing.T) {
 				vals[r] = Carry[payload]{ValLoc: v, Data: payload{rank: r, loc: v.Loc}}
 			}
 			wantMin, wantMax := vals[0], vals[0]
-			for _, v := range vals[1:] {
-				wantMin = MinLocCarry(wantMin, v)
-				wantMax = MaxLocCarry(wantMax, v)
+			for i := range vals[1:] {
+				MinLocCarry(&wantMin, &wantMin, &vals[i+1])
+				MaxLocCarry(&wantMax, &wantMax, &vals[i+1])
 			}
 			for _, v := range vals {
 				if v.Val < wantMin.Val || v.Val == wantMin.Val && v.Loc < wantMin.Loc {
@@ -176,30 +176,31 @@ func TestAllreduceCarryPropertyVsSequential(t *testing.T) {
 
 			gotMin := make([]Carry[payload], p)
 			gotMax := make([]Carry[payload], p)
-			gotRef := make([]Carry[payload], p)
 			err := Run(p, func(c *Comm) error {
-				mn, err := Allreduce(c, vals[c.Rank()], MinLocCarry[payload])
+				reduce := func(op func(dst, a, b *Carry[payload])) (Carry[payload], error) {
+					s := NewSlots[Carry[payload]](c)
+					*s.Operand() = vals[c.Rank()]
+					r, err := AllreduceSlots(c, s, op)
+					if err != nil {
+						return Carry[payload]{}, err
+					}
+					return *r, nil
+				}
+				mn, err := reduce(MinLocCarry[payload])
 				if err != nil {
 					return err
 				}
-				mx, err := Allreduce(c, vals[c.Rank()], MaxLocCarry[payload])
-				if err != nil {
-					return err
-				}
-				ref, err := Allreduce(c, &vals[c.Rank()], MaxLocCarryRef[payload])
+				mx, err := reduce(MaxLocCarry[payload])
 				gotMin[c.Rank()], gotMax[c.Rank()] = mn, mx
-				if ref != nil {
-					gotRef[c.Rank()] = *ref
-				}
 				return err
 			})
 			if err != nil {
 				t.Fatalf("p=%d trial %d: %v", p, trial, err)
 			}
 			for r := 0; r < p; r++ {
-				if gotMin[r] != wantMin || gotMax[r] != wantMax || gotRef[r] != wantMax {
-					t.Errorf("p=%d trial %d (vals=%v): rank %d got min %+v max %+v max by reference %+v, want %+v %+v",
-						p, trial, vals, r, gotMin[r], gotMax[r], gotRef[r], wantMin, wantMax)
+				if gotMin[r] != wantMin || gotMax[r] != wantMax {
+					t.Errorf("p=%d trial %d (vals=%v): rank %d got min %+v max %+v, want %+v %+v",
+						p, trial, vals, r, gotMin[r], gotMax[r], wantMin, wantMax)
 				}
 			}
 		}

@@ -303,20 +303,24 @@ type sizedInt int
 func (sizedInt) ByteSize() int { return 8 }
 
 func TestMixedCollectiveSequence(t *testing.T) {
-	// The solver's pattern: one Carry Allreduce per iteration selects and
-	// delivers the working pair, a SumInt Allreduce at each shrink check,
-	// Barrier + Gather for each checkpoint, and a final Gather assembles
-	// the model. Exercise the sequence under all sizes.
+	// The solver's pattern: one Carry Allreduce per iteration, over the
+	// same slots, selects and delivers the working pair, a SumInt
+	// Allreduce at each shrink check, Barrier + Gather for each
+	// checkpoint, and a final Gather assembles the model. Exercise the
+	// sequence under all sizes.
 	type pair struct{ Up, Low Carry[sizedInt] }
-	combine := func(a, b pair) pair {
-		return pair{Up: MinLocCarry(a.Up, b.Up), Low: MaxLocCarry(a.Low, b.Low)}
+	combine := func(dst, a, b *pair) {
+		MinLocCarry(&dst.Up, &a.Up, &b.Up)
+		MaxLocCarry(&dst.Low, &a.Low, &b.Low)
 	}
 	for _, p := range worldSizes {
 		err := Run(p, func(c *Comm) error {
 			r := c.Rank()
+			slots := NewSlots[pair](c)
 			for i := 0; i < 10; i++ {
 				mine := Carry[sizedInt]{ValLoc: ValLoc{float64(r), r}, Data: sizedInt(100*i + r)}
-				got, err := Allreduce(c, pair{Up: mine, Low: mine}, combine)
+				*slots.Operand() = pair{Up: mine, Low: mine}
+				got, err := AllreduceSlots(c, slots, combine)
 				if err != nil {
 					return err
 				}

@@ -129,13 +129,19 @@ func (c *Comm) Send(dst, tag int, data any) error {
 // send is the internal path shared with collectives (which use reserved
 // tags above maxUserTag).
 func (c *Comm) send(dst, tag int, data any) error {
+	return c.sendSized(dst, tag, data, PayloadBytes(data))
+}
+
+// sendSized is send with the modeled size n given by the caller: a
+// collective that sends a pointer to a rank-owned buffer charges the size
+// of the value it points at.
+func (c *Comm) sendSized(dst, tag int, data any, n int) error {
 	if err := c.w.checkFault(c.rank); err != nil {
 		return err
 	}
 	if err := c.checkCrash(); err != nil {
 		return err
 	}
-	n := PayloadBytes(data)
 	c.clock += c.w.net.Cost(n)
 	c.sends++
 	c.sentBytes += int64(n)

@@ -81,22 +81,17 @@ func TestGetReleasesConsumedPayload(t *testing.T) {
 func TestAllreduceCarryOversubscribed(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const p, rounds = 6, 3000
-	operand := func(round, rank int) Carry[sizedInt] {
-		v := ValLoc{Val: float64((round*7 + rank*13) % 5), Loc: (round + rank*3) % 11}
-		return Carry[sizedInt]{ValLoc: v, Data: sizedInt(100*round + rank)}
-	}
 	err := Run(p, func(c *Comm) error {
+		slots := NewSlots[Carry[sizedInt]](c)
 		for round := 0; round < rounds; round++ {
-			want := operand(round, 0)
-			for r := 1; r < p; r++ {
-				want = MinLocCarry(want, operand(round, r))
-			}
-			got, err := Allreduce(c, operand(round, c.Rank()), MinLocCarry[sizedInt])
+			want := foldCarryOperands(round, p)
+			*slots.Operand() = carryOperand(round, c.Rank())
+			got, err := AllreduceSlots(c, slots, MinLocCarry[sizedInt])
 			if err != nil {
 				return err
 			}
-			if got != want {
-				return fmt.Errorf("round %d: got %+v, want %+v", round, got, want)
+			if *got != want {
+				return fmt.Errorf("round %d: got %+v, want %+v", round, *got, want)
 			}
 		}
 		return nil
@@ -106,20 +101,89 @@ func TestAllreduceCarryOversubscribed(t *testing.T) {
 	}
 }
 
+// carryOperand is rank's Carry operand in round: small value and location
+// ranges force ties, and the payload names the round and the rank.
+func carryOperand(round, rank int) Carry[sizedInt] {
+	v := ValLoc{Val: float64((round*7 + rank*13) % 5), Loc: (round + rank*3) % 11}
+	return Carry[sizedInt]{ValLoc: v, Data: sizedInt(100*round + rank)}
+}
+
+// foldCarryOperands is the sequential MinLocCarry fold of round's
+// operands in rank order.
+func foldCarryOperands(round, p int) Carry[sizedInt] {
+	want := carryOperand(round, 0)
+	for r := 1; r < p; r++ {
+		next := carryOperand(round, r)
+		MinLocCarry(&want, &want, &next)
+	}
+	return want
+}
+
+// TestSlotLifetime pins the Slots lifetime rule: a result stays valid
+// until the caller's next call on the same slots, although the other
+// ranks race ahead into that call and fill their operands. One rank,
+// a different one each round (at p = 3, 5 and 6 it is often a folded-out
+// rank whose result lives in its neighbour's buffer), is delayed between
+// calls. Each rank then fills its next operand and re-checks its previous
+// result against the sequential fold, while faster ranks may already be
+// inside the next call.
+// Run it with -race: a write into a buffer some rank still reads is a
+// race even when the values happen to agree.
+func TestSlotLifetime(t *testing.T) {
+	const rounds = 3000
+	for _, procs := range []int{1, runtime.GOMAXPROCS(0)} {
+		for _, p := range []int{2, 3, 5, 6} {
+			t.Run(fmt.Sprintf("GOMAXPROCS=%d/p=%d", procs, p), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				err := Run(p, func(c *Comm) error {
+					slots := NewSlots[Carry[sizedInt]](c)
+					var prev *Carry[sizedInt]
+					for round := 0; round < rounds; round++ {
+						if c.Rank() == round%p {
+							for i := 0; i < 1+round%7; i++ {
+								runtime.Gosched()
+							}
+						}
+						*slots.Operand() = carryOperand(round, c.Rank())
+						if round > 0 {
+							if want := foldCarryOperands(round-1, p); *prev != want {
+								return fmt.Errorf("round %d result changed before the next call: %+v, want %+v", round-1, *prev, want)
+							}
+						}
+						got, err := AllreduceSlots(c, slots, MinLocCarry[sizedInt])
+						if err != nil {
+							return err
+						}
+						if want := foldCarryOperands(round, p); *got != want {
+							return fmt.Errorf("round %d: got %+v, want %+v", round, *got, want)
+						}
+						prev = got
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
 // quad is BenchmarkAllreduceCarryP2's 32-byte Carry payload.
 type quad [4]float64
 
 func (quad) ByteSize() int { return 32 }
 
 // BenchmarkAllreduceCarryP2 is a ping-pong: one op is one Carry Allreduce
-// on two ranks, a send and a matching receive on each, so ns/op is the
-// in-process hand-off latency of one exchange.
+// on two ranks over the same slots, a send and a matching receive on
+// each, so ns/op is the in-process hand-off latency of one exchange.
 func BenchmarkAllreduceCarryP2(b *testing.B) {
 	b.ReportAllocs()
 	err := Run(2, func(c *Comm) error {
-		v := Carry[quad]{ValLoc: ValLoc{Val: float64(c.Rank()), Loc: c.Rank()}}
+		slots := NewSlots[Carry[quad]](c)
 		for i := 0; i < b.N; i++ {
-			if _, err := Allreduce(c, v, MinLocCarry[quad]); err != nil {
+			*slots.Operand() = Carry[quad]{ValLoc: ValLoc{Val: float64(c.Rank()), Loc: c.Rank()}}
+			if _, err := AllreduceSlots(c, slots, MinLocCarry[quad]); err != nil {
 				return err
 			}
 		}

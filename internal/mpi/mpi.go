@@ -9,10 +9,11 @@
 //   - MPI_Isend / MPI_Irecv /
 //     MPI_Waitall              -> Comm.Isend / Comm.Irecv / Waitall, used by
 //     the ring exchange in gradient reconstruction (Algorithm 3)
-//   - MPI_Allreduce            -> Allreduce (recursive doubling, any p),
-//     used once per iteration for beta_up/beta_low (min/maxloc over Carry
-//     operands, which also deliver x_up and x_low) and at shrink checks
-//     for the subsequent shrinking threshold (sum)
+//   - MPI_Allreduce            -> AllreduceSlots (recursive doubling,
+//     any p, over rank-owned Slots), used once per iteration for
+//     beta_up/beta_low (min/maxloc over Carry operands, which also
+//     deliver x_up and x_low), and its value form Allreduce, used at
+//     shrink checks for the subsequent shrinking threshold (sum)
 //   - MPI_Gather               -> Gather (linear, at a root), used to
 //     collect checkpoint state and assemble the final support-vector set
 //   - MPI_Barrier              -> Barrier (dissemination), which fences
@@ -22,9 +23,13 @@
 //     x_up and x_low
 //
 // Because ranks share an address space, message payloads are passed by
-// reference: ownership transfers to the receiver and neither side may
-// mutate a payload after send. This mirrors how the solver uses MPI (CSR
-// blocks are immutable once built).
+// reference, and every buffer has one owner, the rank that writes it. A
+// reduction's operands and partials live in Slots the rank owns: it
+// writes only its own buffers and sends pointers to them, and a buffer is
+// written again only when no rank can still be reading it (see Slots for
+// the rule). Other payloads, such as the CSR blocks of the reconstruction
+// ring, are immutable once sent. The modeled size of a message is that of
+// the value sent, not of the pointer that carries it.
 //
 // A receive whose message has not arrived polls the rank's mailbox (an
 // atomic put counter, read outside the lock) for a bounded budget before

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/linear"
 	"repro/internal/model"
+	"repro/internal/serve/batcher"
 	"repro/internal/solver"
 	"repro/internal/sparse"
 )
@@ -99,6 +100,69 @@ func TestLinearModelServingRoundTrip(t *testing.T) {
 	}
 	if want := m2.DecisionValue(probeRow); math.Float64bits(pr.Predictions[0].Decision) != math.Float64bits(want) {
 		t.Fatalf("after reload decision %v, want %v", pr.Predictions[0].Decision, want)
+	}
+}
+
+// TestCoalescedAnswerKeepsBatchSnapshot: a coalesced answer takes its
+// decision, label and model_version from the snapshot its batch ran
+// against, not from the one the handler resolved before queueing, nor
+// from the one current when the handler writes the response. The
+// pipeline's Source reloads once before taking the batch's snapshot and
+// once after, so the three differ: the handler resolved version 1, the
+// batch runs on version 2, and version 3 is live before the answer is
+// delivered. (A reload from the batcher's OnBatch hook would come too
+// late to test this: the hook runs after the answers are delivered, so
+// it races the handler.)
+func TestCoalescedAnswerKeepsBatchSnapshot(t *testing.T) {
+	path := t.TempDir() + "/m.model"
+	saveModel(t, testModel(0), path)
+	s, ts := newTestServer(t, Config{CoalesceWindow: 200 * time.Microsecond}, map[string]string{"default": path})
+	defer s.Close()
+
+	models := []*model.Model{testModel(0.7), testModel(-0.9)}
+	var srcErr error
+	src := s.sourceFor("default")
+	reload := func(m *model.Model) {
+		if srcErr == nil {
+			srcErr = m.Save(path)
+		}
+		if srcErr == nil {
+			_, srcErr = s.reg.Reload("default")
+		}
+	}
+	orig := s.pipelines["default"]
+	orig.batch.Close()
+	s.pipelines["default"] = &pipeline{shed: orig.shed, batch: batcher.New(func() (*model.Model, uint64) {
+		reload(models[0])
+		m, v := src()
+		reload(models[1])
+		return m, v
+	}, batcher.Config{MaxWait: 200 * time.Microsecond, Gate: orig.shed})}
+
+	resp, data := postJSON(t, ts.URL+"/v1/predict", PredictRequest{Features: map[string]float64{"1": 0.3, "2": -0.2}})
+	if srcErr != nil {
+		t.Fatal(srcErr)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("predict: %d %s", resp.StatusCode, data)
+	}
+	if snap, _ := s.reg.Get("default"); snap.Version != 3 {
+		t.Fatalf("registry at version %d after the batch, want 3", snap.Version)
+	}
+	pr := decodePredictions(t, data)
+	row := sparse.Row{Idx: []int32{0, 1}, Val: []float64{0.3, -0.2}}
+	want := models[0].DecisionValue(row)
+	for _, m := range []*model.Model{testModel(0), models[1]} {
+		if m.DecisionValue(row) == want {
+			t.Fatal("two versions give the same decision; the test cannot tell them apart")
+		}
+	}
+	if pr.Version != 2 || len(pr.Predictions) != 1 {
+		t.Fatalf("answered version %d with %d predictions, want version 2 (the batch's snapshot) with 1", pr.Version, len(pr.Predictions))
+	}
+	got := pr.Predictions[0]
+	if math.Float64bits(got.Decision) != math.Float64bits(want) || got.Label != math.Copysign(1, want) {
+		t.Fatalf("answered decision %v label %v, want version 2's %v", got.Decision, got.Label, want)
 	}
 }
 

@@ -408,15 +408,13 @@ func (s *state) selectSecondOrder(u int, rowU []float64) int {
 // getRow returns the (possibly partially computed) kernel row for sample u.
 // Entries are NaN until computed; the gradient loop fills them lazily so a
 // row computed under a small active set stays reusable and is completed on
-// demand if the active set grows back.
-// The lookup after an admission is counted as a hit, so each miss also
-// adds a hit to the reported cache statistics.
+// demand if the active set grows back. Each call is one cache lookup: a
+// hit, or a miss that admits the row.
 func (s *state) getRow(u int) []float64 {
 	if row, ok := s.rows.Get(u); ok {
 		return row
 	}
-	s.rows.Put(u)
-	if row, ok := s.rows.Get(u); ok {
+	if row := s.rows.Put(u); row != nil {
 		return row
 	}
 	row := make([]float64, len(s.alpha)) // cache disabled: a transient row

@@ -159,6 +159,29 @@ func TestCacheDoesNotChangeResult(t *testing.T) {
 	}
 }
 
+// TestCacheCountsEachLookupOnce: a cold run without shrinking looks up
+// exactly two rows per iteration, i_up's and i_low's, so hits and misses
+// must add up to twice the iteration count, at a budget that evicts, at
+// one that holds every row and with the cache off.
+func TestCacheCountsEachLookupOnce(t *testing.T) {
+	ds := dataset.MustGenerate("blobs", 0.15)
+	n := int64(ds.X.Rows())
+	for _, budget := range []int64{0, 8 * n * 16, 8 * n * n} {
+		cfg := Config{Kernel: kernel.FromSigma2(ds.Sigma2), C: ds.C, Eps: 1e-3, Workers: 2, CacheBytes: budget}
+		r, err := Train(ds.X, ds.Y, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lookups := 2 * uint64(r.Iterations)
+		if r.CacheHits+r.CacheMisses != lookups {
+			t.Errorf("budget %d: %d hits + %d misses for %d lookups", budget, r.CacheHits, r.CacheMisses, lookups)
+		}
+		if budget > 0 && (r.CacheHits == 0 || r.CacheMisses == 0) {
+			t.Errorf("budget %d: %d hits, %d misses; want both", budget, r.CacheHits, r.CacheMisses)
+		}
+	}
+}
+
 func TestShrinkingPreservesAccuracy(t *testing.T) {
 	ds := dataset.MustGenerate("blobs", 0.25)
 	base := Config{Kernel: kernel.FromSigma2(ds.Sigma2), C: ds.C, Eps: 1e-3, Workers: 2}
