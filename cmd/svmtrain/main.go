@@ -366,9 +366,8 @@ func run(args []string, stdout io.Writer) error {
 
 	opts := solver.Options{
 		C: *c, Eps: *eps, Seed: *seed, Workers: *workers,
-		Checkpoint: ckptW, CheckpointEvery: *ckptEvery,
-		DatasetName: *dsName,
-		Faults:      faults,
+		Control: solver.Control{Checkpoint: ckptW, CheckpointEvery: *ckptEvery},
+		Faults:  faults,
 		DC: solver.DCOptions{
 			Clusters: *dcClusters, Levels: *dcLevels, KernelSpace: *dcKernelSpace,
 			SubSolver: *dcSubSolver, PolishFull: *dcPolishFull, SubFaultCluster: *crashCluster,
@@ -427,6 +426,7 @@ func run(args []string, stdout io.Writer) error {
 	m := res.Model
 	summary += res.Summary
 	if *tracePath != "" && res.Trace != nil {
+		res.Trace.Dataset = *dsName
 		if err := res.Trace.SaveJSON(*tracePath); err != nil {
 			return err
 		}

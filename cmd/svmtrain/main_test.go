@@ -14,6 +14,7 @@ import (
 	"repro/internal/solver"
 	"repro/internal/sparse"
 	"repro/internal/tasks"
+	"repro/internal/trace"
 )
 
 // fixture is one training file on disk and the rows it holds.
@@ -263,8 +264,14 @@ func TestRunExtras(t *testing.T) {
 	tracePath := filepath.Join(dir, "trace.json")
 	mustRun(t, "-dataset", "blobs", "-dataset-scale", "0.1", "-seed", "3", "-p", "2",
 		"-trace", tracePath, "-model", filepath.Join(dir, "ds.model"))
-	if fi, err := os.Stat(tracePath); err != nil || fi.Size() == 0 {
+	if f, err := os.Open(tracePath); err != nil {
 		t.Errorf("trace not written: %v", err)
+	} else {
+		tr, err := trace.Load(f)
+		f.Close()
+		if err != nil || tr.Dataset != "blobs" {
+			t.Errorf("trace not labelled with the -dataset name: %+v, %v", tr, err)
+		}
 	}
 
 	probPath := filepath.Join(dir, "prob.model")

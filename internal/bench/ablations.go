@@ -4,8 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/kernel"
-	"repro/internal/smo"
+	"repro/internal/solver"
 )
 
 // RunAblationCache varies the kernel-cache budget of the libsvm-enhanced
@@ -29,20 +28,14 @@ func RunAblationCache(o Options) (*Report, error) {
 		name  string
 		bytes int64
 	}{
-		{"none", 0},
+		{"none", -1},
 		{"16 rows", 16 * rowBytes},
 		{"n/8 rows", int64(ds.Train()/8) * rowBytes},
-		{"full", 1 << 30},
+		{"full", solver.DefaultCacheBytes},
 	}
 	for _, b := range budgets {
-		// Native: the registry reads a zero CacheBytes as its 1 GiB
-		// default, so the no-cache row needs smo.Config.
-		cfg := smo.Config{
-			Kernel: kernel.FromSigma2(ds.Sigma2), C: ds.C, Eps: o.Eps,
-			Workers: o.BaselineWorkers, CacheBytes: b.bytes, Shrinking: true,
-		}
 		t0 := time.Now()
-		res, err := smo.Train(ds.X, ds.Y, cfg)
+		res, err := train(o, "smo", ds, solver.Options{Workers: o.BaselineWorkers, CacheBytes: b.bytes})
 		if err != nil {
 			return nil, err
 		}

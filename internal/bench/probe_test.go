@@ -34,7 +34,8 @@ func TestAllDatasetsCharacterization(t *testing.T) {
 			tm float64
 		}
 		run := func(h core.Heuristic) res {
-			cfg := core.Config{Kernel: kernel.FromSigma2(ds.Sigma2), C: ds.C, Eps: 1e-3, Heuristic: h, RecordTrace: true, MaxIter: 400000}
+			cfg := core.Config{Kernel: kernel.FromSigma2(ds.Sigma2), C: ds.C, Eps: 1e-3, Heuristic: h, RecordTrace: true}
+			cfg.MaxIter = 400000
 			m, st, err := core.TrainParallel(ds.X, ds.Y, 1, cfg)
 			if err != nil {
 				t.Fatal(name, err)

@@ -70,7 +70,7 @@ type baselineResult struct {
 // worker count. The recorded trace drives the full-scale baseline model.
 func runBaseline(o Options, ds *dataset.Dataset, workers int) (*baselineResult, error) {
 	start := time.Now()
-	res, err := train(o, "smo", ds, solver.Options{Workers: workers, RecordTrace: true, DatasetName: ds.Name})
+	res, err := train(o, "smo", ds, solver.Options{Workers: workers, RecordTrace: true})
 	if err != nil {
 		return nil, fmt.Errorf("baseline on %s: %w", ds.Name, err)
 	}
@@ -84,7 +84,7 @@ func runBaseline(o Options, ds *dataset.Dataset, workers int) (*baselineResult, 
 // iterate sequence is p-independent) and records the trace.
 func runTraced(o Options, ds *dataset.Dataset, h core.Heuristic) (*solver.Result, error) {
 	start := time.Now()
-	res, err := train(o, "core", ds, solver.Options{Heuristic: h.Name, RecordTrace: true, DatasetName: ds.Name})
+	res, err := train(o, "core", ds, solver.Options{Heuristic: h.Name, RecordTrace: true})
 	if err != nil {
 		return nil, fmt.Errorf("traced run %s/%s: %w", ds.Name, h.Name, err)
 	}

@@ -59,7 +59,7 @@ func RunWSS(o Options) (*Report, error) {
 		// One worker keeps the iterate sequence deterministic, so the
 		// iteration and kernel-eval columns are properties of the selection
 		// rule, not of goroutine scheduling.
-		opts := solver.Options{C: ds.C, Eps: o.Eps, Workers: 1, DatasetName: ds.Name}
+		opts := solver.Options{C: ds.C, Eps: o.Eps, Workers: 1}
 		var firstIters int64
 		for _, engName := range []string{"smo", "smo2"} {
 			t0 := time.Now()
@@ -101,7 +101,7 @@ func RunWSS(o Options) (*Report, error) {
 			// Native: solver.Options does not carry core's SecondOrder.
 			cfg := core.Config{
 				Kernel: kernel.FromSigma2(ds.Sigma2), C: ds.C, Eps: o.Eps,
-				Heuristic: h, SecondOrder: second, RecordTrace: true, DatasetName: ds.Name,
+				Heuristic: h, SecondOrder: second, RecordTrace: true,
 			}
 			m, st, err := core.TrainParallel(ds.X, ds.Y, 1, cfg)
 			if err != nil {

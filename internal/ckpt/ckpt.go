@@ -4,11 +4,10 @@
 // The paper targets multi-hour SMO runs on thousands of cores, where a rank
 // failure mid-training is the expected case, not the exception. A solver
 // that loses its dual state (alpha), gradients and shrink bookkeeping on a
-// crash must restart from zero; with the warm-start entry points the engines
-// already expose (smo.Config.InitialAlpha, core.Config.InitialAlpha, and
-// solver.Options.InitialAlpha for dcsvm), a periodically persisted alpha
-// vector is enough to re-enter any engine and converge to the same
-// eps-approximate optimum —
+// crash must restart from zero; with the warm start every engine already
+// takes (solver.Control.InitialAlpha, which solver.Options, core.Config and
+// smo.Config embed), a periodically persisted alpha vector is enough to
+// re-enter any engine and converge to the same eps-approximate optimum —
 // a claim the correctness oracle (internal/oracle) can then verify instead
 // of assume.
 //

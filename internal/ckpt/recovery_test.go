@@ -317,9 +317,9 @@ func TestCrossEngineResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	ccfg := core.Config{
-		Kernel: rp.kp, C: rp.c, Eps: rp.eps, Heuristic: core.Multi5pc,
-		Checkpoint: w, CheckpointEvery: 5, CheckpointSeed: 7,
+		Kernel: rp.kp, C: rp.c, Eps: rp.eps, Heuristic: core.Multi5pc, CheckpointSeed: 7,
 	}
+	ccfg.Checkpoint, ccfg.CheckpointEvery = w, 5
 	m0, _, _, err := core.TrainParallelOpts(rp.x, rp.y, 2, ccfg, mpi.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -337,7 +337,7 @@ func TestCrossEngineResume(t *testing.T) {
 	}
 	res, err := smo.Train(rp.x, rp.y, smo.Config{
 		Kernel: rp.kp, C: rp.c, Eps: rp.eps, Shrinking: true,
-		InitialAlpha: st.Alpha,
+		Control: solver.Control{InitialAlpha: st.Alpha},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -35,13 +35,8 @@ func (e coreEngine) Train(ctx context.Context, prob solver.Problem, opts solver.
 		return solver.Result{}, fmt.Errorf("core: engine needs an in-memory matrix, got %T", prob.X)
 	}
 	cfg := Config{
-		Kernel: prob.Kernel, C: opts.C, Eps: opts.Eps,
-		MaxIter:      opts.MaxIter,
-		InitialAlpha: opts.InitialAlpha,
-		Checkpoint:   opts.Checkpoint, CheckpointEvery: opts.CheckpointEvery,
-		CheckpointSeed: opts.Seed, CheckpointFingerprint: opts.CheckpointFingerprint,
-		RecordTrace: opts.RecordTrace, DatasetName: opts.DatasetName,
-		CacheBytes: opts.CacheBytes,
+		Kernel: prob.Kernel, C: opts.C, Eps: opts.Eps, Control: opts.Control,
+		CheckpointSeed: opts.Seed, RecordTrace: opts.RecordTrace, CacheBytes: opts.CacheBytes,
 	}
 	if opts.Heuristic != "" {
 		h, err := HeuristicByName(opts.Heuristic)

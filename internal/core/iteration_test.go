@@ -186,6 +186,7 @@ func BenchmarkTrainCodrnaP2(b *testing.B) {
 	ds := dataset.MustGenerate("codrna", 0.007)
 	cfg := blobCfg(ds, Multi5pc)
 	b.ReportAllocs()
+	b.ResetTimer()
 	var iters int64
 	for i := 0; i < b.N; i++ {
 		_, st, err := TrainParallel(ds.X, ds.Y, 2, cfg)

@@ -40,31 +40,17 @@ type Config struct {
 	// working-set-selection ablation.
 	SecondOrder bool
 
-	// MaxIter bounds the iteration count; 0 means a generous default.
-	MaxIter int64
-
-	// InitialAlpha warm-starts the solver from a feasible global dual
-	// vector (length = total sample count, dataset row order), e.g. a
-	// checkpoint's alpha. Each rank takes its partition's slice, clamps to
-	// the box, rebuilds the gradients with a ring pass, and the run
-	// proceeds exactly like a cold start from that point. The vector must
-	// satisfy 0 <= alpha_i <= C and (globally) sum alpha_i*y_i ~= 0.
-	InitialAlpha []float64
-
-	// Checkpoint, when non-nil, makes the solver persist a coordinated
-	// snapshot (barrier + rank-order gather of alpha/gamma/active at rank
-	// 0) every CheckpointEvery iterations. CheckpointSeed and
-	// CheckpointFingerprint are recorded in the snapshot; TrainParallelOpts
-	// fills the fingerprint from the training data automatically.
-	Checkpoint            *ckpt.Writer
-	CheckpointEvery       int64
-	CheckpointSeed        int64
-	CheckpointFingerprint uint64
+	// Control carries the iteration cap, the warm start and the
+	// checkpoint sink. Each rank takes its partition's slice of
+	// InitialAlpha, clamps it to the box and rebuilds the gradients with a
+	// ring pass. A checkpoint is a barrier plus a rank-order gather of
+	// alpha/gamma/active at rank 0.
+	solver.Control
+	// CheckpointSeed is recorded in each snapshot for provenance.
+	CheckpointSeed int64
 
 	// RecordTrace makes rank 0 record a Trace for the perfmodel package.
 	RecordTrace bool
-	// DatasetName labels the trace.
-	DatasetName string
 
 	// Lambda, when positive, charges each rank's virtual clock
 	// Lambda seconds per kernel evaluation, so RunTimed makespans can be
@@ -74,15 +60,14 @@ type Config struct {
 	// depend on CacheBytes.
 	Lambda float64
 
-	// CacheBytes is the total kernel-row cache budget, split evenly
-	// across the ranks; 0 means 1 GiB, the smo engine's default, and a
-	// negative value turns the cache off. Each rank caches K(x_g, .) over
-	// its own block of samples for the pair samples g, so the budget is
-	// only a ceiling: a rank never holds more than its block of the Gram
-	// matrix, and rows are made only for samples that enter the working
-	// pair. The paper's solver has no cache (Section III-A2); see
-	// DESIGN.md for why a per-rank one differs. Models, iterates and
-	// message counts are the same at every budget.
+	// CacheBytes is the total kernel-row cache budget, read by
+	// solver.CacheBudget and split evenly across the ranks. Each rank
+	// caches K(x_g, .) over its own block of samples for the pair samples
+	// g, so the budget is only a ceiling: a rank never holds more than its
+	// block of the Gram matrix, and rows are made only for samples that
+	// enter the working pair. The paper's solver has no cache (Section
+	// III-A2); see DESIGN.md for why a per-rank one differs. Models,
+	// iterates and message counts are the same at every budget.
 	CacheBytes int64
 }
 
@@ -97,9 +82,7 @@ func (c *Config) withDefaults() Config {
 	if out.Heuristic.Name == "" {
 		out.Heuristic = Original
 	}
-	if out.CacheBytes == 0 {
-		out.CacheBytes = 1 << 30
-	}
+	out.CacheBytes = solver.CacheBudget(out.CacheBytes)
 	return out
 }
 
@@ -144,6 +127,9 @@ func combinePair(dst, a, b *workingPair) {
 	mpi.MinLocCarry(&dst.Up, &a.Up, &b.Up)
 	mpi.MaxLocCarry(&dst.Low, &a.Low, &b.Low)
 }
+
+// addInts is the shrink check's active-count sum in AllreduceSlots' form.
+func addInts(dst, a, b *int) { *dst = *a + *b }
 
 // svBlock is a rank's contribution to the gradient-reconstruction ring and
 // to final model assembly: the local rows with alpha > 0 and their
@@ -257,10 +243,12 @@ type rankState struct {
 	scanned bool
 
 	// pairSlots and partnerSlots hold this rank's buffers for the
-	// selection Allreduce and the second-order one. A pair or partner
-	// they return stays valid until the next call on the same slots.
+	// selection Allreduce and the second-order one, countSlots for the
+	// shrink check's active-count sum. A value they return stays valid
+	// until the next call on the same slots.
 	pairSlots    *mpi.Slots[workingPair]
 	partnerSlots *mpi.Slots[violator]
+	countSlots   *mpi.Slots[int]
 
 	// beforeReduce, when set (tests), runs in selectPair once up and low
 	// are current, before the reduction.
@@ -293,6 +281,7 @@ func newRankState(c *mpi.Comm, pt *Partition, cfg Config) *rankState {
 		globalActive: pt.N,
 		ev:           kernel.NewEvaluator(cfg.Kernel, pt.X),
 		pairSlots:    mpi.NewSlots[workingPair](c),
+		countSlots:   mpi.NewSlots[int](c),
 		phase:        1,
 	}
 	for i := 0; i < n; i++ {
@@ -311,7 +300,7 @@ func newRankState(c *mpi.Comm, pt *Partition, cfg Config) *rankState {
 		s.partnerSlots = mpi.NewSlots[violator](c)
 	}
 	if cfg.RecordTrace && c.Rank() == 0 {
-		s.trace = trace.New(cfg.DatasetName, cfg.Heuristic.Name, pt.N, 0, cfg.Eps)
+		s.trace = trace.New(cfg.Heuristic.Name, pt.N, 0, cfg.Eps)
 		if cfg.SecondOrder {
 			s.trace.WSS = "second-order"
 		}
@@ -479,10 +468,12 @@ func (s *rankState) solve() error {
 		if shrinkNow {
 			s.shrinkEvents++
 			prevActive := s.globalActive
-			ga, err := mpi.Allreduce(s.c, len(s.activeIdx), mpi.SumInt)
+			*s.countSlots.Operand() = len(s.activeIdx)
+			sum, err := mpi.AllreduceSlots(s.c, s.countSlots, addInts)
 			if err != nil {
 				return err
 			}
+			ga := *sum
 			s.globalActive = ga
 			if ga == prevActive {
 				// The check eliminated nothing — shrinking has not begun

@@ -214,7 +214,6 @@ func TestTraceRecording(t *testing.T) {
 	ds := dataset.MustGenerate("blobs", 0.25)
 	cfg := blobCfg(ds, Multi5pc)
 	cfg.RecordTrace = true
-	cfg.DatasetName = "blobs"
 	m, st, err := TrainParallel(ds.X, ds.Y, 2, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -563,7 +562,8 @@ func TestNonGaussianKernels(t *testing.T) {
 	for _, kp := range kernels {
 		kp := kp
 		t.Run(kp.String(), func(t *testing.T) {
-			cfg := Config{Kernel: kp, C: 1, Eps: 1e-2, Heuristic: Multi5pc, MaxIter: 200_000}
+			cfg := Config{Kernel: kp, C: 1, Eps: 1e-2, Heuristic: Multi5pc}
+			cfg.MaxIter = 200_000
 			m, st, err := TrainParallel(ds.X, ds.Y, 3, cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -61,7 +61,7 @@ func withDefaults(opts solver.Options) solver.Options {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	if opts.CacheBytes <= 0 {
+	if opts.CacheBytes == 0 {
 		opts.CacheBytes = 64 << 20
 	}
 	return opts
@@ -292,7 +292,8 @@ func Train(x *sparse.Matrix, y []float64, k kernel.Params, opts solver.Options) 
 	// (On the degenerate fallback the polish is a cold solve of the
 	// current level's input.)
 	t0 := time.Now()
-	po := solver.Options{C: opts.C, Eps: opts.Eps, CacheBytes: opts.CacheBytes, MaxIter: opts.DC.PolishMaxIter}
+	po := solver.Options{C: opts.C, Eps: opts.Eps, CacheBytes: opts.CacheBytes}
+	po.MaxIter = opts.DC.PolishMaxIter
 	polishX, polishY := curX, curY
 	switch {
 	case opts.InitialAlpha != nil:
@@ -525,10 +526,8 @@ func solveCluster(px *sparse.Matrix, py, pa []float64, cluster, lo, hi, level in
 		r.model, r.iters, r.svs, r.err = solveLinearCluster(view, yv, cluster, level, kp, opts)
 		return r
 	}
-	sopts := solver.Options{
-		C: opts.C, Eps: opts.Eps,
-		Workers: 1, CacheBytes: opts.CacheBytes, MaxIter: opts.MaxIter,
-	}
+	sopts := solver.Options{C: opts.C, Eps: opts.Eps, Workers: 1, CacheBytes: opts.CacheBytes}
+	sopts.MaxIter = opts.MaxIter
 	if level == 0 && pa == nil {
 		// Cold finest-level sub-solve: the configured engine, resolved
 		// through the solver registry, with only the options its

@@ -396,7 +396,7 @@ func TestValidateRejectsUnsupportedOptions(t *testing.T) {
 	}
 	alpha := make([]float64, 4)
 	pairs := []pair{
-		{"linear", "warm start", lin, solver.Options{InitialAlpha: alpha}},
+		{"linear", "warm start", lin, solver.Options{Control: solver.Control{InitialAlpha: alpha}}},
 		{"linear", "trace", lin, solver.Options{RecordTrace: true}},
 		{"linear", "heuristic", lin, solver.Options{Heuristic: "Multi5pc"}},
 		{"linear", "distributed", lin, solver.Options{P: 2}},

@@ -216,7 +216,7 @@ func RunDifferential(x *sparse.Matrix, y []float64, opts DiffOptions) (*DiffRepo
 			}
 			warm, err := eng.Train(context.Background(), sprob, solver.Options{
 				C: opts.C, Eps: opts.Eps, CacheBytes: opts.CacheBytes,
-				InitialAlpha: warmAlpha,
+				Control: solver.Control{InitialAlpha: warmAlpha},
 			})
 			if err != nil {
 				return nil, fmt.Errorf("oracle: %s-warm: %w", eng.Name(), err)

@@ -40,21 +40,14 @@ func (e smoEngine) Describe() string {
 
 // FromOptions is the one mapping from the shared solver options to a
 // Config, used by every engine that runs this solver (smo, smo2, tasks, and
-// dc's warm sub-solves and polish). Shrinking is on; a zero CacheBytes
-// means 1 GiB. Knobs Options does not carry — SecondOrder, the QP shape,
-// CheckpointLabel — are left for the caller.
+// dc's warm sub-solves and polish). Shrinking is on. Knobs Options does not
+// carry — SecondOrder, the QP shape, CheckpointLabel — are left for the
+// caller.
 func FromOptions(k kernel.Params, opts solver.Options) Config {
-	cacheBytes := opts.CacheBytes
-	if cacheBytes == 0 {
-		cacheBytes = 1 << 30
-	}
 	return Config{
 		Kernel: k, C: opts.C, Eps: opts.Eps,
-		Workers: opts.Workers, CacheBytes: cacheBytes, Shrinking: true,
-		InitialAlpha: opts.InitialAlpha, MaxIter: opts.MaxIter,
-		Checkpoint: opts.Checkpoint, CheckpointEvery: opts.CheckpointEvery,
-		CheckpointSeed: opts.Seed, CheckpointFingerprint: opts.CheckpointFingerprint,
-		RecordTrace: opts.RecordTrace, DatasetName: opts.DatasetName,
+		Workers: opts.Workers, CacheBytes: opts.CacheBytes, Shrinking: true,
+		Control: opts.Control, CheckpointSeed: opts.Seed, RecordTrace: opts.RecordTrace,
 	}
 }
 

@@ -6,7 +6,8 @@
 //
 // The paper sets this baseline up generously: libsvm may use "a compute
 // node's entire memory as a kernel cache" and all available cores. Both
-// knobs are exposed here (CacheBytes, Workers).
+// knobs are exposed here: Workers, and CacheBytes, whose zero value is
+// that generous budget (solver.DefaultCacheBytes, 1 GiB).
 package smo
 
 import (
@@ -33,7 +34,8 @@ type Config struct {
 	// Workers is the number of goroutines used for the per-iteration
 	// gradient update (the OpenMP enhancement). 0 means GOMAXPROCS.
 	Workers int
-	// CacheBytes is the kernel-row cache budget; 0 disables caching.
+	// CacheBytes is the kernel-row cache budget, read by
+	// solver.CacheBudget: 0 is its 1 GiB default, negative turns it off.
 	CacheBytes int64
 	// Shrinking enables libsvm-style shrinking with periodic checks.
 	Shrinking bool
@@ -48,18 +50,17 @@ type Config struct {
 	// ShrinkEvery is the iteration period of shrinking checks
 	// (libsvm uses min(n, 1000)); 0 means that default.
 	ShrinkEvery int
-	// InitialAlpha warm-starts the solver from an existing dual point
-	// instead of alpha = 0. It must have one entry per sample, each in
-	// [0, C], and satisfy the dual equality constraint
-	// sum_i InitialAlpha[i]*y[i] = 0 (SMO pair updates preserve the
-	// constraint, so a violated start would converge to a shifted
-	// solution). Gradients are rebuilt once from the non-zero entries at
-	// startup — the same cost as one gradient reconstruction. The
-	// divide-and-conquer trainer uses this to polish coalesced per-cluster
-	// solutions; a warm start at the optimum converges in zero iterations.
-	InitialAlpha []float64
-	// MaxIter bounds the iteration count; 0 means a generous default.
-	MaxIter int64
+	// Control carries the iteration cap, the warm start and the
+	// checkpoint sink. A warm start rebuilds the gradients once from the
+	// non-zero entries of InitialAlpha — the cost of one gradient
+	// reconstruction — and a start at the optimum converges in zero
+	// iterations; the divide-and-conquer trainer polishes coalesced
+	// per-cluster solutions this way. A start that violates the dual's
+	// equality constraint is rejected, since pair updates preserve it.
+	// A killed run re-enters through InitialAlpha with a loaded
+	// snapshot's alphas; CheckpointFingerprint is computed from (x, y)
+	// when zero.
+	solver.Control
 
 	// LinearTerm is the per-sample linear term p_i of the generalized dual
 	//
@@ -91,22 +92,12 @@ type Config struct {
 	// performance model (used when modeling the baseline at full dataset
 	// size, where its kernel cache no longer fits).
 	RecordTrace bool
-	// DatasetName labels the trace.
-	DatasetName string
 
-	// Checkpoint, when non-nil, persists a crash-consistent snapshot of
-	// the solver state (alpha, gradients, active set, shrink countdown)
-	// every CheckpointEvery iterations. A killed run re-enters through
-	// InitialAlpha with the loaded snapshot's alphas. CheckpointSeed is
-	// recorded for provenance; CheckpointLabel overrides the solver kind
-	// stamped into snapshots (the divide-and-conquer trainer labels its
-	// polish checkpoints "dcsvm"); CheckpointFingerprint overrides the
-	// dataset hash (computed from (x, y) when zero).
-	Checkpoint            *ckpt.Writer
-	CheckpointEvery       int64
-	CheckpointSeed        int64
-	CheckpointLabel       string
-	CheckpointFingerprint uint64
+	// CheckpointSeed is recorded in each snapshot for provenance;
+	// CheckpointLabel overrides the solver kind stamped into them (the
+	// divide-and-conquer trainer labels its polish checkpoints "dcsvm").
+	CheckpointSeed  int64
+	CheckpointLabel string
 }
 
 func (c *Config) withDefaults(n int) Config {
@@ -123,6 +114,7 @@ func (c *Config) withDefaults(n int) Config {
 	if out.MaxIter <= 0 {
 		out.MaxIter = 200_000_000
 	}
+	out.CacheBytes = solver.CacheBudget(out.CacheBytes)
 	return out
 }
 
@@ -277,7 +269,7 @@ func newState(x *sparse.Matrix, y []float64, cfg Config) *state {
 	s.idxBuf = make([]int, 0, n)
 	s.valBuf = make([]float64, n)
 	if cfg.RecordTrace {
-		s.trace = trace.New(cfg.DatasetName, "libsvm-enhanced", n, x.AvgRowNNZ(), cfg.Eps)
+		s.trace = trace.New("libsvm-enhanced", n, x.AvgRowNNZ(), cfg.Eps)
 	}
 	if cfg.SecondOrder {
 		s.diag = make([]float64, n)

@@ -1,6 +1,7 @@
 package smo
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -134,28 +135,43 @@ func TestParallelWorkersMatchSequential(t *testing.T) {
 	}
 }
 
+// TestCacheDoesNotChangeResult: with the cache off (-1), at a budget that
+// evicts and at the default (0, 1 GiB) the model bytes are the same, and a
+// cache that hits saves kernel evaluations.
 func TestCacheDoesNotChangeResult(t *testing.T) {
 	ds := dataset.MustGenerate("blobs", 0.15)
-	base := Config{Kernel: kernel.FromSigma2(ds.Sigma2), C: ds.C, Eps: 1e-3, Workers: 2}
-	withCache := base
-	withCache.CacheBytes = 64 << 20
-	r1, err := Train(ds.X, ds.Y, base)
-	if err != nil {
-		t.Fatal(err)
+	n := int64(ds.X.Rows())
+	train := func(cacheBytes int64) (*Result, []byte) {
+		cfg := Config{Kernel: kernel.FromSigma2(ds.Sigma2), C: ds.C, Eps: 1e-3, Workers: 2, CacheBytes: cacheBytes}
+		r, err := Train(ds.X, ds.Y, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := r.Model.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return r, buf.Bytes()
 	}
-	r2, err := Train(ds.X, ds.Y, withCache)
-	if err != nil {
-		t.Fatal(err)
+	r1, want := train(-1)
+	if r1.CacheHits != 0 {
+		t.Fatalf("cache off but %d hits", r1.CacheHits)
 	}
-	if r1.Iterations != r2.Iterations || math.Abs(r1.Model.Beta-r2.Model.Beta) > 1e-12 {
-		t.Fatalf("cache changed the result: iters %d vs %d, beta %v vs %v",
-			r1.Iterations, r2.Iterations, r1.Model.Beta, r2.Model.Beta)
-	}
-	if r2.CacheHits == 0 {
-		t.Fatal("cache enabled but never hit")
-	}
-	if r2.KernelEvals >= r1.KernelEvals {
-		t.Fatalf("cache did not reduce kernel evals: %d vs %d", r2.KernelEvals, r1.KernelEvals)
+	for _, budget := range []int64{8 * n * 16, 0} {
+		r2, got := train(budget)
+		if r1.Iterations != r2.Iterations || !bytes.Equal(got, want) {
+			t.Fatalf("budget %d changed the result: iters %d vs %d, model bytes equal %v",
+				budget, r1.Iterations, r2.Iterations, bytes.Equal(got, want))
+		}
+		if r2.CacheHits == 0 {
+			t.Fatalf("budget %d: cache enabled but never hit", budget)
+		}
+		if budget > 0 && r2.CacheEvictions == 0 {
+			t.Fatalf("budget %d: a 16-row cache never evicted", budget)
+		}
+		if r2.KernelEvals >= r1.KernelEvals {
+			t.Fatalf("budget %d: cache did not reduce kernel evals: %d vs %d", budget, r2.KernelEvals, r1.KernelEvals)
+		}
 	}
 }
 
@@ -166,7 +182,7 @@ func TestCacheDoesNotChangeResult(t *testing.T) {
 func TestCacheCountsEachLookupOnce(t *testing.T) {
 	ds := dataset.MustGenerate("blobs", 0.15)
 	n := int64(ds.X.Rows())
-	for _, budget := range []int64{0, 8 * n * 16, 8 * n * n} {
+	for _, budget := range []int64{-1, 8 * n * 16, 8 * n * n} {
 		cfg := Config{Kernel: kernel.FromSigma2(ds.Sigma2), C: ds.C, Eps: 1e-3, Workers: 2, CacheBytes: budget}
 		r, err := Train(ds.X, ds.Y, cfg)
 		if err != nil {
@@ -211,7 +227,8 @@ func TestShrinkingPreservesAccuracy(t *testing.T) {
 
 func TestMaxIterStopsEarly(t *testing.T) {
 	ds := dataset.MustGenerate("blobs", 0.2)
-	cfg := Config{Kernel: kernel.FromSigma2(ds.Sigma2), C: ds.C, Eps: 1e-6, Workers: 1, MaxIter: 10}
+	cfg := Config{Kernel: kernel.FromSigma2(ds.Sigma2), C: ds.C, Eps: 1e-6, Workers: 1}
+	cfg.MaxIter = 10
 	res, err := Train(ds.X, ds.Y, cfg)
 	if err != nil {
 		t.Fatal(err)

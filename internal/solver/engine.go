@@ -6,8 +6,9 @@
 // The package keeps its original role — the shared Eq. 4/6/7 numerical
 // primitives — and adds the layer above them: a shared Problem (row-matrix
 // data + labels + kernel + task kind) and Options (C, eps, seed, workers,
-// heuristic, warm-start alpha, checkpoint sink), so warm starts and
-// checkpoint hooks are expressed once, and a declarative Capabilities
+// heuristic, cache budget, and the Control every engine honours: iteration
+// cap, warm-start alpha, checkpoint sink), so warm starts and checkpoint
+// hooks are expressed once, and a declarative Capabilities
 // bitset that replaces ad-hoc per-engine flag cross-validation: a consumer
 // asks "does this engine stream?" instead of "is the solver string equal to
 // linear?".
@@ -205,10 +206,51 @@ type TaskOptions struct {
 	Nu      float64 // one-class nu in (0, 1]
 }
 
+// DefaultCacheBytes is the kernel-row cache budget a zero CacheBytes
+// selects, in Options and in the core and smo configs alike.
+const DefaultCacheBytes = 1 << 30
+
+// CacheBudget resolves a CacheBytes setting: 0 is DefaultCacheBytes, a
+// negative value turns the cache off (a budget below one row caches
+// nothing), and any other value is the budget in bytes.
+func CacheBudget(cacheBytes int64) int64 {
+	if cacheBytes == 0 {
+		return DefaultCacheBytes
+	}
+	return cacheBytes
+}
+
+// Control holds the run controls an engine honours the same way whatever
+// its algorithm. Options, core.Config and smo.Config embed it, so an
+// adapter hands it on as one value.
+type Control struct {
+	// MaxIter bounds the iteration count; 0 means the engine default.
+	MaxIter int64
+
+	// InitialAlpha warm-starts the engine from a feasible dual point (a
+	// checkpoint's alpha, a recovered model, a coalesced union solution):
+	// one entry per sample in dataset row order, each in the box, meeting
+	// the dual's equality constraint. Requires CapWarmStart. The
+	// divide-and-conquer engine treats it as a resume vector and goes
+	// straight to a full-problem polish.
+	InitialAlpha []float64
+
+	// Checkpoint, when non-nil, makes the engine persist crash-consistent
+	// snapshots every CheckpointEvery iterations; requires CapCheckpoint.
+	// CheckpointFingerprint overrides the dataset hash stamped into them
+	// (computed from the problem when zero). tasks passes the hash of the
+	// caller's problem, not of the reshaped QP the smo engine solves, and
+	// binds it to the base model for an incremental update; dc passes the
+	// full problem's hash to its polish.
+	Checkpoint            *ckpt.Writer
+	CheckpointEvery       int64
+	CheckpointFingerprint uint64
+}
+
 // Options carries the solver knobs shared by every engine — hyper-
-// parameters, parallelism, the warm-start dual point, and the checkpoint
-// sink — plus the per-family extensions. Engines read only the fields
-// their capabilities declare; Validate rejects set fields an engine cannot
+// parameters, parallelism, the cache budget and the run controls — plus
+// the per-family extensions. Engines read only the fields their
+// capabilities declare; Validate rejects set fields an engine cannot
 // honor, so nothing is silently ignored.
 type Options struct {
 	C   float64 // box constraint (required positive for every current engine)
@@ -222,34 +264,16 @@ type Options struct {
 	// requires CapHeuristics.
 	Heuristic string
 
-	// MaxIter bounds the iteration count; 0 means the engine default.
-	MaxIter int64
-	// CacheBytes is the kernel-row cache budget for engines that cache;
-	// 0 means the engine default (1 GiB for smo-family engines, and for
-	// core split across its ranks).
+	// CacheBytes is the kernel-row cache budget of engines that cache, read
+	// by CacheBudget (core splits it across its ranks; dc gives each
+	// sub-solve 64 MiB when it is 0).
 	CacheBytes int64
 
-	// InitialAlpha warm-starts the engine from a feasible dual point (a
-	// checkpoint's alpha, a recovered model, a coalesced union solution);
-	// requires CapWarmStart. The divide-and-conquer engine treats it as a
-	// resume vector and goes straight to a full-problem polish.
-	InitialAlpha []float64
-
-	// Checkpoint, when non-nil, makes the engine persist crash-consistent
-	// snapshots every CheckpointEvery iterations; requires CapCheckpoint.
-	// CheckpointFingerprint overrides the dataset hash (computed from the
-	// problem when zero). tasks passes the hash of the caller's problem,
-	// not of the reshaped QP the smo engine solves, and binds it to the
-	// base model for an incremental update; dc passes the full problem's
-	// hash to its polish.
-	Checkpoint            *ckpt.Writer
-	CheckpointEvery       int64
-	CheckpointFingerprint uint64
+	Control
 
 	// RecordTrace records the shrink/reconstruction schedule
-	// (Result.Trace); requires CapTrace. DatasetName labels the trace.
+	// (Result.Trace); requires CapTrace.
 	RecordTrace bool
-	DatasetName string
 
 	// Faults injects a deterministic crash into the mpi substrate;
 	// requires CapFaultInject.

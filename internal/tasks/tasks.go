@@ -41,11 +41,15 @@ import (
 
 // smoConfig maps opts onto the generalized solver with box boxC: the shared
 // smo mapping plus the constants every task solve uses (second-order
-// working-set selection, the "tasks" checkpoint label). The caller sets the
-// QP shape and the warm start, which task callers give in their own dual
-// coordinates.
-func smoConfig(k kernel.Params, opts solver.Options, boxC float64) smo.Config {
+// working-set selection, the "tasks" checkpoint label). A checkpoint is
+// stamped with the hash of the caller's problem (x, labels), not of the
+// reshaped QP, unless opts carries one. The caller sets the QP shape and
+// the warm start, which task callers give in their own dual coordinates.
+func smoConfig(k kernel.Params, opts solver.Options, boxC float64, x *sparse.Matrix, labels []float64) smo.Config {
 	opts.C, opts.InitialAlpha = boxC, nil
+	if opts.Checkpoint != nil && opts.CheckpointFingerprint == 0 {
+		opts.CheckpointFingerprint = ckpt.Fingerprint(x, labels)
+	}
 	cfg := smo.FromOptions(k, opts)
 	cfg.SecondOrder = true
 	cfg.CheckpointLabel = ckpt.SolverTasks
@@ -101,7 +105,7 @@ func TrainSVR(x *sparse.Matrix, z []float64, k kernel.Params, opts solver.Option
 		y2[i], y2[n+i] = 1, -1
 		p2[i], p2[n+i] = epsilon-z[i], epsilon+z[i]
 	}
-	scfg := smoConfig(k, opts, c)
+	scfg := smoConfig(k, opts, c, x, z)
 	scfg.LinearTerm = p2
 	if initialCoef != nil {
 		a0 := make([]float64, 2*n)
@@ -116,9 +120,6 @@ func TrainSVR(x *sparse.Matrix, z []float64, k kernel.Params, opts solver.Option
 			}
 		}
 		scfg.InitialAlpha = a0
-	}
-	if scfg.Checkpoint != nil && scfg.CheckpointFingerprint == 0 {
-		scfg.CheckpointFingerprint = ckpt.Fingerprint(x, z)
 	}
 
 	res, err := smo.TrainQP(x2, y2, scfg)
@@ -163,13 +164,10 @@ func TrainOneClass(x *sparse.Matrix, k kernel.Params, opts solver.Options) (solv
 	for i := range y {
 		y[i] = 1
 	}
-	scfg := smoConfig(k, opts, boxC)
+	scfg := smoConfig(k, opts, boxC, x, y)
 	scfg.LinearTerm = make([]float64, n) // p = 0
 	scfg.EqualityTarget = 1
 	scfg.InitialAlpha = initialAlpha
-	if scfg.Checkpoint != nil && scfg.CheckpointFingerprint == 0 {
-		scfg.CheckpointFingerprint = ckpt.Fingerprint(x, y)
-	}
 
 	res, err := smo.TrainQP(x, y, scfg)
 	if err != nil {
@@ -308,7 +306,7 @@ func Update(base *model.Model, x *sparse.Matrix, labels []float64, opts solver.O
 		if err != nil {
 			return solver.Result{}, fmt.Errorf("tasks: base model does not match the leading rows: %w", err)
 		}
-		scfg := smoConfig(base.Kernel, opts, base.C)
+		scfg := smoConfig(base.Kernel, opts, base.C, x, labels)
 		scfg.InitialAlpha = append(a0, make([]float64, n-nBase)...)
 		res, err := smo.Train(x, labels, scfg)
 		if err != nil {

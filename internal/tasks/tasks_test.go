@@ -218,7 +218,7 @@ func TestCSVCUpdate(t *testing.T) {
 	nBase := 120
 	xBase, _ := xAll.SubMatrix(0, nBase)
 	opts := svrOpts()
-	baseRes, err := smo.Train(xBase, y[:nBase], smoConfig(testKernel, opts, 10))
+	baseRes, err := smo.Train(xBase, y[:nBase], smoConfig(testKernel, opts, 10, xBase, y[:nBase]))
 	if err != nil {
 		t.Fatal(err)
 	}

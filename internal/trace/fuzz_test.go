@@ -15,7 +15,7 @@ import (
 // The committed corpus under testdata/fuzz/FuzzTraceLoad holds a real
 // svmtrain -trace output and one trace per schedule Load rejects.
 func FuzzTraceLoad(f *testing.F) {
-	tr := trace.New("seed", "Multi5pc", 100, 4, 1e-3)
+	tr := trace.New("Multi5pc", 100, 4, 1e-3)
 	tr.SetActive(10, 60)
 	tr.AddRecon(40, 40, 12)
 	tr.Iterations, tr.ShrinkChecks = 50, 3

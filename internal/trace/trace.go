@@ -59,10 +59,10 @@ type ReconEvent struct {
 	SVs    int   `json:"svs"`    // samples with alpha > 0 at that moment
 }
 
-// New starts a trace for n samples.
-func New(dataset, heuristic string, n int, avgNNZ, eps float64) *Trace {
+// New starts a trace for n samples. Dataset is left for the caller that
+// knows the dataset's name to label.
+func New(heuristic string, n int, avgNNZ, eps float64) *Trace {
 	return &Trace{
-		Dataset:   dataset,
 		Heuristic: heuristic,
 		N:         n,
 		AvgNNZ:    avgNNZ,

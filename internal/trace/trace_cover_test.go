@@ -38,7 +38,7 @@ func TestLoadRejectsMalformedInput(t *testing.T) {
 }
 
 func TestLoadWriteJSONRoundTrip(t *testing.T) {
-	tr := New("blobs", "Multi5pc", 1000, 12.5, 1e-3)
+	tr := New("Multi5pc", 1000, 12.5, 1e-3)
 	tr.SetActive(50, 400)
 	tr.AddRecon(90, 600, 120)
 	tr.Iterations = 200
@@ -73,14 +73,14 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 }
 
 func TestWriteJSONPropagatesWriterError(t *testing.T) {
-	tr := New("blobs", "Original", 10, 1, 1e-3)
+	tr := New("Original", 10, 1, 1e-3)
 	if err := tr.WriteJSON(&failingWriter{budget: 4}); err == nil {
 		t.Fatal("WriteJSON swallowed the writer's error")
 	}
 }
 
 func TestSaveJSONPropagatesCreateError(t *testing.T) {
-	tr := New("blobs", "Original", 10, 1, 1e-3)
+	tr := New("Original", 10, 1, 1e-3)
 	// A path whose parent does not exist cannot be created.
 	bad := filepath.Join(t.TempDir(), "missing-dir", "trace.json")
 	if err := tr.SaveJSON(bad); err == nil {
@@ -89,7 +89,7 @@ func TestSaveJSONPropagatesCreateError(t *testing.T) {
 }
 
 func TestScaledUpZeroAndNegativeFactor(t *testing.T) {
-	tr := New("blobs", "Original", 100, 1, 1e-3)
+	tr := New("Original", 100, 1, 1e-3)
 	tr.Iterations = 50
 	tr.SetActive(10, 40)
 	for _, factor := range []float64{0, -3} {
@@ -107,7 +107,7 @@ func TestScaledUpZeroAndNegativeFactor(t *testing.T) {
 func TestScaledUpEmptyTrace(t *testing.T) {
 	// A freshly-created trace has one segment and no recons; scaling must
 	// not invent events or divide by zero.
-	tr := New("", "Original", 10, 0, 1e-3)
+	tr := New("Original", 10, 0, 1e-3)
 	got := tr.ScaledUp(3)
 	if got.N != 30 || got.Iterations != 0 {
 		t.Fatalf("scaled empty trace to N=%d iters=%d, want N=30 iters=0", got.N, got.Iterations)
@@ -121,7 +121,7 @@ func TestScaledUpEmptyTrace(t *testing.T) {
 }
 
 func TestScaledUpScalesBothAxes(t *testing.T) {
-	tr := New("blobs", "Original", 100, 1, 1e-3)
+	tr := New("Original", 100, 1, 1e-3)
 	tr.Iterations = 1000
 	tr.SetActive(100, 20)
 	tr.AddRecon(500, 80, 30)

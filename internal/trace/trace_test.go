@@ -10,7 +10,7 @@ import (
 )
 
 func sampleTrace() *Trace {
-	t := New("demo", "Multi5pc", 1000, 30, 1e-3)
+	t := New("Multi5pc", 1000, 30, 1e-3)
 	t.SetActive(100, 600)
 	t.SetActive(400, 250)
 	t.AddRecon(800, 750, 120)
@@ -23,14 +23,14 @@ func sampleTrace() *Trace {
 }
 
 func TestNewAndSegments(t *testing.T) {
-	tr := New("d", "h", 500, 10, 1e-3)
+	tr := New("h", 500, 10, 1e-3)
 	if len(tr.Segments) != 1 || tr.Segments[0].Active != 500 || tr.Segments[0].FromIter != 0 {
 		t.Fatalf("initial segments = %+v", tr.Segments)
 	}
 }
 
 func TestSetActiveDedup(t *testing.T) {
-	tr := New("d", "h", 500, 10, 1e-3)
+	tr := New("h", 500, 10, 1e-3)
 	tr.SetActive(10, 500) // no change: no new segment
 	if len(tr.Segments) != 1 {
 		t.Fatalf("unchanged active added a segment: %+v", tr.Segments)
@@ -178,7 +178,7 @@ func TestTraceInvariantsQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 100 + rng.Intn(1000)
-		tr := New("q", "h", n, 10, 1e-3)
+		tr := New("h", n, 10, 1e-3)
 		iter := int64(0)
 		active := n
 		for e := 0; e < 20; e++ {

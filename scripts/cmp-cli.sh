@@ -4,7 +4,8 @@
 # Builds svmtrain, svmtune and svmpredict from <base-rev> and from the
 # working tree, runs both over the same list of training paths, tuning
 # grids and predictions, and compares every model and prediction file byte
-# for byte and every stdout with wall-clock timings normalised. Exits
+# for byte and every stdout with wall-clock timings normalised, and the
+# trace JSON of the two trace-capable engines byte for byte. Exits
 # nonzero after the whole list when anything differed. A refactor that
 # must not change behaviour proves it with:
 #
@@ -102,6 +103,17 @@ for args in \
 	# shellcheck disable=SC2086
 	run svmtrain -data $D/blobs.train ${args#*|} -model "$name.model"
 	same_file "$name.model"
+done
+
+# Traces of both trace-capable engines over a built-in dataset, which
+# svmtrain labels with the -dataset name. A trace holds no wall-clock
+# field, so the JSON must be byte-equal.
+for args in "core|-p 2" "smo|-solver smo"; do
+	name=${args%%|*}
+	# shellcheck disable=SC2086
+	run svmtrain -dataset blobs -dataset-scale 0.25 ${args#*|} -trace "$name.trace.json" -model "$name-ds.model"
+	same_file "$name.trace.json"
+	same_file "$name-ds.model"
 done
 
 # Loader coverage: the CRLF/comment variant trains the same model as the
