@@ -2,7 +2,10 @@
 // sequential SMO solver in the Keerthi et al. formulation, with libsvm's
 // kernel-row cache and shrinking, whose per-iteration gradient update is
 // parallelized across goroutines — the role OpenMP plays in the paper's
-// enhancement of libsvm 3.18.
+// enhancement of libsvm 3.18. Like an OpenMP if clause, the update fans
+// out only from minParallelGradient samples up; below that it runs on the
+// calling goroutine. The working pair's two rows, when both miss the
+// cache, fill in one fused pass that reads each target row once.
 //
 // The paper sets this baseline up generously: libsvm may use "a compute
 // node's entire memory as a kernel cache" and all available cores. Both
@@ -31,7 +34,8 @@ type Config struct {
 	C      float64
 	Eps    float64 // the paper's user-specified tolerance epsilon
 
-	// Workers is the number of goroutines used for the per-iteration
+	// Workers is the number of goroutines used for the row fills and, on
+	// problems of at least minParallelGradient samples, the per-iteration
 	// gradient update (the OpenMP enhancement). 0 means GOMAXPROCS.
 	Workers int
 	// CacheBytes is the kernel-row cache budget, read by
@@ -230,9 +234,13 @@ type state struct {
 	diag []float64 // K(i,i), precomputed for second-order selection
 
 	// batched cache-fill buffers: the missing-entry indices of a kernel row
-	// and their freshly computed values (fillActive).
-	idxBuf []int
-	valBuf []float64
+	// and the freshly computed values of the up and low rows (fillActive,
+	// fillPair).
+	idxBuf        []int
+	valUp, valLow []float64
+	tmpUp, tmpLow []float64 // transient rows when the budget holds no row
+	complete      []int     // per sample: the generation its row was last completed in
+	gen           int       // the active-set generation; unshrinkAll starts a new one
 
 	iter            int64
 	shrinkEvents    int
@@ -267,7 +275,10 @@ func newState(x *sparse.Matrix, y []float64, cfg Config) *state {
 	}
 	s.pool = kernel.NewRowPool(s.ev, cfg.Workers)
 	s.idxBuf = make([]int, 0, n)
-	s.valBuf = make([]float64, n)
+	s.valUp = make([]float64, n)
+	s.valLow = make([]float64, n)
+	s.complete = make([]int, n)
+	s.gen = 1
 	if cfg.RecordTrace {
 		s.trace = trace.New("libsvm-enhanced", n, x.AvgRowNNZ(), cfg.Eps)
 	}
@@ -341,7 +352,7 @@ func (s *state) warmStart(alpha0 []float64) {
 			continue // gamma already holds the cold start y_j*p_j
 		}
 		s.warm = true
-		row := s.getRow(j)
+		row, _ := s.getRow(j, &s.tmpUp)
 		s.fillActive(j, row) // everything is active: fills the full row
 		c := a * s.y[j]
 		for i, v := range row {
@@ -397,23 +408,29 @@ func (s *state) selectSecondOrder(u int, rowU []float64) int {
 	return best
 }
 
-// getRow returns the (possibly partially computed) kernel row for sample u.
-// Entries are NaN until computed; the gradient loop fills them lazily so a
-// row computed under a small active set stays reusable and is completed on
-// demand if the active set grows back. Each call is one cache lookup: a
-// hit, or a miss that admits the row.
-func (s *state) getRow(u int) []float64 {
+// getRow returns the (possibly partially computed) kernel row for sample u
+// and whether it is fresh, every entry still to compute. Entries are NaN
+// until computed; fillActive fills them lazily so a row computed under a
+// small active set stays reusable and is completed on demand if the
+// active set grows back. Each call is one cache lookup: a hit, or a miss
+// that admits the row. When the budget holds no row, *tmp serves as a
+// transient one; the two rows of a pair must pass different buffers.
+func (s *state) getRow(u int, tmp *[]float64) (row []float64, fresh bool) {
 	if row, ok := s.rows.Get(u); ok {
-		return row
+		return row, false
 	}
+	s.complete[u] = 0
 	if row := s.rows.Put(u); row != nil {
-		return row
+		return row, true
 	}
-	row := make([]float64, len(s.alpha)) // cache disabled: a transient row
+	if *tmp == nil {
+		*tmp = make([]float64, len(s.alpha))
+	}
+	row = *tmp
 	for i := range row {
 		row[i] = math.NaN()
 	}
-	return row
+	return row, true
 }
 
 // kernelAt returns K(u, i) via the row, computing and memoizing on miss.
@@ -430,12 +447,44 @@ func kernelAt(ev *kernel.Evaluator, row []float64, u, i int) float64 {
 
 // fillActive completes row u over the whole active set in one batched row
 // evaluation: every NaN sentinel at an active index is computed together
-// through the row pool and memoized, replacing the element-at-a-time fill
-// the gradient loop used to do on each cache miss. Costs exactly as many
-// kernel evaluations as sentinels filled — a fresh row costs one full
-// batch, a row cached under a smaller active set only the entries that
-// grew back.
+// through the row pool and memoized. Costs exactly as many kernel
+// evaluations as sentinels filled — a fresh row costs one full batch, a
+// row cached under a smaller active set only the entries that grew back.
+// A row already completed in this active-set generation returns at once:
+// shrinking only removes samples, so it has no sentinel left to find.
 func (s *state) fillActive(u int, row []float64) {
+	if s.complete[u] == s.gen {
+		return
+	}
+	s.complete[u] = s.gen
+	idx := s.missing(row)
+	if len(idx) == 0 {
+		return
+	}
+	vals := s.valUp[:len(idx)]
+	s.pool.RowInto(s.x.RowView(u), s.ev.Norm(u), idx, vals)
+	for k, i := range idx {
+		row[i] = vals[k]
+	}
+}
+
+// fillPair completes the fresh rows of u and l over the active set in one
+// fused pair batch, which reads each target's CSR payload once for both
+// pivots. It computes the same values, and counts the same evaluations,
+// as fillActive on each row.
+func (s *state) fillPair(u, l int, rowU, rowL []float64) {
+	s.complete[u], s.complete[l] = s.gen, s.gen
+	idx := s.missing(rowU)
+	vu, vl := s.valUp[:len(idx)], s.valLow[:len(idx)]
+	s.pool.PairRowsInto(s.x.RowView(u), s.x.RowView(l), s.ev.Norm(u), s.ev.Norm(l), idx, vu, vl)
+	for k, i := range idx {
+		rowU[i], rowL[i] = vu[k], vl[k]
+	}
+}
+
+// missing lists the active indices at which row holds a NaN sentinel, in
+// idxBuf's storage.
+func (s *state) missing(row []float64) []int {
 	idx := s.idxBuf[:0]
 	for i, a := range s.active {
 		if a && math.IsNaN(row[i]) {
@@ -443,14 +492,7 @@ func (s *state) fillActive(u int, row []float64) {
 		}
 	}
 	s.idxBuf = idx
-	if len(idx) == 0 {
-		return
-	}
-	vals := s.valBuf[:len(idx)]
-	s.pool.RowInto(s.x.RowView(u), s.ev.Norm(u), idx, vals)
-	for k, i := range idx {
-		row[i] = vals[k]
-	}
+	return idx
 }
 
 func (s *state) run() error {
@@ -487,15 +529,22 @@ func (s *state) run() error {
 		s.iter++
 
 		u, l := s.iUp, s.iLow
-		rowU := s.getRow(u)
-		s.fillActive(u, rowU)
+		rowU, freshU := s.getRow(u, &s.tmpUp)
 		if s.cfg.SecondOrder {
+			// The partner depends on row u: complete it before looking
+			// up row l.
+			s.fillActive(u, rowU)
 			if j := s.selectSecondOrder(u, rowU); j >= 0 {
 				l = j
 			}
 		}
-		rowL := s.getRow(l)
-		s.fillActive(l, rowL)
+		rowL, freshL := s.getRow(l, &s.tmpLow)
+		if freshU && freshL && !s.cfg.SecondOrder {
+			s.fillPair(u, l, rowU, rowL)
+		} else {
+			s.fillActive(u, rowU) // returns at once if selection completed it
+			s.fillActive(l, rowL)
+		}
 		kUU := kernelAt(s.ev, rowU, u, u)
 		kLL := kernelAt(s.ev, rowL, l, l)
 		kUL := kernelAt(s.ev, rowU, u, l)
@@ -505,7 +554,7 @@ func (s *state) run() error {
 		s.alpha[u] = st.NewAlphaUp
 		s.alpha[l] = st.NewAlphaLow
 
-		s.updateGradients(st.T, u, l, rowU, rowL)
+		s.updateGradients(st.T, rowU, rowL)
 
 		if s.cfg.Shrinking {
 			shrinkCountdown--
@@ -547,20 +596,29 @@ func (s *state) saveCheckpoint(shrinkCountdown int64) error {
 	})
 }
 
+// minParallelGradient is the sample count below which updateGradients
+// stays on the calling goroutine, as an OpenMP if clause keeps a small
+// loop serial: under it, starting and joining the workers costs more than
+// the update they would share (BenchmarkGradientUpdate).
+const minParallelGradient = 1 << 14
+
 // updateGradients applies Eq. 2 to every active sample, splitting the range
-// across the worker pool. fillActive already computed both rows over the
-// active set, so the chunks are pure arithmetic — the kernel evaluations
-// all happened in the batched row fills.
-func (s *state) updateGradients(t float64, u, l int, rowU, rowL []float64) {
+// across the workers when there are at least minParallelGradient samples.
+// The pair's rows are complete over the active set, so the update is pure
+// arithmetic — the kernel evaluations all happened in the row fills.
+func (s *state) updateGradients(t float64, rowU, rowL []float64) {
 	n := len(s.gamma)
-	w := s.cfg.Workers
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		s.gradientChunk(t, rowU, rowL, 0, n)
+	if w := min(s.cfg.Workers, n); w > 1 && n >= minParallelGradient {
+		s.gradientFanOut(w, t, rowU, rowL)
 		return
 	}
+	s.gradientChunk(t, rowU, rowL, 0, n)
+}
+
+// gradientFanOut applies Eq. 2 in w disjoint chunks, one goroutine each,
+// and returns once all are done.
+func (s *state) gradientFanOut(w int, t float64, rowU, rowL []float64) {
+	n := len(s.gamma)
 	done := make(chan struct{}, w)
 	for k := 0; k < w; k++ {
 		lo, hi := k*n/w, (k+1)*n/w
@@ -677,6 +735,7 @@ func (s *state) unshrinkAll() {
 		s.active[i] = true
 	}
 	s.nActive = len(s.active)
+	s.gen++ // rows completed over the shrunk set lack the re-admitted entries
 }
 
 // result assembles the model and statistics.
