@@ -12,7 +12,10 @@
 // The distributed solver uses the same type on each rank, with rows that
 // span only the rank's own block of n/p samples (core.Config.CacheBytes):
 // the rows a rank can hold grow with p, which is the case Glasmachers
-// makes for "more RAM" (arXiv 2207.01016).
+// makes for "more RAM" (arXiv 2207.01016). Besides its working pair, a
+// rank reads the rows during gradient reconstruction, through Peek, which
+// neither counts nor reorders, so the counters and the eviction order are
+// those of the working-pair lookups alone.
 //
 // Every row of a cache has the same width and keys are small integers, so
 // the cache is a slab of rows with an index-to-slot table and an intrusive
@@ -83,6 +86,17 @@ func (c *RowCache) Get(key int) ([]float64, bool) {
 	s := c.slotOf[key]
 	c.touch(s)
 	return c.rows[s], true
+}
+
+// Peek returns the cached row for key like Get, but counts neither a hit
+// nor a miss and leaves the LRU order alone: a solver that reads rows it
+// already holds for other work (gradient reconstruction) does not disturb
+// the eviction order or the counters of its working-pair lookups.
+func (c *RowCache) Peek(key int) ([]float64, bool) {
+	if c.capacity == 0 || c.slotOf[key] == none {
+		return nil, false
+	}
+	return c.rows[c.slotOf[key]], true
 }
 
 // Put makes key the most recently used row and returns its storage. A key

@@ -63,6 +63,35 @@ func TestEvictionLRUOrder(t *testing.T) {
 	}
 }
 
+// TestPeekLeavesOrderAndCounters: Peek returns a cached row, and misses an
+// absent key, without counting either or moving the row: the row it read
+// is still the next one evicted.
+func TestPeekLeavesOrderAndCounters(t *testing.T) {
+	c := New(240, 10, 10) // room for 3 rows of 10
+	put(c, 1, 1)
+	put(c, 2, 2)
+	put(c, 3, 3)
+	if got, ok := c.Peek(1); !ok || got[0] != 1 {
+		t.Fatalf("Peek(1) = %v, %v", got, ok)
+	}
+	if _, ok := c.Peek(7); ok {
+		t.Fatal("Peek of an absent key hit")
+	}
+	if h, m, ev := c.Stats(); h != 0 || m != 0 || ev != 0 {
+		t.Fatalf("after Peek: %d hits, %d misses, %d evictions", h, m, ev)
+	}
+	put(c, 4, 4)
+	if _, ok := c.Peek(1); ok {
+		t.Fatal("the peeked row, least recently used, was not the one evicted")
+	}
+	if _, ok := c.Peek(2); !ok {
+		t.Fatal("2 was evicted instead of the peeked row")
+	}
+	if _, ok := New(0, 10, 10).Peek(3); ok {
+		t.Fatal("Peek hit in a cache with no budget")
+	}
+}
+
 // TestPutCachedKeyKeepsRow: a Put of a key that is cached returns its row
 // as it is, makes it most recently used, and neither grows nor evicts.
 func TestPutCachedKeyKeepsRow(t *testing.T) {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -148,6 +149,35 @@ func TestReconstructRescansViolators(t *testing.T) {
 	}
 }
 
+// TestReconstructRejectsMembershipMismatch: reconstruction names the
+// global index of each ring-block row through the alpha > 0 membership
+// every rank keeps. A block with a row the membership lacks, or missing a
+// row it has, is an error, never a panic or a gradient built from the
+// wrong cached row.
+func TestReconstructRejectsMembershipMismatch(t *testing.T) {
+	ds := dataset.MustGenerate("blobs", 0.1)
+	for _, blockHasExtra := range []bool{false, true} {
+		err := mpi.Run(1, func(c *mpi.Comm) error {
+			pt, err := NewPartition(ds.X, ds.Y, 1, 0)
+			if err != nil {
+				return err
+			}
+			cfg := blobCfg(ds, Multi5pc)
+			s := newRankState(c, pt, cfg.withDefaults())
+			s.active[0], s.activeIdx = false, s.activeIdx[1:] // one stale gradient
+			if blockHasExtra {
+				s.alpha[1] = 1
+			} else {
+				s.isSV[1] = true
+			}
+			return s.reconstruct()
+		})
+		if err == nil || !strings.Contains(err.Error(), "alpha > 0") {
+			t.Errorf("block has extra row %v: reconstruct returned %v, want a membership error", blockHasExtra, err)
+		}
+	}
+}
+
 // TestSteadyStateIterationAllocs pins the allocations of one p=2
 // iteration, in both selection modes, at zero: the selection Allreduces
 // fill rank-owned slots in place and send pointers to them, which box
@@ -179,17 +209,25 @@ func TestSteadyStateIterationAllocs(t *testing.T) {
 	}
 }
 
+// BenchmarkTrainCodrnaP1 is svmperf's paper-codrna training call (416
+// cod-rna rows, Multi5pc) on one rank, the core.p1_ms op: no collective
+// has a partner, so kernel rows, the cache and the gradient pass are the
+// work.
+func BenchmarkTrainCodrnaP1(b *testing.B) { benchTrainCodrna(b, 1) }
+
 // BenchmarkTrainCodrnaP2 is one training call of svmperf's paper-codrna
 // workload (416 cod-rna rows, Multi5pc, 2 ranks), where the per-iteration
 // selection Allreduce costs as much as the gradient pass.
-func BenchmarkTrainCodrnaP2(b *testing.B) {
+func BenchmarkTrainCodrnaP2(b *testing.B) { benchTrainCodrna(b, 2) }
+
+func benchTrainCodrna(b *testing.B, p int) {
 	ds := dataset.MustGenerate("codrna", 0.007)
 	cfg := blobCfg(ds, Multi5pc)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var iters int64
 	for i := 0; i < b.N; i++ {
-		_, st, err := TrainParallel(ds.X, ds.Y, 2, cfg)
+		_, st, err := TrainParallel(ds.X, ds.Y, p, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -63,11 +63,15 @@ type Config struct {
 	// CacheBytes is the total kernel-row cache budget, read by
 	// solver.CacheBudget and split evenly across the ranks. Each rank
 	// caches K(x_g, .) over its own block of samples for the pair samples
-	// g, so the budget is only a ceiling: a rank never holds more than its
-	// block of the Gram matrix, and rows are made only for samples that
-	// enter the working pair. The paper's solver has no cache (Section
-	// III-A2); see DESIGN.md for why a per-rank one differs. Models,
-	// iterates and message counts are the same at every budget.
+	// g, plus K(x_g, x_g) as one extra entry, so the budget is only a
+	// ceiling: a rank never holds more than its block of the Gram matrix,
+	// and rows are made only for samples that enter the working pair. The
+	// pair step reads the self-kernels from the rows, and gradient
+	// reconstruction reads every value its support vectors' rows hold, on
+	// every ring step. The paper's solver has no cache (Section III-A2);
+	// see DESIGN.md for why a per-rank one differs. Models, iterates and
+	// message counts are the same at every budget, and so is the Lambda
+	// charge.
 	CacheBytes int64
 }
 
@@ -220,19 +224,36 @@ type rankState struct {
 	blockBuf  []float64 // reconstruction scratch, one entry per stale target
 
 	// rows caches the pair rows K(x_g, x_i) over the local block, keyed
-	// by the pair sample's global index g; NaN marks an entry not
+	// by the pair sample's global index g, with the self-kernel
+	// K(x_g, x_g) as one extra last entry; NaN marks an entry not
 	// computed yet. A kernel value never goes stale, so shrinking needs
 	// no invalidation: each iteration computes only the active entries
-	// its rows lack. rowUp and rowLow are the current pair's rows, shared
-	// between second-order selection and the gradient pass; tmpUp and
-	// tmpLow stand in for them when the budget holds no row. missUp and
-	// missLow list the entries a row lacks, valUp and valLow their
-	// computed values.
+	// its rows lack, and gradient reconstruction reads the rows of the
+	// support vectors it passes around the ring. rowUp and rowLow are the
+	// current pair's rows, shared between second-order selection and the
+	// gradient pass; tmpUp and tmpLow stand in for them when the budget
+	// holds no row (they have no self-kernel entry). missUp and missLow
+	// list the entries a row lacks, valUp and valLow their computed
+	// values.
 	rows            *cache.RowCache
 	rowUp, rowLow   []float64
 	tmpUp, tmpLow   []float64
 	missUp, missLow []int
 	valUp, valLow   []float64
+
+	// complete[g] is the active-set generation in which cached row g was
+	// last completed over the actives; gen is the current generation.
+	// Shrinking only removes samples, so a row completed in this
+	// generation lacks no active entry; reconstruct re-admits samples and
+	// starts a new one, and admitting a row clears its mark.
+	complete []int
+	gen      int
+
+	// isSV[g] is true when global sample g has alpha > 0. Every rank
+	// computes the same pair step, so every rank keeps it for all N
+	// samples without a message, and a reconstruction block from any
+	// rank maps its rows to global indices through it.
+	isSV []bool
 
 	// up and low are the local worst violators over activeIdx, recorded
 	// by the last gradient pass for the next selectPair. scanned is false
@@ -291,7 +312,10 @@ func newRankState(c *mpi.Comm, pt *Partition, cfg Config) *rankState {
 	}
 	s.delta = cfg.Heuristic.InitialThreshold(pt.N)
 	s.deltaC = s.delta
-	s.rows = cache.New(cfg.CacheBytes/int64(pt.P), pt.N, n)
+	s.rows = cache.New(cfg.CacheBytes/int64(pt.P), pt.N, n+1)
+	s.complete = make([]int, pt.N)
+	s.gen = 1
+	s.isSV = make([]bool, pt.N)
 	s.missUp, s.missLow = make([]int, n), make([]int, n)
 	s.valUp, s.valLow = make([]float64, n), make([]float64, n)
 	if cfg.SecondOrder {
@@ -435,22 +459,30 @@ func (s *rankState) solve() error {
 		}
 		s.iter++
 
+		// Look both pair rows up (up, then low, the order the cache's
+		// counters and LRU see) before the step, which reads their
+		// self-kernels. In second-order mode selection completes the up
+		// row.
 		upV, lowV := &pair.Up, &pair.Low
+		var missUp, missLow []int
 		if s.cfg.SecondOrder {
 			if j, err := s.selectSecondOrder(upV); err != nil {
 				return err
 			} else if j.Loc >= 0 {
 				lowV = j
 			}
+		} else {
+			s.rowUp, missUp = s.lookupRow(upV.Loc, &s.tmpUp, s.missUp)
 		}
+		s.rowLow, missLow = s.lookupRow(lowV.Loc, &s.tmpLow, s.missLow)
 		up, low := &upV.Data, &lowV.Data
 		// All ranks compute the identical analytic step (Eq. 6/7).
-		kUU := s.cfg.Kernel.Eval(up.Row, up.Row, up.Norm, up.Norm)
-		kLL := s.cfg.Kernel.Eval(low.Row, low.Row, low.Norm, low.Norm)
+		kUU, kLL := s.selfKernel(up, s.rowUp), s.selfKernel(low, s.rowLow)
 		kUL := s.cfg.Kernel.Eval(up.Row, low.Row, up.Norm, low.Norm)
-		s.manualEvals += 3
+		s.manualEvals++
 		st := solver.OptimizePair(up.Gamma, low.Gamma, up.Y, low.Y,
 			up.Alpha, low.Alpha, kUU, kLL, kUL, s.cfg.C)
+		s.isSV[upV.Loc], s.isSV[lowV.Loc] = st.NewAlphaUp > 0, st.NewAlphaLow > 0
 
 		shrinkNow := false
 		if shrinkingEnabled {
@@ -459,7 +491,7 @@ func (s *rankState) solve() error {
 				shrinkNow = true
 			}
 		}
-		s.gradientPass(st, upV, lowV, betaUp, betaLow, shrinkNow)
+		s.gradientPass(st, upV, lowV, missUp, missLow, betaUp, betaLow, shrinkNow)
 
 		if s.cfg.Lambda > 0 {
 			s.c.Compute(s.cfg.Lambda * float64(3+2*len(s.activeIdx)))
@@ -508,17 +540,16 @@ func (s *rankState) solve() error {
 // selectSecondOrder picks the partner of i_up by maximal analytic gain
 // among local low-side violators, then combines globally with a MAXLOC
 // Allreduce that carries the winner's sample like selectPair does (Loc -1
-// when no rank has a candidate). It completes s.rowUp, K(x_up, x_i) over
-// the actives, as a side effect — at most one batched row evaluation —
-// and the gradient pass reuses those values, so the second-order rule
-// costs no extra kernel evaluations. The partner is valid, and read-only,
-// until the next selectSecondOrder.
+// when no rank has a candidate). It looks up and completes s.rowUp,
+// K(x_up, x_i) over the actives, as a side effect — at most one batched
+// row evaluation — and the gradient pass reuses those values, so the
+// second-order rule costs no extra kernel evaluations. The partner is
+// valid, and read-only, until the next selectSecondOrder.
 func (s *rankState) selectSecondOrder(up *violator) (*violator, error) {
-	kUU := s.cfg.Kernel.Eval(up.Data.Row, up.Data.Row, up.Data.Norm, up.Data.Norm)
-	s.manualEvals++
 	var miss []int
 	s.rowUp, miss = s.lookupRow(up.Loc, &s.tmpUp, s.missUp)
-	s.fillRow(&up.Data, s.rowUp, miss, s.valUp)
+	s.fillRow(up.Data.Row, up.Data.Norm, s.rowUp, miss, s.valUp)
+	kUU := s.selfKernel(&up.Data, s.rowUp)
 	kui := s.rowUp
 	best := mpi.ValLoc{Val: math.Inf(-1), Loc: -1}
 	for _, i := range s.activeIdx {
@@ -548,11 +579,10 @@ func (s *rankState) selectSecondOrder(up *violator) (*violator, error) {
 // scanViolators makes, as Keerthi et al. keep b_up/b_low current during
 // the update sweep.
 // The K(x_up, .) and K(x_low, .) rows over actives come from the pair
-// rows (fillPairRows); in second-order mode selection already completed
-// the up row.
-func (s *rankState) gradientPass(st solver.Step, up, low *violator, betaUp, betaLow float64, shrinkNow bool) {
+// rows, whose missing entries missUp and missLow list (fillPairRows).
+func (s *rankState) gradientPass(st solver.Step, up, low *violator, missUp, missLow []int, betaUp, betaLow float64, shrinkNow bool) {
 	c := s.cfg.C
-	s.fillPairRows(up, low)
+	s.fillPairRows(&up.Data, &low.Data, missUp, missLow)
 	kui, kli := s.rowUp, s.rowLow
 	actives := s.activeIdx
 	vUp := mpi.ValLoc{Val: math.Inf(1), Loc: -1}
@@ -583,18 +613,12 @@ func (s *rankState) gradientPass(st solver.Step, up, low *violator, betaUp, beta
 }
 
 // fillPairRows makes s.rowUp and s.rowLow hold K(x_up, x_i) and
-// K(x_low, x_i) at every local active i, computing only what the cached
-// rows lack. When both rows lack the same entries (two fresh rows, the
-// usual miss) one fused pair batch computes them, reading each target's
-// CSR payload once for both pivots; otherwise each row gets its own row
-// batch. In second-order mode selection has completed the up row.
-func (s *rankState) fillPairRows(upV, lowV *violator) {
-	up, low := &upV.Data, &lowV.Data
-	var missUp, missLow []int
-	if !s.cfg.SecondOrder {
-		s.rowUp, missUp = s.lookupRow(upV.Loc, &s.tmpUp, s.missUp)
-	}
-	s.rowLow, missLow = s.lookupRow(lowV.Loc, &s.tmpLow, s.missLow)
+// K(x_low, x_i) at every local active i by computing the entries missUp
+// and missLow list. When both rows lack the same entries (two fresh rows,
+// the usual miss) one fused pair batch computes them, reading each
+// target's CSR payload once for both pivots; otherwise each row gets its
+// own row batch.
+func (s *rankState) fillPairRows(up, low *pairHalf, missUp, missLow []int) {
 	if len(missUp) > 0 && slices.Equal(missUp, missLow) {
 		vu, vl := s.valUp[:len(missUp)], s.valLow[:len(missUp)]
 		s.ev.PairRowsInto(&s.scratch, up.Row, low.Row, up.Norm, low.Norm, missUp, vu, vl)
@@ -603,16 +627,23 @@ func (s *rankState) fillPairRows(upV, lowV *violator) {
 		}
 		return
 	}
-	s.fillRow(up, s.rowUp, missUp, s.valUp)
-	s.fillRow(low, s.rowLow, missLow, s.valLow)
+	s.fillRow(up.Row, up.Norm, s.rowUp, missUp, s.valUp)
+	s.fillRow(low.Row, low.Norm, s.rowLow, missLow, s.valLow)
 }
 
 // lookupRow returns the row for pair sample g (a global index) and the
 // local active indices whose entries it lacks, listed in miss's storage.
-// A cached row lacks its NaN entries; a newly admitted row, or tmp when
-// the budget holds no row, lacks every active entry.
+// A row completed in this active-set generation lacks nothing; another
+// cached row lacks its NaN entries; a newly admitted row, or tmp when the
+// budget holds no row, lacks every active entry. The caller completes the
+// row before the active set can grow, so a cached row is marked complete
+// here.
 func (s *rankState) lookupRow(g int, tmp *[]float64, miss []int) ([]float64, []int) {
 	if row, ok := s.rows.Get(g); ok {
+		if s.complete[g] == s.gen {
+			return row, nil
+		}
+		s.complete[g] = s.gen
 		miss = miss[:0]
 		for _, i := range s.activeIdx {
 			if math.IsNaN(row[i]) {
@@ -622,6 +653,7 @@ func (s *rankState) lookupRow(g int, tmp *[]float64, miss []int) ([]float64, []i
 		return row, miss
 	}
 	if row := s.rows.Put(g); row != nil {
+		s.complete[g] = s.gen
 		return row, s.activeIdx
 	}
 	if *tmp == nil {
@@ -630,14 +662,31 @@ func (s *rankState) lookupRow(g int, tmp *[]float64, miss []int) ([]float64, []i
 	return *tmp, s.activeIdx
 }
 
-// fillRow computes the entries miss lists of pivot h's row in one row
-// batch, through vals.
-func (s *rankState) fillRow(h *pairHalf, row []float64, miss []int, vals []float64) {
+// selfKernel returns K(x_g, x_g) for pair sample h, whose row is row. A
+// cached row keeps it in its extra last entry, so it is evaluated once
+// per admission of the row; a transient row has no such entry, and the
+// value is evaluated on every call, as the cacheless solver does.
+func (s *rankState) selfKernel(h *pairHalf, row []float64) float64 {
+	n := s.pt.Len()
+	if len(row) > n && !math.IsNaN(row[n]) {
+		return row[n]
+	}
+	k := s.cfg.Kernel.Eval(h.Row, h.Row, h.Norm, h.Norm)
+	s.manualEvals++
+	if len(row) > n {
+		row[n] = k
+	}
+	return k
+}
+
+// fillRow computes the entries miss lists of pivot's row (squared norm
+// norm) in one row batch, through vals.
+func (s *rankState) fillRow(pivot sparse.Row, norm float64, row []float64, miss []int, vals []float64) {
 	if len(miss) == 0 {
 		return
 	}
 	vals = vals[:len(miss)]
-	s.ev.RowInto(&s.scratch, h.Row, h.Norm, miss, vals)
+	s.ev.RowInto(&s.scratch, pivot, norm, miss, vals)
 	for k, i := range miss {
 		row[i] = vals[k]
 	}
@@ -714,6 +763,7 @@ func (s *rankState) reconstruct() error {
 	}
 	s.globalActive = s.pt.N
 	s.scanned = false
+	s.gen++ // rows completed over the shrunk set lack the re-admitted entries
 
 	if s.trace != nil {
 		s.trace.AddRecon(s.iter, totalShrunk, totalSVs)
@@ -731,7 +781,10 @@ func (s *rankState) ringPass(block *svBlock, targets []int) error {
 	right := (rank + 1) % p
 	left := (rank - 1 + p) % p
 	for step := 0; step < p; step++ {
-		s.applyBlock(cur, targets)
+		// The block held at step k left rank rank-k.
+		if err := s.applyBlock(cur, (rank-step+p)%p, targets); err != nil {
+			return err
+		}
 		if s.cfg.Lambda > 0 {
 			s.c.Compute(s.cfg.Lambda * float64(len(targets)*cur.X.Rows()))
 		}
@@ -773,6 +826,11 @@ func (s *rankState) warmStart() error {
 		s.alpha[i] = math.Min(v, c)
 		sum += s.alpha[i] * s.pt.Y[i]
 		mass += s.alpha[i]
+	}
+	// Every rank checks its own slice; the membership is seeded for all
+	// N samples, which the owners' clamped alphas agree with.
+	for g, v := range a {
+		s.isSV[g] = v > 0
 	}
 	gsum, err := mpi.Allreduce(s.c, sum, mpi.SumF64)
 	if err != nil {
@@ -846,23 +904,64 @@ func (s *rankState) saveCheckpoint() error {
 }
 
 // applyBlock accumulates one ring block's contributions into the stale
-// gradients: gamma_i += alpha_j*y_j*Phi(x_j, x_i). Each SV row of the
-// block is one batched row evaluation over the targets.
-func (s *rankState) applyBlock(b *svBlock, targets []int) {
+// gradients: gamma_i += alpha_j*y_j*Phi(x_j, x_i). The block is rank
+// from's samples with alpha > 0 in ascending order, so isSV names the
+// global index g of each row. When this rank caches row g, K(x_g, x_i) is
+// read from it, and only the targets it lacks are computed, in one row
+// batch, and kept in the row; otherwise the SV row is one batched row
+// evaluation over the targets. The accumulation order, and so every bit
+// of gamma, is the same either way.
+func (s *rankState) applyBlock(b *svBlock, from int, targets []int) error {
 	if len(targets) == 0 {
-		return
+		return nil
 	}
 	if len(s.blockBuf) < len(targets) {
 		s.blockBuf = make([]float64, len(targets))
 	}
 	buf := s.blockBuf[:len(targets)]
+	lo, hi := BlockRange(s.pt.N, s.pt.P, from)
+	if svs := s.countSVs(lo, hi); svs != b.X.Rows() {
+		return fmt.Errorf("core: rank %d: the reconstruction block from rank %d holds %d rows for its %d samples with alpha > 0",
+			s.c.Rank(), from, b.X.Rows(), svs)
+	}
+	g := lo
 	for j := 0; j < b.X.Rows(); j++ {
-		coef := b.Coef[j]
-		s.ev.RowInto(&s.scratch, b.X.RowView(j), b.Norms[j], targets, buf)
-		for k, i := range targets {
-			s.gamma[i] += coef * buf[k]
+		for !s.isSV[g] {
+			g++
+		}
+		coef, pivot, norm := b.Coef[j], b.X.RowView(j), b.Norms[j]
+		row, ok := s.rows.Peek(g)
+		g++
+		if !ok {
+			s.ev.RowInto(&s.scratch, pivot, norm, targets, buf)
+			for k, i := range targets {
+				s.gamma[i] += coef * buf[k]
+			}
+			continue
+		}
+		miss := s.missUp[:0]
+		for _, i := range targets {
+			if math.IsNaN(row[i]) {
+				miss = append(miss, i)
+			}
+		}
+		s.fillRow(pivot, norm, row, miss, buf)
+		for _, i := range targets {
+			s.gamma[i] += coef * row[i]
 		}
 	}
+	return nil
+}
+
+// countSVs counts the global samples in [lo, hi) with alpha > 0.
+func (s *rankState) countSVs(lo, hi int) int {
+	n := 0
+	for _, sv := range s.isSV[lo:hi] {
+		if sv {
+			n++
+		}
+	}
+	return n
 }
 
 // finish computes the threshold, assembles the model on rank 0, and

@@ -189,7 +189,7 @@ type RowPool struct {
 
 // minParallelTargets is the batch size below which RowPool stays on one
 // goroutine: a kernel row over fewer targets than this finishes faster
-// than the handoff costs.
+// than the handoff costs. BenchmarkRowPoolFanOut times both sides of it.
 const minParallelTargets = 256
 
 // NewRowPool builds a pool of workers over e's matrix. workers < 1 is
@@ -231,12 +231,18 @@ func (p *RowPool) ResetEvals() {
 
 // RowInto is Evaluator.RowInto with the targets chunked across the pool.
 func (p *RowPool) RowInto(pivot sparse.Row, normPivot float64, targets []int, dst []float64) {
+	p.rowInto(pivot, normPivot, targets, dst, minParallelTargets)
+}
+
+// rowInto is RowInto with the fan-out threshold as a parameter, so a
+// benchmark can time both sides of it at one batch size.
+func (p *RowPool) rowInto(pivot sparse.Row, normPivot float64, targets []int, dst []float64, minParallel int) {
 	if len(dst) < len(targets) {
 		panic(fmt.Sprintf("kernel: RowInto dst holds %d entries for %d targets", len(dst), len(targets)))
 	}
 	n := len(targets)
 	w := len(p.evs)
-	if n < minParallelTargets || w == 1 {
+	if n < minParallel || w == 1 {
 		p.evs[0].RowInto(p.scr[0], pivot, normPivot, targets, dst)
 		return
 	}
@@ -258,12 +264,17 @@ func (p *RowPool) RowInto(pivot sparse.Row, normPivot float64, targets []int, ds
 // PairRowsInto is Evaluator.PairRowsInto with the targets chunked across
 // the pool.
 func (p *RowPool) PairRowsInto(up, low sparse.Row, normUp, normLow float64, targets []int, dstUp, dstLow []float64) {
+	p.pairRowsInto(up, low, normUp, normLow, targets, dstUp, dstLow, minParallelTargets)
+}
+
+// pairRowsInto is PairRowsInto with the fan-out threshold as a parameter.
+func (p *RowPool) pairRowsInto(up, low sparse.Row, normUp, normLow float64, targets []int, dstUp, dstLow []float64, minParallel int) {
 	if len(dstUp) < len(targets) || len(dstLow) < len(targets) {
 		panic(fmt.Sprintf("kernel: PairRowsInto dst holds %d/%d entries for %d targets", len(dstUp), len(dstLow), len(targets)))
 	}
 	n := len(targets)
 	w := len(p.evs)
-	if n < minParallelTargets || w == 1 {
+	if n < minParallel || w == 1 {
 		p.evs[0].PairRowsInto(p.scr[0], up, low, normUp, normLow, targets, dstUp, dstLow)
 		return
 	}

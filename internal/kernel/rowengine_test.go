@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -382,5 +383,51 @@ func BenchmarkPairRowsInto(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ev.PairRowsInto(&scr, up, low, nu, nl, targets, dstU, dstL)
+	}
+}
+
+// BenchmarkRowPoolFanOut times RowPool's two paths at each batch size, to
+// place minParallelTargets: "serial" is one Evaluator batch on the calling
+// goroutine, "fanout" chunks the targets across the pool's workers with a
+// WaitGroup. Run it with -cpu 2 for a two-worker pool on two processors.
+// Two row shapes: cod-rna's 8 dense features, where a target costs little
+// more than its exp, and mnist38's 784 features at 19% density.
+func BenchmarkRowPoolFanOut(b *testing.B) {
+	shapes := []struct {
+		name    string
+		cols    int
+		density float64
+	}{{"dense8", 8, 1}, {"mnist784", 784, 0.19}}
+	modes := []struct {
+		name        string
+		minParallel int
+	}{{"serial", math.MaxInt}, {"fanout", 0}}
+	for _, sh := range shapes {
+		m := benchMatrix(b, 4096, sh.cols, sh.density)
+		ev := NewEvaluator(Params{Type: Gaussian, Gamma: 0.1}, m)
+		pool := NewRowPool(ev, 2)
+		up, low := m.RowView(0), m.RowView(1)
+		nu, nl := ev.Norm(0), ev.Norm(1)
+		dstU, dstL := make([]float64, m.Rows()), make([]float64, m.Rows())
+		for n := 64; n <= 4096; n *= 2 {
+			targets := make([]int, n)
+			for i := range targets {
+				targets[i] = i * m.Rows() / n // spread over the matrix, as an active list is
+			}
+			for _, md := range modes {
+				b.Run(fmt.Sprintf("%s/row/n=%d/%s", sh.name, n, md.name), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						pool.rowInto(up, nu, targets, dstU, md.minParallel)
+					}
+				})
+				b.Run(fmt.Sprintf("%s/pair/n=%d/%s", sh.name, n, md.name), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						pool.pairRowsInto(up, low, nu, nl, targets, dstU, dstL, md.minParallel)
+					}
+				})
+			}
+		}
 	}
 }
