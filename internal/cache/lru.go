@@ -17,6 +17,10 @@
 // neither counts nor reorders, so the counters and the eviction order are
 // those of the working-pair lookups alone.
 //
+// Both solvers reach their rows through Rows, which wraps a RowCache and
+// the kernel.RowPool that fills it and is the one owner of how a row is
+// completed over the active samples.
+//
 // Every row of a cache has the same width and keys are small integers, so
 // the cache is a slab of rows with an index-to-slot table and an intrusive
 // doubly linked LRU list over the slots. Row storage is allocated in

@@ -128,7 +128,7 @@ func TestCacheBudgetEquivalence(t *testing.T) {
 	for _, v := range variants {
 		for p := 1; p <= 3; p++ {
 			t.Run(fmt.Sprintf("%s/p=%d", v.name, p), func(t *testing.T) {
-				width := int64(n/p + 1) // the widest rank's block
+				width := int64(n/p + 2) // the widest rank's block and the self-kernel entry
 				budgets := []struct {
 					name  string
 					bytes int64

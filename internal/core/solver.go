@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/ckpt"
@@ -211,8 +210,8 @@ type rankState struct {
 	active       []bool
 	globalActive int
 
-	ev      *kernel.Evaluator // local block evaluator
-	scratch kernel.Scratch    // dense pivot scratch for the batched row engine
+	ev   *kernel.Evaluator // local block evaluator
+	pool *kernel.RowPool   // one worker: fills rows without a goroutine
 
 	// activeIdx lists the local active indices in ascending order: the
 	// target list of every row batch (selection, gradient pass). Shrink
@@ -223,31 +222,11 @@ type rankState struct {
 	activeIdx []int
 	blockBuf  []float64 // reconstruction scratch, one entry per stale target
 
-	// rows caches the pair rows K(x_g, x_i) over the local block, keyed
-	// by the pair sample's global index g, with the self-kernel
-	// K(x_g, x_g) as one extra last entry; NaN marks an entry not
-	// computed yet. A kernel value never goes stale, so shrinking needs
-	// no invalidation: each iteration computes only the active entries
-	// its rows lack, and gradient reconstruction reads the rows of the
-	// support vectors it passes around the ring. rowUp and rowLow are the
-	// current pair's rows, shared between second-order selection and the
-	// gradient pass; tmpUp and tmpLow stand in for them when the budget
-	// holds no row (they have no self-kernel entry). missUp and missLow
-	// list the entries a row lacks, valUp and valLow their computed
-	// values.
-	rows            *cache.RowCache
-	rowUp, rowLow   []float64
-	tmpUp, tmpLow   []float64
-	missUp, missLow []int
-	valUp, valLow   []float64
-
-	// complete[g] is the active-set generation in which cached row g was
-	// last completed over the actives; gen is the current generation.
-	// Shrinking only removes samples, so a row completed in this
-	// generation lacks no active entry; reconstruct re-admits samples and
-	// starts a new one, and admitting a row clears its mark.
-	complete []int
-	gen      int
+	// rows stores the pair rows K(x_g, x_i) over the local block, keyed by
+	// the pair sample's global index g (cache.Rows). A cached row is one
+	// entry wider and keeps K(x_g, x_g) last; gradient reconstruction
+	// reads the rows of the support vectors it passes around the ring.
+	rows *cache.Rows
 
 	// isSV[g] is true when global sample g has alpha > 0. Every rank
 	// computes the same pair step, so every rank keeps it for all N
@@ -312,12 +291,9 @@ func newRankState(c *mpi.Comm, pt *Partition, cfg Config) *rankState {
 	}
 	s.delta = cfg.Heuristic.InitialThreshold(pt.N)
 	s.deltaC = s.delta
-	s.rows = cache.New(cfg.CacheBytes/int64(pt.P), pt.N, n+1)
-	s.complete = make([]int, pt.N)
-	s.gen = 1
+	s.pool = kernel.NewRowPool(s.ev, 1)
+	s.rows = cache.NewRows(s.pool, cfg.CacheBytes/int64(pt.P), pt.N, n+1)
 	s.isSV = make([]bool, pt.N)
-	s.missUp, s.missLow = make([]int, n), make([]int, n)
-	s.valUp, s.valLow = make([]float64, n), make([]float64, n)
 	if cfg.SecondOrder {
 		s.diag = make([]float64, n)
 		s.ev.DiagInto(s.diag)
@@ -461,23 +437,23 @@ func (s *rankState) solve() error {
 
 		// Look both pair rows up (up, then low, the order the cache's
 		// counters and LRU see) before the step, which reads their
-		// self-kernels. In second-order mode selection completes the up
-		// row.
+		// self-kernels. In second-order mode selection reads the up row.
 		upV, lowV := &pair.Up, &pair.Low
-		var missUp, missLow []int
+		up, low := &upV.Data, &lowV.Data
+		var rowUp, rowLow []float64
 		if s.cfg.SecondOrder {
-			if j, err := s.selectSecondOrder(upV); err != nil {
+			rowUp = s.rows.Row(0, upV.Loc, up.Row, up.Norm, s.activeIdx)
+			if j, err := s.selectSecondOrder(upV, rowUp); err != nil {
 				return err
 			} else if j.Loc >= 0 {
-				lowV = j
+				lowV, low = j, &j.Data
 			}
+			rowLow = s.rows.Row(1, lowV.Loc, low.Row, low.Norm, s.activeIdx)
 		} else {
-			s.rowUp, missUp = s.lookupRow(upV.Loc, &s.tmpUp, s.missUp)
+			rowUp, rowLow = s.rows.Pair(upV.Loc, lowV.Loc, up.Row, low.Row, up.Norm, low.Norm, s.activeIdx)
 		}
-		s.rowLow, missLow = s.lookupRow(lowV.Loc, &s.tmpLow, s.missLow)
-		up, low := &upV.Data, &lowV.Data
 		// All ranks compute the identical analytic step (Eq. 6/7).
-		kUU, kLL := s.selfKernel(up, s.rowUp), s.selfKernel(low, s.rowLow)
+		kUU, kLL := s.selfKernel(up, rowUp), s.selfKernel(low, rowLow)
 		kUL := s.cfg.Kernel.Eval(up.Row, low.Row, up.Norm, low.Norm)
 		s.manualEvals++
 		st := solver.OptimizePair(up.Gamma, low.Gamma, up.Y, low.Y,
@@ -491,7 +467,7 @@ func (s *rankState) solve() error {
 				shrinkNow = true
 			}
 		}
-		s.gradientPass(st, upV, lowV, missUp, missLow, betaUp, betaLow, shrinkNow)
+		s.gradientPass(st, upV, lowV, rowUp, rowLow, betaUp, betaLow, shrinkNow)
 
 		if s.cfg.Lambda > 0 {
 			s.c.Compute(s.cfg.Lambda * float64(3+2*len(s.activeIdx)))
@@ -540,17 +516,12 @@ func (s *rankState) solve() error {
 // selectSecondOrder picks the partner of i_up by maximal analytic gain
 // among local low-side violators, then combines globally with a MAXLOC
 // Allreduce that carries the winner's sample like selectPair does (Loc -1
-// when no rank has a candidate). It looks up and completes s.rowUp,
-// K(x_up, x_i) over the actives, as a side effect — at most one batched
-// row evaluation — and the gradient pass reuses those values, so the
-// second-order rule costs no extra kernel evaluations. The partner is
-// valid, and read-only, until the next selectSecondOrder.
-func (s *rankState) selectSecondOrder(up *violator) (*violator, error) {
-	var miss []int
-	s.rowUp, miss = s.lookupRow(up.Loc, &s.tmpUp, s.missUp)
-	s.fillRow(up.Data.Row, up.Data.Norm, s.rowUp, miss, s.valUp)
-	kUU := s.selfKernel(&up.Data, s.rowUp)
-	kui := s.rowUp
+// when no rank has a candidate). It reads kui, K(x_up, x_i) over the
+// actives, which the gradient pass reuses, so the second-order rule costs
+// no extra kernel evaluations. The partner is valid, and read-only, until
+// the next selectSecondOrder.
+func (s *rankState) selectSecondOrder(up *violator, kui []float64) (*violator, error) {
+	kUU := s.selfKernel(&up.Data, kui)
 	best := mpi.ValLoc{Val: math.Inf(-1), Loc: -1}
 	for _, i := range s.activeIdx {
 		if !solver.InLow(s.pt.Y[i], s.alpha[i], s.cfg.C) {
@@ -577,13 +548,10 @@ func (s *rankState) selectSecondOrder(up *violator) (*violator, error) {
 // worst violators over the survivors for the next selectPair: the same
 // ascending fold over the final gamma and alpha values that
 // scanViolators makes, as Keerthi et al. keep b_up/b_low current during
-// the update sweep.
-// The K(x_up, .) and K(x_low, .) rows over actives come from the pair
-// rows, whose missing entries missUp and missLow list (fillPairRows).
-func (s *rankState) gradientPass(st solver.Step, up, low *violator, missUp, missLow []int, betaUp, betaLow float64, shrinkNow bool) {
+// the update sweep. kui and kli are the pair rows, complete over the
+// actives.
+func (s *rankState) gradientPass(st solver.Step, up, low *violator, kui, kli []float64, betaUp, betaLow float64, shrinkNow bool) {
 	c := s.cfg.C
-	s.fillPairRows(&up.Data, &low.Data, missUp, missLow)
-	kui, kli := s.rowUp, s.rowLow
 	actives := s.activeIdx
 	vUp := mpi.ValLoc{Val: math.Inf(1), Loc: -1}
 	vLow := mpi.ValLoc{Val: math.Inf(-1), Loc: -1}
@@ -612,56 +580,6 @@ func (s *rankState) gradientPass(st solver.Step, up, low *violator, missUp, miss
 	s.up, s.low, s.scanned = vUp, vLow, true
 }
 
-// fillPairRows makes s.rowUp and s.rowLow hold K(x_up, x_i) and
-// K(x_low, x_i) at every local active i by computing the entries missUp
-// and missLow list. When both rows lack the same entries (two fresh rows,
-// the usual miss) one fused pair batch computes them, reading each
-// target's CSR payload once for both pivots; otherwise each row gets its
-// own row batch.
-func (s *rankState) fillPairRows(up, low *pairHalf, missUp, missLow []int) {
-	if len(missUp) > 0 && slices.Equal(missUp, missLow) {
-		vu, vl := s.valUp[:len(missUp)], s.valLow[:len(missUp)]
-		s.ev.PairRowsInto(&s.scratch, up.Row, low.Row, up.Norm, low.Norm, missUp, vu, vl)
-		for k, i := range missUp {
-			s.rowUp[i], s.rowLow[i] = vu[k], vl[k]
-		}
-		return
-	}
-	s.fillRow(up.Row, up.Norm, s.rowUp, missUp, s.valUp)
-	s.fillRow(low.Row, low.Norm, s.rowLow, missLow, s.valLow)
-}
-
-// lookupRow returns the row for pair sample g (a global index) and the
-// local active indices whose entries it lacks, listed in miss's storage.
-// A row completed in this active-set generation lacks nothing; another
-// cached row lacks its NaN entries; a newly admitted row, or tmp when the
-// budget holds no row, lacks every active entry. The caller completes the
-// row before the active set can grow, so a cached row is marked complete
-// here.
-func (s *rankState) lookupRow(g int, tmp *[]float64, miss []int) ([]float64, []int) {
-	if row, ok := s.rows.Get(g); ok {
-		if s.complete[g] == s.gen {
-			return row, nil
-		}
-		s.complete[g] = s.gen
-		miss = miss[:0]
-		for _, i := range s.activeIdx {
-			if math.IsNaN(row[i]) {
-				miss = append(miss, i)
-			}
-		}
-		return row, miss
-	}
-	if row := s.rows.Put(g); row != nil {
-		s.complete[g] = s.gen
-		return row, s.activeIdx
-	}
-	if *tmp == nil {
-		*tmp = make([]float64, s.pt.Len())
-	}
-	return *tmp, s.activeIdx
-}
-
 // selfKernel returns K(x_g, x_g) for pair sample h, whose row is row. A
 // cached row keeps it in its extra last entry, so it is evaluated once
 // per admission of the row; a transient row has no such entry, and the
@@ -677,19 +595,6 @@ func (s *rankState) selfKernel(h *pairHalf, row []float64) float64 {
 		row[n] = k
 	}
 	return k
-}
-
-// fillRow computes the entries miss lists of pivot's row (squared norm
-// norm) in one row batch, through vals.
-func (s *rankState) fillRow(pivot sparse.Row, norm float64, row []float64, miss []int, vals []float64) {
-	if len(miss) == 0 {
-		return
-	}
-	vals = vals[:len(miss)]
-	s.ev.RowInto(&s.scratch, pivot, norm, miss, vals)
-	for k, i := range miss {
-		row[i] = vals[k]
-	}
 }
 
 // buildSVBlock collects the local samples with alpha > 0.
@@ -763,7 +668,7 @@ func (s *rankState) reconstruct() error {
 	}
 	s.globalActive = s.pt.N
 	s.scanned = false
-	s.gen++ // rows completed over the shrunk set lack the re-admitted entries
+	s.rows.NewGeneration() // rows completed over the shrunk set lack the re-admitted entries
 
 	if s.trace != nil {
 		s.trace.AddRecon(s.iter, totalShrunk, totalSVs)
@@ -933,19 +838,13 @@ func (s *rankState) applyBlock(b *svBlock, from int, targets []int) error {
 		row, ok := s.rows.Peek(g)
 		g++
 		if !ok {
-			s.ev.RowInto(&s.scratch, pivot, norm, targets, buf)
+			s.pool.RowInto(pivot, norm, targets, buf)
 			for k, i := range targets {
 				s.gamma[i] += coef * buf[k]
 			}
 			continue
 		}
-		miss := s.missUp[:0]
-		for _, i := range targets {
-			if math.IsNaN(row[i]) {
-				miss = append(miss, i)
-			}
-		}
-		s.fillRow(pivot, norm, row, miss, buf)
+		s.rows.Complete(row, pivot, norm, targets)
 		for _, i := range targets {
 			s.gamma[i] += coef * row[i]
 		}
@@ -1001,7 +900,7 @@ func (s *rankState) finish() (*model.Model, *Stats, error) {
 		return nil, nil, err
 	}
 	hits, misses, evictions := s.rows.Stats()
-	total, err := mpi.Allreduce(s.c, counters{s.ev.Evals() + s.manualEvals, hits, misses, evictions}, addCounters)
+	total, err := mpi.Allreduce(s.c, counters{s.ev.Evals() + s.pool.Evals() + s.manualEvals, hits, misses, evictions}, addCounters)
 	if err != nil {
 		return nil, nil, err
 	}

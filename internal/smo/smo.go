@@ -4,8 +4,9 @@
 // parallelized across goroutines — the role OpenMP plays in the paper's
 // enhancement of libsvm 3.18. Like an OpenMP if clause, the update fans
 // out only from minParallelGradient samples up; below that it runs on the
-// calling goroutine. The working pair's two rows, when both miss the
-// cache, fill in one fused pass that reads each target row once.
+// calling goroutine. The working pair's rows come from cache.Rows, which
+// fills two rows that both miss in one fused pass reading each target row
+// once.
 //
 // The paper sets this baseline up generously: libsvm may use "a compute
 // node's entire memory as a kernel cache" and all available cores. Both
@@ -220,27 +221,21 @@ func train(x *sparse.Matrix, y []float64, cfg Config) (*Result, error) {
 
 // state is the mutable solver state.
 type state struct {
-	cfg     Config
-	x       *sparse.Matrix
-	y       []float64
-	alpha   []float64
-	gamma   []float64
-	active  []bool
-	nActive int
+	cfg    Config
+	x      *sparse.Matrix
+	y      []float64
+	alpha  []float64
+	gamma  []float64
+	active []bool
+	// activeIdx lists the active samples in ascending order: the target
+	// list of every kernel row. shrink compacts it and unshrinkAll resets
+	// it, so len(activeIdx) is the active-set size.
+	activeIdx []int
 
 	ev   *kernel.Evaluator
 	pool *kernel.RowPool // batched row engine, one (SubEvaluator, Scratch) per worker
-	rows *cache.RowCache
-	diag []float64 // K(i,i), precomputed for second-order selection
-
-	// batched cache-fill buffers: the missing-entry indices of a kernel row
-	// and the freshly computed values of the up and low rows (fillActive,
-	// fillPair).
-	idxBuf        []int
-	valUp, valLow []float64
-	tmpUp, tmpLow []float64 // transient rows when the budget holds no row
-	complete      []int     // per sample: the generation its row was last completed in
-	gen           int       // the active-set generation; unshrinkAll starts a new one
+	rows *cache.Rows     // the pair rows K(x_u, .), filled through pool
+	diag []float64       // K(i,i), precomputed for second-order selection
 
 	iter            int64
 	shrinkEvents    int
@@ -256,15 +251,14 @@ type state struct {
 func newState(x *sparse.Matrix, y []float64, cfg Config) *state {
 	n := x.Rows()
 	s := &state{
-		cfg:     cfg,
-		x:       x,
-		y:       y,
-		alpha:   make([]float64, n),
-		gamma:   make([]float64, n),
-		active:  make([]bool, n),
-		nActive: n,
-		ev:      kernel.NewEvaluator(cfg.Kernel, x),
-		rows:    cache.New(cfg.CacheBytes, n, n),
+		cfg:       cfg,
+		x:         x,
+		y:         y,
+		alpha:     make([]float64, n),
+		gamma:     make([]float64, n),
+		active:    make([]bool, n),
+		activeIdx: make([]int, n),
+		ev:        kernel.NewEvaluator(cfg.Kernel, x),
 	}
 	for i := 0; i < n; i++ {
 		// Algorithm 1 line 1: gamma_i <- y_i*p_i, alpha_i <- 0. The
@@ -272,13 +266,10 @@ func newState(x *sparse.Matrix, y []float64, cfg Config) *state {
 		// negation is exact, so y*(-1) is bit-identical to -y).
 		s.gamma[i] = y[i] * s.pAt(i)
 		s.active[i] = true
+		s.activeIdx[i] = i
 	}
 	s.pool = kernel.NewRowPool(s.ev, cfg.Workers)
-	s.idxBuf = make([]int, 0, n)
-	s.valUp = make([]float64, n)
-	s.valLow = make([]float64, n)
-	s.complete = make([]int, n)
-	s.gen = 1
+	s.rows = cache.NewRows(s.pool, cfg.CacheBytes, n, n)
 	if cfg.RecordTrace {
 		s.trace = trace.New("libsvm-enhanced", n, x.AvgRowNNZ(), cfg.Eps)
 	}
@@ -335,7 +326,7 @@ func (s *state) pAt(i int) float64 {
 //
 // The rebuild is row-driven through the kernel cache rather than
 // target-driven like reconstruction: each support vector's full row is
-// fetched once via getRow/fillActive and accumulated into every gradient.
+// looked up once and accumulated into every gradient.
 // The eval count is the same nSV*n either way, but the iterations that
 // follow work almost entirely on these same support vectors, so the rows
 // computed here are cache hits later — the warm start doubles as a
@@ -352,8 +343,8 @@ func (s *state) warmStart(alpha0 []float64) {
 			continue // gamma already holds the cold start y_j*p_j
 		}
 		s.warm = true
-		row, _ := s.getRow(j, &s.tmpUp)
-		s.fillActive(j, row) // everything is active: fills the full row
+		// Everything is active, so the row is complete over all samples.
+		row := s.rows.Row(0, j, s.x.RowView(j), s.ev.Norm(j), s.activeIdx)
 		c := a * s.y[j]
 		for i, v := range row {
 			s.gamma[i] += c * v
@@ -388,7 +379,7 @@ func (s *state) selectPair() {
 func (s *state) selectSecondOrder(u int, rowU []float64) int {
 	best, bestGain := -1, math.Inf(-1)
 	gU := s.gamma[u]
-	kUU := kernelAt(s.ev, rowU, u, u)
+	kUU := rowU[u]
 	for j := range s.alpha {
 		if !s.active[j] || !solver.InLow(s.y[j], s.alpha[j], s.boxAt(j)) {
 			continue
@@ -397,7 +388,7 @@ func (s *state) selectSecondOrder(u int, rowU []float64) int {
 		if b <= 0 {
 			continue
 		}
-		eta := kUU + s.diag[j] - 2*kernelAt(s.ev, rowU, u, j)
+		eta := kUU + s.diag[j] - 2*rowU[j]
 		if eta <= solver.Tau {
 			eta = solver.Tau
 		}
@@ -406,93 +397,6 @@ func (s *state) selectSecondOrder(u int, rowU []float64) int {
 		}
 	}
 	return best
-}
-
-// getRow returns the (possibly partially computed) kernel row for sample u
-// and whether it is fresh, every entry still to compute. Entries are NaN
-// until computed; fillActive fills them lazily so a row computed under a
-// small active set stays reusable and is completed on demand if the
-// active set grows back. Each call is one cache lookup: a hit, or a miss
-// that admits the row. When the budget holds no row, *tmp serves as a
-// transient one; the two rows of a pair must pass different buffers.
-func (s *state) getRow(u int, tmp *[]float64) (row []float64, fresh bool) {
-	if row, ok := s.rows.Get(u); ok {
-		return row, false
-	}
-	s.complete[u] = 0
-	if row := s.rows.Put(u); row != nil {
-		return row, true
-	}
-	if *tmp == nil {
-		*tmp = make([]float64, len(s.alpha))
-	}
-	row = *tmp
-	for i := range row {
-		row[i] = math.NaN()
-	}
-	return row, true
-}
-
-// kernelAt returns K(u, i) via the row, computing and memoizing on miss.
-// After fillActive every active entry is present, so this only computes
-// for an index outside the batch (a guarded fallback, not a loop).
-func kernelAt(ev *kernel.Evaluator, row []float64, u, i int) float64 {
-	if v := row[i]; !math.IsNaN(v) {
-		return v
-	}
-	v := ev.At(u, i)
-	row[i] = v
-	return v
-}
-
-// fillActive completes row u over the whole active set in one batched row
-// evaluation: every NaN sentinel at an active index is computed together
-// through the row pool and memoized. Costs exactly as many kernel
-// evaluations as sentinels filled — a fresh row costs one full batch, a
-// row cached under a smaller active set only the entries that grew back.
-// A row already completed in this active-set generation returns at once:
-// shrinking only removes samples, so it has no sentinel left to find.
-func (s *state) fillActive(u int, row []float64) {
-	if s.complete[u] == s.gen {
-		return
-	}
-	s.complete[u] = s.gen
-	idx := s.missing(row)
-	if len(idx) == 0 {
-		return
-	}
-	vals := s.valUp[:len(idx)]
-	s.pool.RowInto(s.x.RowView(u), s.ev.Norm(u), idx, vals)
-	for k, i := range idx {
-		row[i] = vals[k]
-	}
-}
-
-// fillPair completes the fresh rows of u and l over the active set in one
-// fused pair batch, which reads each target's CSR payload once for both
-// pivots. It computes the same values, and counts the same evaluations,
-// as fillActive on each row.
-func (s *state) fillPair(u, l int, rowU, rowL []float64) {
-	s.complete[u], s.complete[l] = s.gen, s.gen
-	idx := s.missing(rowU)
-	vu, vl := s.valUp[:len(idx)], s.valLow[:len(idx)]
-	s.pool.PairRowsInto(s.x.RowView(u), s.x.RowView(l), s.ev.Norm(u), s.ev.Norm(l), idx, vu, vl)
-	for k, i := range idx {
-		rowU[i], rowL[i] = vu[k], vl[k]
-	}
-}
-
-// missing lists the active indices at which row holds a NaN sentinel, in
-// idxBuf's storage.
-func (s *state) missing(row []float64) []int {
-	idx := s.idxBuf[:0]
-	for i, a := range s.active {
-		if a && math.IsNaN(row[i]) {
-			idx = append(idx, i)
-		}
-	}
-	s.idxBuf = idx
-	return idx
 }
 
 func (s *state) run() error {
@@ -511,7 +415,7 @@ func (s *state) run() error {
 	for {
 		s.selectPair()
 		if s.iUp < 0 || s.iLow < 0 || solver.Converged(s.betaUp, s.betaLow, s.cfg.Eps) {
-			if s.cfg.Shrinking && s.nActive < len(s.alpha) {
+			if s.cfg.Shrinking && len(s.activeIdx) < len(s.alpha) {
 				// Converged on the active set only: reconstruct the
 				// gradients of shrunk samples and re-admit everything,
 				// exactly as libsvm does before declaring convergence.
@@ -529,25 +433,20 @@ func (s *state) run() error {
 		s.iter++
 
 		u, l := s.iUp, s.iLow
-		rowU, freshU := s.getRow(u, &s.tmpUp)
+		var rowU, rowL []float64
 		if s.cfg.SecondOrder {
 			// The partner depends on row u: complete it before looking
 			// up row l.
-			s.fillActive(u, rowU)
+			rowU = s.rows.Row(0, u, s.x.RowView(u), s.ev.Norm(u), s.activeIdx)
 			if j := s.selectSecondOrder(u, rowU); j >= 0 {
 				l = j
 			}
-		}
-		rowL, freshL := s.getRow(l, &s.tmpLow)
-		if freshU && freshL && !s.cfg.SecondOrder {
-			s.fillPair(u, l, rowU, rowL)
+			rowL = s.rows.Row(1, l, s.x.RowView(l), s.ev.Norm(l), s.activeIdx)
 		} else {
-			s.fillActive(u, rowU) // returns at once if selection completed it
-			s.fillActive(l, rowL)
+			rowU, rowL = s.rows.Pair(u, l, s.x.RowView(u), s.x.RowView(l), s.ev.Norm(u), s.ev.Norm(l), s.activeIdx)
 		}
-		kUU := kernelAt(s.ev, rowU, u, u)
-		kLL := kernelAt(s.ev, rowL, l, l)
-		kUL := kernelAt(s.ev, rowU, u, l)
+		// Both rows are complete over the actives, u and l among them.
+		kUU, kLL, kUL := rowU[u], rowL[l], rowU[l]
 		rowL[u] = kUL // symmetric
 		st := solver.OptimizePairBox(s.gamma[u], s.gamma[l], s.y[u], s.y[l],
 			s.alpha[u], s.alpha[l], kUU, kLL, kUL, s.boxAt(u), s.boxAt(l))
@@ -643,19 +542,19 @@ func (s *state) gradientChunk(t float64, rowU, rowL []float64, lo, hi int) {
 
 // shrink applies the Eq. 9 condition using the betas of the last selection.
 func (s *state) shrink() {
-	for i := range s.alpha {
-		if !s.active[i] {
-			continue
-		}
+	kept := s.activeIdx[:0]
+	for _, i := range s.activeIdx {
 		set := solver.Classify(s.y[i], s.alpha[i], s.boxAt(i))
 		if solver.Shrinkable(set, s.gamma[i], s.betaUp, s.betaLow) {
 			s.active[i] = false
-			s.nActive--
+			continue
 		}
+		kept = append(kept, i)
 	}
+	s.activeIdx = kept
 	s.shrinkEvents++
 	if s.trace != nil {
-		s.trace.SetActive(s.iter, s.nActive)
+		s.trace.SetActive(s.iter, len(s.activeIdx))
 	}
 }
 
@@ -731,11 +630,12 @@ func (s *state) reconstructChunk(ev *kernel.Evaluator, scr *kernel.Scratch, buf 
 }
 
 func (s *state) unshrinkAll() {
+	s.activeIdx = s.activeIdx[:len(s.active)]
 	for i := range s.active {
 		s.active[i] = true
+		s.activeIdx[i] = i
 	}
-	s.nActive = len(s.active)
-	s.gen++ // rows completed over the shrunk set lack the re-admitted entries
+	s.rows.NewGeneration() // rows completed over the shrunk set lack the re-admitted entries
 }
 
 // result assembles the model and statistics.
