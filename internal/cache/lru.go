@@ -51,6 +51,7 @@ type RowCache struct {
 	slots    []slot      // one per row the budget holds
 	rows     [][]float64 // slot -> row storage, allocated slots only
 	used     int         // slots holding a row: rows[:used]
+	spare    []float64   // a one-row cache's second row storage
 	// head and tail are the most and least recently used slots.
 	head, tail int32
 
@@ -112,8 +113,8 @@ func (c *RowCache) Peek(key int) ([]float64, bool) {
 //
 // The row returned last by Get or Put stays intact through one more Put,
 // so a solver can hold both rows of its working pair: a full cache of two
-// or more rows evicts another row, and a cache of one row gives the new
-// key fresh storage.
+// or more rows evicts another row, and a cache of one row swaps the
+// evicted row's storage with a spare row.
 func (c *RowCache) Put(key int) []float64 {
 	if c.capacity == 0 {
 		return nil
@@ -133,7 +134,10 @@ func (c *RowCache) Put(key int) []float64 {
 		if c.capacity == 1 {
 			// The evicted row is the one returned last, which the caller
 			// may still be reading (the other half of a working pair).
-			c.rows[s] = make([]float64, c.width)
+			if c.spare == nil {
+				c.spare = make([]float64, c.width)
+			}
+			c.rows[s], c.spare = c.spare, c.rows[s]
 		}
 	}
 	c.slots[s].key = int32(key)

@@ -146,6 +146,32 @@ func TestOneRowCacheKeepsPair(t *testing.T) {
 	}
 }
 
+// TestOneRowCacheSwapsSpare: a cache of one row alternates between its
+// row and one spare, so after the first eviction an admission allocates
+// nothing, and the row returned last still stays intact through one more
+// Put.
+func TestOneRowCacheSwapsSpare(t *testing.T) {
+	c := New(40, 10, 5)
+	put(c, 0, 0)
+	put(c, 1, 1)
+	key := 2
+	if n := testing.AllocsPerRun(100, func() {
+		put(c, key%10, float64(key))
+		key++
+	}); n != 0 {
+		t.Fatalf("%v allocations per admission into a full one-row cache, want 0", n)
+	}
+	a := c.Put(key % 10)
+	a[0] = 7
+	b := c.Put((key + 1) % 10)
+	if a[0] != 7 || &a[0] == &b[0] {
+		t.Fatal("admission overwrote the row returned before it")
+	}
+	if d := c.Put((key + 2) % 10); &d[0] != &a[0] {
+		t.Fatal("the third admission did not take the first row's storage back")
+	}
+}
+
 func TestOversizeRowNotCached(t *testing.T) {
 	c := New(100, 10, 100) // 800-byte rows > budget
 	if r := c.Put(1); r != nil {

@@ -11,7 +11,7 @@ import (
 )
 
 // solveChecked trains like Train, and on every selectPair compares the
-// violators about to be reduced (recorded by the last gradient pass, or
+// violators about to be reduced (recorded by the last Update, or
 // scanned after a cold start, reconstruction or warm start), and the
 // active list, with a full scan of the rank's state. It returns the
 // global alpha and the number of selections checked on rank 0.
@@ -32,24 +32,25 @@ func solveChecked(t *testing.T, ds *dataset.Dataset, p int, cfg Config) ([]float
 			if failed != nil {
 				return
 			}
-			if up, low := s.scanViolators(); up != s.up || low != s.low {
+			rup, rlow := s.Violators()
+			if up, low := s.Scan(); up != rup || low != rlow {
 				failed = fmt.Errorf("iteration %d: recorded up %+v low %+v, scan finds up %+v low %+v",
-					s.iter, s.up, s.low, up, low)
+					s.iter, rup, rlow, up, low)
 				return
 			}
 			k := 0
-			for i, a := range s.active {
+			for i, a := range s.Active {
 				if !a {
 					continue
 				}
-				if k >= len(s.activeIdx) || s.activeIdx[k] != i {
-					failed = fmt.Errorf("iteration %d: active list %v disagrees with the active flags at %d", s.iter, s.activeIdx, i)
+				if k >= len(s.Idx) || s.Idx[k] != i {
+					failed = fmt.Errorf("iteration %d: active list %v disagrees with the active flags at %d", s.iter, s.Idx, i)
 					return
 				}
 				k++
 			}
-			if k != len(s.activeIdx) {
-				failed = fmt.Errorf("iteration %d: active list holds %d entries, %d samples active", s.iter, len(s.activeIdx), k)
+			if k != len(s.Idx) {
+				failed = fmt.Errorf("iteration %d: active list holds %d entries, %d samples active", s.iter, len(s.Idx), k)
 			}
 		}
 		if len(cfg.InitialAlpha) > 0 {
@@ -66,7 +67,7 @@ func solveChecked(t *testing.T, ds *dataset.Dataset, p int, cfg Config) ([]float
 		if failed != nil {
 			return failed
 		}
-		copy(alpha[pt.Lo:], s.alpha)
+		copy(alpha[pt.Lo:], s.Alpha)
 		if c.Rank() == 0 {
 			checks = n
 		}
@@ -79,7 +80,7 @@ func solveChecked(t *testing.T, ds *dataset.Dataset, p int, cfg Config) ([]float
 }
 
 // TestRecordedViolatorsMatchScan: selectPair takes the local violators the
-// gradient pass recorded instead of scanning, so on every iteration they
+// last Update recorded instead of scanning, so on every iteration they
 // must equal what a full scan finds, for every shrinking schedule,
 // second-order selection and a warm start. solve's last selectPair and
 // finish's are checked too.
@@ -127,11 +128,10 @@ func TestReconstructRescansViolators(t *testing.T) {
 		}
 		cfg := blobCfg(ds, Multi5pc)
 		s := newRankState(c, pt, cfg.withDefaults())
-		want, _ := s.scanViolators()
-		s.active[want.Loc] = false
-		s.activeIdx = slices.DeleteFunc(s.activeIdx, func(i int) bool { return i == want.Loc })
-		s.up, s.low = s.scanViolators()
-		s.scanned = true
+		want, _ := s.Scan()
+		s.Active[want.Loc] = false
+		s.Idx = slices.DeleteFunc(s.Idx, func(i int) bool { return i == want.Loc })
+		s.Violators()
 		if err := s.reconstruct(); err != nil {
 			return err
 		}
@@ -164,9 +164,9 @@ func TestReconstructRejectsMembershipMismatch(t *testing.T) {
 			}
 			cfg := blobCfg(ds, Multi5pc)
 			s := newRankState(c, pt, cfg.withDefaults())
-			s.active[0], s.activeIdx = false, s.activeIdx[1:] // one stale gradient
+			s.Active[0], s.Idx = false, s.Idx[1:] // one stale gradient
 			if blockHasExtra {
-				s.alpha[1] = 1
+				s.Alpha[1] = 1
 			} else {
 				s.isSV[1] = true
 			}

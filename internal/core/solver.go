@@ -202,25 +202,22 @@ func validateInputs(c *mpi.Comm, pt *Partition, cfg Config) error {
 
 // rankState is the per-rank solver state.
 type rankState struct {
+	// The embedded set holds the local block's labels, alphas, gradients
+	// and active samples, with Lo the block's first global index; its
+	// violators' Locs are global. Shrink checks compact Idx inside Update
+	// and reconstruct resets it, so len(Idx) is the local active-set size.
+	solver.ActiveSet
 	c   *mpi.Comm
 	pt  *Partition
 	cfg Config
 
-	alpha, gamma []float64
-	active       []bool
 	globalActive int
 
 	ev   *kernel.Evaluator // local block evaluator
 	pool *kernel.RowPool   // one worker: fills rows without a goroutine
 
-	// activeIdx lists the local active indices in ascending order: the
-	// target list of every row batch (selection, gradient pass). Shrink
-	// checks compact it inside gradientPass and reconstruct resets it, so
-	// len(activeIdx) is the local active-set size. diag holds the local
-	// kernel diagonal for second-order selection.
-	diag      []float64
-	activeIdx []int
-	blockBuf  []float64 // reconstruction scratch, one entry per stale target
+	diag     []float64 // the local kernel diagonal, for second-order selection
+	blockBuf []float64 // reconstruction scratch, one entry per stale target
 
 	// rows stores the pair rows K(x_g, x_i) over the local block, keyed by
 	// the pair sample's global index g (cache.Rows). A cached row is one
@@ -234,14 +231,6 @@ type rankState struct {
 	// rank maps its rows to global indices through it.
 	isSV []bool
 
-	// up and low are the local worst violators over activeIdx, recorded
-	// by the last gradient pass for the next selectPair. scanned is false
-	// when alpha, gamma or the active set changed outside a gradient pass
-	// and selectPair must scan: before the first selection (a warm start
-	// runs before it) and after a reconstruction.
-	up, low mpi.ValLoc
-	scanned bool
-
 	// pairSlots and partnerSlots hold this rank's buffers for the
 	// selection Allreduce and the second-order one, countSlots for the
 	// shrink check's active-count sum. A value they return stays valid
@@ -250,8 +239,8 @@ type rankState struct {
 	partnerSlots *mpi.Slots[violator]
 	countSlots   *mpi.Slots[int]
 
-	// beforeReduce, when set (tests), runs in selectPair once up and low
-	// are current, before the reduction.
+	// beforeReduce, when set (tests), runs in selectPair once the local
+	// violators are current, before the reduction.
 	beforeReduce func()
 
 	iter            int64
@@ -273,11 +262,10 @@ type rankState struct {
 func newRankState(c *mpi.Comm, pt *Partition, cfg Config) *rankState {
 	n := pt.Len()
 	s := &rankState{
-		c: c, pt: pt, cfg: cfg,
-		alpha:        make([]float64, n),
-		gamma:        make([]float64, n),
-		active:       make([]bool, n),
-		activeIdx:    make([]int, n),
+		ActiveSet:    solver.ActiveSet{Y: pt.Y, Alpha: make([]float64, n), Gamma: make([]float64, n), C: cfg.C, Lo: pt.Lo},
+		c:            c,
+		pt:           pt,
+		cfg:          cfg,
 		globalActive: pt.N,
 		ev:           kernel.NewEvaluator(cfg.Kernel, pt.X),
 		pairSlots:    mpi.NewSlots[workingPair](c),
@@ -285,10 +273,9 @@ func newRankState(c *mpi.Comm, pt *Partition, cfg Config) *rankState {
 		phase:        1,
 	}
 	for i := 0; i < n; i++ {
-		s.gamma[i] = -pt.Y[i]
-		s.active[i] = true
-		s.activeIdx[i] = i
+		s.Gamma[i] = -pt.Y[i]
 	}
+	s.Reset()
 	s.delta = cfg.Heuristic.InitialThreshold(pt.N)
 	s.deltaC = s.delta
 	s.pool = kernel.NewRowPool(s.ev, 1)
@@ -314,45 +301,18 @@ func newRankState(c *mpi.Comm, pt *Partition, cfg Config) *rankState {
 // are fused into one Allreduce whose operand also carries each local
 // winner's sample: the result delivers x_up and x_low to every rank,
 // replacing the paper's hop through rank 0 and broadcast (lines 3-10).
-// The local violators come from the last gradient pass; only after a
-// cold start, reconstruction or warm start does selectPair scan for them.
+// The local violators come from the last Update; only after a cold
+// start, reconstruction or warm start are they scanned.
 // The pair is valid, and read-only, until the next selectPair.
 func (s *rankState) selectPair() (*workingPair, error) {
-	if !s.scanned {
-		s.up, s.low = s.scanViolators()
-		s.scanned = true
-	}
+	up, low := s.Violators()
 	if s.beforeReduce != nil {
 		s.beforeReduce()
 	}
 	op := s.pairSlots.Operand()
-	s.setViolator(&op.Up, s.up)
-	s.setViolator(&op.Low, s.low)
+	s.setViolator(&op.Up, up)
+	s.setViolator(&op.Low, low)
 	return mpi.AllreduceSlots(s.c, s.pairSlots, combinePair)
-}
-
-// scanViolators returns the local worst up and low violators over the
-// active set (Loc -1 for an empty side), ties to the smaller index.
-func (s *rankState) scanViolators() (up, low mpi.ValLoc) {
-	up = mpi.ValLoc{Val: math.Inf(1), Loc: -1}
-	low = mpi.ValLoc{Val: math.Inf(-1), Loc: -1}
-	for _, i := range s.activeIdx {
-		s.observe(i, &up, &low)
-	}
-	return up, low
-}
-
-// observe folds local sample i into the running violators. Callers visit
-// indices in ascending order, so MinLoc/MaxLoc's tie rule keeps the first.
-func (s *rankState) observe(i int, up, low *mpi.ValLoc) {
-	y, a, c := s.pt.Y[i], s.alpha[i], s.cfg.C
-	v := mpi.ValLoc{Val: s.gamma[i], Loc: s.pt.Global(i)}
-	if solver.InUp(y, a, c) {
-		*up = mpi.MinLoc(*up, v)
-	}
-	if solver.InLow(y, a, c) {
-		*low = mpi.MaxLoc(*low, v)
-	}
 }
 
 // setViolator stores v in dst with the local sample behind it attached;
@@ -361,7 +321,7 @@ func (s *rankState) setViolator(dst *violator, v mpi.ValLoc) {
 	dst.ValLoc = v
 	dst.Data = pairHalf{}
 	if l, ok := s.pt.Local(v.Loc); ok {
-		dst.Data = pairHalf{Row: s.pt.X.RowView(l), Norm: s.ev.Norm(l), Y: s.pt.Y[l], Alpha: s.alpha[l], Gamma: s.gamma[l]}
+		dst.Data = pairHalf{Row: s.pt.X.RowView(l), Norm: s.ev.Norm(l), Y: s.pt.Y[l], Alpha: s.Alpha[l], Gamma: s.Gamma[l]}
 	}
 }
 
@@ -442,15 +402,15 @@ func (s *rankState) solve() error {
 		up, low := &upV.Data, &lowV.Data
 		var rowUp, rowLow []float64
 		if s.cfg.SecondOrder {
-			rowUp = s.rows.Row(0, upV.Loc, up.Row, up.Norm, s.activeIdx)
+			rowUp = s.rows.Row(0, upV.Loc, up.Row, up.Norm, s.Idx)
 			if j, err := s.selectSecondOrder(upV, rowUp); err != nil {
 				return err
 			} else if j.Loc >= 0 {
 				lowV, low = j, &j.Data
 			}
-			rowLow = s.rows.Row(1, lowV.Loc, low.Row, low.Norm, s.activeIdx)
+			rowLow = s.rows.Row(1, lowV.Loc, low.Row, low.Norm, s.Idx)
 		} else {
-			rowUp, rowLow = s.rows.Pair(upV.Loc, lowV.Loc, up.Row, low.Row, up.Norm, low.Norm, s.activeIdx)
+			rowUp, rowLow = s.rows.Pair(upV.Loc, lowV.Loc, up.Row, low.Row, up.Norm, low.Norm, s.Idx)
 		}
 		// All ranks compute the identical analytic step (Eq. 6/7).
 		kUU, kLL := s.selfKernel(up, rowUp), s.selfKernel(low, rowLow)
@@ -459,6 +419,13 @@ func (s *rankState) solve() error {
 		st := solver.OptimizePair(up.Gamma, low.Gamma, up.Y, low.Y,
 			up.Alpha, low.Alpha, kUU, kLL, kUL, s.cfg.C)
 		s.isSV[upV.Loc], s.isSV[lowV.Loc] = st.NewAlphaUp > 0, st.NewAlphaLow > 0
+		// The owners install the new alphas; Update's violators read them.
+		if l, ok := s.pt.Local(upV.Loc); ok {
+			s.Alpha[l] = st.NewAlphaUp
+		}
+		if l, ok := s.pt.Local(lowV.Loc); ok {
+			s.Alpha[l] = st.NewAlphaLow
+		}
 
 		shrinkNow := false
 		if shrinkingEnabled {
@@ -467,16 +434,17 @@ func (s *rankState) solve() error {
 				shrinkNow = true
 			}
 		}
-		s.gradientPass(st, upV, lowV, rowUp, rowLow, betaUp, betaLow, shrinkNow)
+		// Algorithm 4 lines 12-24, on this rank's goroutine.
+		s.Update(st.T, rowUp, rowLow, shrinkNow, betaUp, betaLow, 1)
 
 		if s.cfg.Lambda > 0 {
-			s.c.Compute(s.cfg.Lambda * float64(3+2*len(s.activeIdx)))
+			s.c.Compute(s.cfg.Lambda * float64(3+2*len(s.Idx)))
 		}
 
 		if shrinkNow {
 			s.shrinkEvents++
 			prevActive := s.globalActive
-			*s.countSlots.Operand() = len(s.activeIdx)
+			*s.countSlots.Operand() = len(s.Idx)
 			sum, err := mpi.AllreduceSlots(s.c, s.countSlots, addInts)
 			if err != nil {
 				return err
@@ -513,71 +481,17 @@ func (s *rankState) solve() error {
 	}
 }
 
-// selectSecondOrder picks the partner of i_up by maximal analytic gain
-// among local low-side violators, then combines globally with a MAXLOC
+// selectSecondOrder picks the local partner of i_up by maximal analytic
+// gain (solver.ActiveSet.Partner), then combines globally with a MAXLOC
 // Allreduce that carries the winner's sample like selectPair does (Loc -1
 // when no rank has a candidate). It reads kui, K(x_up, x_i) over the
-// actives, which the gradient pass reuses, so the second-order rule costs
-// no extra kernel evaluations. The partner is valid, and read-only, until
-// the next selectSecondOrder.
+// actives, which the gradient update reuses, so the second-order rule
+// costs no extra kernel evaluations. The partner is valid, and read-only,
+// until the next selectSecondOrder.
 func (s *rankState) selectSecondOrder(up *violator, kui []float64) (*violator, error) {
-	kUU := s.selfKernel(&up.Data, kui)
-	best := mpi.ValLoc{Val: math.Inf(-1), Loc: -1}
-	for _, i := range s.activeIdx {
-		if !solver.InLow(s.pt.Y[i], s.alpha[i], s.cfg.C) {
-			continue
-		}
-		b := s.gamma[i] - up.Data.Gamma
-		if b <= 0 {
-			continue
-		}
-		eta := kUU + s.diag[i] - 2*kui[i]
-		if eta <= solver.Tau {
-			eta = solver.Tau
-		}
-		best = mpi.MaxLoc(best, mpi.ValLoc{Val: b * b / eta, Loc: s.pt.Global(i)})
-	}
+	best := s.Partner(up.Data.Gamma, s.selfKernel(&up.Data, kui), kui, s.diag)
 	s.setViolator(s.partnerSlots.Operand(), best)
 	return mpi.AllreduceSlots(s.c, s.partnerSlots, mpi.MaxLocCarry[pairHalf])
-}
-
-// gradientPass applies the Eq. 2 gradient update to every local active
-// sample, installs the new alphas on the owners of the selected pair, and
-// optionally applies the Eq. 9 shrink condition (Algorithm 4 lines 12-24),
-// compacting activeIdx to the survivors. On the way it records the local
-// worst violators over the survivors for the next selectPair: the same
-// ascending fold over the final gamma and alpha values that
-// scanViolators makes, as Keerthi et al. keep b_up/b_low current during
-// the update sweep. kui and kli are the pair rows, complete over the
-// actives.
-func (s *rankState) gradientPass(st solver.Step, up, low *violator, kui, kli []float64, betaUp, betaLow float64, shrinkNow bool) {
-	c := s.cfg.C
-	actives := s.activeIdx
-	vUp := mpi.ValLoc{Val: math.Inf(1), Loc: -1}
-	vLow := mpi.ValLoc{Val: math.Inf(-1), Loc: -1}
-	kept := 0
-	for _, i := range actives {
-		s.gamma[i] += solver.GradientDelta(st.T, kui[i], kli[i])
-		g := s.pt.Global(i)
-		if g == up.Loc {
-			s.alpha[i] = st.NewAlphaUp
-		}
-		if g == low.Loc {
-			s.alpha[i] = st.NewAlphaLow
-		}
-		if shrinkNow {
-			set := solver.Classify(s.pt.Y[i], s.alpha[i], c)
-			if solver.Shrinkable(set, s.gamma[i], betaUp, betaLow) {
-				s.active[i] = false
-				continue
-			}
-		}
-		actives[kept] = i
-		kept++
-		s.observe(i, &vUp, &vLow)
-	}
-	s.activeIdx = actives[:kept]
-	s.up, s.low, s.scanned = vUp, vLow, true
 }
 
 // selfKernel returns K(x_g, x_g) for pair sample h, whose row is row. A
@@ -600,13 +514,13 @@ func (s *rankState) selfKernel(h *pairHalf, row []float64) float64 {
 // buildSVBlock collects the local samples with alpha > 0.
 func (s *rankState) buildSVBlock() (*svBlock, error) {
 	n := 0
-	for _, a := range s.alpha {
+	for _, a := range s.Alpha {
 		if a > 0 {
 			n++
 		}
 	}
 	idx := make([]int, 0, n)
-	for i, a := range s.alpha {
+	for i, a := range s.Alpha {
 		if a > 0 {
 			idx = append(idx, i)
 		}
@@ -617,7 +531,7 @@ func (s *rankState) buildSVBlock() (*svBlock, error) {
 	}
 	b := &svBlock{X: x, Coef: make([]float64, len(idx)), Norms: make([]float64, len(idx))}
 	for k, i := range idx {
-		b.Coef[k] = s.alpha[i] * s.pt.Y[i]
+		b.Coef[k] = s.Alpha[i] * s.pt.Y[i]
 		b.Norms[k] = s.ev.Norm(i)
 	}
 	return b, nil
@@ -632,14 +546,14 @@ func (s *rankState) reconstruct() error {
 
 	// Targets: local samples whose gradient is stale.
 	var targets []int
-	for i, a := range s.active {
+	for i, a := range s.Active {
 		if !a {
 			targets = append(targets, i)
 		}
 	}
 	// Start gamma from scratch for targets: gamma_i = -y_i + sum contributions.
 	for _, i := range targets {
-		s.gamma[i] = -s.pt.Y[i]
+		s.Gamma[i] = -s.pt.Y[i]
 	}
 
 	block, err := s.buildSVBlock()
@@ -661,13 +575,8 @@ func (s *rankState) reconstruct() error {
 
 	// Re-admit every sample (the re-introduced samples participate in the
 	// next beta reduction, Algorithm 3 lines 7-12).
-	s.activeIdx = s.activeIdx[:len(s.active)]
-	for i := range s.active {
-		s.active[i] = true
-		s.activeIdx[i] = i
-	}
+	s.Reset()
 	s.globalActive = s.pt.N
-	s.scanned = false
 	s.rows.NewGeneration() // rows completed over the shrunk set lack the re-admitted entries
 
 	if s.trace != nil {
@@ -728,9 +637,9 @@ func (s *rankState) warmStart() error {
 		if math.IsNaN(v) || v < 0 || v > c*(1+1e-9) {
 			return fmt.Errorf("core: initial alpha[%d] = %v outside [0, %v]", s.pt.Lo+i, v, c)
 		}
-		s.alpha[i] = math.Min(v, c)
-		sum += s.alpha[i] * s.pt.Y[i]
-		mass += s.alpha[i]
+		s.Alpha[i] = math.Min(v, c)
+		sum += s.Alpha[i] * s.pt.Y[i]
+		mass += s.Alpha[i]
 	}
 	// Every rank checks its own slice; the membership is seeded for all
 	// N samples, which the owners' clamped alphas agree with.
@@ -749,8 +658,8 @@ func (s *rankState) warmStart() error {
 		return fmt.Errorf("core: initial alpha violates sum alpha_i*y_i = 0 (residual %.3g)", gsum)
 	}
 
-	for i := range s.gamma {
-		s.gamma[i] = -s.pt.Y[i]
+	for i := range s.Gamma {
+		s.Gamma[i] = -s.pt.Y[i]
 	}
 	block, err := s.buildSVBlock()
 	if err != nil {
@@ -758,7 +667,7 @@ func (s *rankState) warmStart() error {
 	}
 	// Every sample is still active before the first iteration, so the
 	// active list is the full target list.
-	return s.ringPass(block, s.activeIdx)
+	return s.ringPass(block, s.Idx)
 }
 
 // saveCheckpoint takes a coordinated snapshot: a barrier pins every rank at
@@ -771,15 +680,15 @@ func (s *rankState) saveCheckpoint() error {
 	}
 	// Copies, not views: the gathered slices are read on rank 0 while the
 	// owners keep mutating their originals next iteration.
-	alphas, err := mpi.Gather(s.c, append([]float64(nil), s.alpha...), 0)
+	alphas, err := mpi.Gather(s.c, append([]float64(nil), s.Alpha...), 0)
 	if err != nil {
 		return err
 	}
-	gammas, err := mpi.Gather(s.c, append([]float64(nil), s.gamma...), 0)
+	gammas, err := mpi.Gather(s.c, append([]float64(nil), s.Gamma...), 0)
 	if err != nil {
 		return err
 	}
-	actives, err := mpi.Gather(s.c, append([]bool(nil), s.active...), 0)
+	actives, err := mpi.Gather(s.c, append([]bool(nil), s.Active...), 0)
 	if err != nil {
 		return err
 	}
@@ -840,13 +749,13 @@ func (s *rankState) applyBlock(b *svBlock, from int, targets []int) error {
 		if !ok {
 			s.pool.RowInto(pivot, norm, targets, buf)
 			for k, i := range targets {
-				s.gamma[i] += coef * buf[k]
+				s.Gamma[i] += coef * buf[k]
 			}
 			continue
 		}
 		s.rows.Complete(row, pivot, norm, targets)
 		for _, i := range targets {
-			s.gamma[i] += coef * row[i]
+			s.Gamma[i] += coef * row[i]
 		}
 	}
 	return nil
@@ -871,15 +780,15 @@ func (s *rankState) finish() (*model.Model, *Stats, error) {
 	var nI0 int
 	var localSV int
 	var localObj float64
-	for i, a := range s.alpha {
+	for i, a := range s.Alpha {
 		if solver.Classify(s.pt.Y[i], a, s.cfg.C) == solver.I0 {
-			sumG += s.gamma[i]
+			sumG += s.Gamma[i]
 			nI0++
 		}
 		if a > 0 {
 			localSV++
 		}
-		localObj += a * (1 - s.pt.Y[i]*s.gamma[i])
+		localObj += a * (1 - s.pt.Y[i]*s.Gamma[i])
 	}
 	sumG, err := mpi.Allreduce(s.c, sumG, mpi.SumF64)
 	if err != nil {

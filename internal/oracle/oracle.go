@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 
 	"repro/internal/kernel"
 	"repro/internal/model"
@@ -228,7 +227,7 @@ func (p Problem) VerifyAlpha(alpha []float64, beta float64) (*Report, error) {
 			svs = append(svs, j)
 		}
 	}
-	gamma := p.gradients(alpha, svs)
+	gamma := p.gradients(alpha)
 
 	r := &Report{N: n, NumSV: len(svs), Beta: beta, Eps: p.Eps, C: p.C,
 		BetaUp: math.Inf(1), BetaLow: math.Inf(-1)}
@@ -292,47 +291,20 @@ func (p Problem) VerifyModel(m *model.Model) (*Report, error) {
 	return p.VerifyAlpha(alpha, m.Beta)
 }
 
-// gradients recomputes gamma_i = sum_{j in svs} alpha_j y_j K(j, i) - y_i
-// for every sample, splitting the targets across the worker pool. Each
-// support vector contributes one batched row evaluation over the worker's
-// contiguous target range (the dense-scratch row engine), so the CSR
-// payload of the targets streams in storage order.
-func (p Problem) gradients(alpha []float64, svs []int) []float64 {
-	n := p.X.Rows()
-	gamma := make([]float64, n)
-	ev := kernel.NewEvaluator(p.Kernel, p.X)
-	w := p.Workers
-	if w > n {
-		w = n
-	}
-	chunk := func(ev *kernel.Evaluator, lo, hi int) {
-		var scr kernel.Scratch
-		buf := make([]float64, hi-lo)
-		for _, j := range svs {
-			ev.RowRangeInto(&scr, p.X.RowView(j), ev.Norm(j), lo, hi, buf)
-			c := alpha[j] * p.Y[j]
-			for k, v := range buf {
-				gamma[lo+k] += c * v
-			}
-		}
-		for i := lo; i < hi; i++ {
-			gamma[i] -= p.Y[i]
+// gradients recomputes gamma_i = sum_{alpha_j > 0} alpha_j y_j K(j, i) - y_i
+// for every sample through kernelCombination; a negative alpha
+// contributes nothing, as it is no support vector.
+func (p Problem) gradients(alpha []float64) []float64 {
+	coef := make([]float64, len(alpha))
+	for j, a := range alpha {
+		if a > 0 {
+			coef[j] = a * p.Y[j]
 		}
 	}
-	if w <= 1 {
-		chunk(ev, 0, n)
-		return gamma
+	gamma := kernelCombination(p.X, p.Kernel, coef, p.Workers)
+	for i := range gamma {
+		gamma[i] -= p.Y[i]
 	}
-	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		lo, hi := k*n/w, (k+1)*n/w
-		wg.Add(1)
-		go func(ev *kernel.Evaluator, lo, hi int) {
-			defer wg.Done()
-			chunk(ev, lo, hi)
-		}(ev.SubEvaluator(), lo, hi)
-	}
-	wg.Wait()
 	return gamma
 }
 

@@ -266,8 +266,10 @@ func RecoverCoef(x *sparse.Matrix, m *model.Model) ([]float64, error) {
 }
 
 // kernelCombination computes u_i = sum_{coef_j != 0} coef_j K(j, i) for
-// every sample, splitting targets across workers exactly like
-// Problem.gradients.
+// every sample, splitting the targets across the workers. Each nonzero
+// coef_j contributes one batched row evaluation over a worker's contiguous
+// target range (the dense-scratch row engine), so the CSR payload of the
+// targets streams in storage order.
 func kernelCombination(x *sparse.Matrix, params kernel.Params, coef []float64, workers int) []float64 {
 	n := x.Rows()
 	u := make([]float64, n)

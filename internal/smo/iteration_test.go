@@ -1,50 +1,13 @@
 package smo
 
 import (
-	"fmt"
-	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/kernel"
 	"repro/internal/solver"
 )
-
-// gradientState is a state holding only what updateGradients reads and
-// writes: n active samples with random gradients, and two random rows.
-func gradientState(n, workers int) (s *state, rowU, rowL []float64) {
-	rng := rand.New(rand.NewSource(int64(n)))
-	s = &state{cfg: Config{Workers: workers}, gamma: make([]float64, n), active: make([]bool, n)}
-	rowU, rowL = make([]float64, n), make([]float64, n)
-	for i := range s.gamma {
-		s.gamma[i] = rng.NormFloat64()
-		s.active[i] = i%7 != 3 // some shrunk samples, which keep their gamma
-		rowU[i], rowL[i] = rng.Float64(), rng.Float64()
-	}
-	return s, rowU, rowL
-}
-
-// TestGradientFanOutMatchesChunk: above minParallelGradient the update
-// fans out across the workers, and every gradient must equal, bit for
-// bit, what one gradientChunk over the whole range gives.
-func TestGradientFanOutMatchesChunk(t *testing.T) {
-	n := minParallelGradient + 1001
-	for _, w := range []int{2, 3, 4} {
-		par, rowU, rowL := gradientState(n, w)
-		seq, _, _ := gradientState(n, 1)
-		for _, step := range []float64{0.37, -1.25} {
-			par.updateGradients(step, rowU, rowL)
-			seq.gradientChunk(step, rowU, rowL, 0, n)
-		}
-		for i := range seq.gamma {
-			if math.Float64bits(par.gamma[i]) != math.Float64bits(seq.gamma[i]) {
-				t.Fatalf("workers %d: gamma[%d] = %v, one chunk gives %v", w, i, par.gamma[i], seq.gamma[i])
-			}
-		}
-	}
-}
 
 // codrnaCfg is svmperf's smo configuration on cod-rna x0.007 (416 rows),
 // where every row fits the default cache.
@@ -80,6 +43,9 @@ func TestSteadyStateIterationAllocs(t *testing.T) {
 			})
 		}
 		lo, hi := int64(1000), int64(2000)
+		// The first AllocsPerRun of the process counts a one-time runtime
+		// allocation; a discarded run takes it, so the test holds alone.
+		allocs(hi)
 		perIter := (allocs(hi) - allocs(lo)) / float64(hi-lo)
 		t.Logf("cache %s: %.3f allocations per iteration", tc.name, perIter)
 		if perIter > 0 {
@@ -130,24 +96,4 @@ func BenchmarkTrainCodrna(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(sinkResult.Iterations), "ns/iter")
-}
-
-// BenchmarkGradientUpdate times one Eq. 2 gradient update over n samples
-// on the calling goroutine (serial) and split across GOMAXPROCS
-// goroutines (fanout); the crossing sets minParallelGradient.
-func BenchmarkGradientUpdate(b *testing.B) {
-	w := runtime.GOMAXPROCS(0)
-	for _, n := range []int{1 << 10, 1 << 12, 1 << 13, 1 << 14, 1 << 15, 1 << 16, 1 << 18} {
-		s, rowU, rowL := gradientState(n, w)
-		b.Run(fmt.Sprintf("n=%d/serial", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				s.gradientChunk(1e-9, rowU, rowL, 0, n)
-			}
-		})
-		b.Run(fmt.Sprintf("n=%d/fanout", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				s.gradientFanOut(w, 1e-9, rowU, rowL)
-			}
-		})
-	}
 }

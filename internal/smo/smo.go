@@ -2,11 +2,14 @@
 // sequential SMO solver in the Keerthi et al. formulation, with libsvm's
 // kernel-row cache and shrinking, whose per-iteration gradient update is
 // parallelized across goroutines — the role OpenMP plays in the paper's
-// enhancement of libsvm 3.18. Like an OpenMP if clause, the update fans
-// out only from minParallelGradient samples up; below that it runs on the
-// calling goroutine. The working pair's rows come from cache.Rows, which
-// fills two rows that both miss in one fused pass reading each target row
-// once.
+// enhancement of libsvm 3.18. The sweeps themselves are solver.ActiveSet's,
+// the ones the distributed solver runs too: the update walks only the
+// active samples and records the next violators as it goes, and, like an
+// OpenMP if clause, fans out only from 16,384 actives up. The working
+// pair's rows come from cache.Rows, which fills two rows that both miss
+// in one fused pass reading each target row once. What is smo's own is
+// the libsvm schedule around them: the ShrinkEvery period, the unshrink
+// at convergence, and the generalized dual's LinearTerm and BoxC.
 //
 // The paper sets this baseline up generously: libsvm may use "a compute
 // node's entire memory as a kernel cache" and all available cores. Both
@@ -35,9 +38,9 @@ type Config struct {
 	C      float64
 	Eps    float64 // the paper's user-specified tolerance epsilon
 
-	// Workers is the number of goroutines used for the row fills and, on
-	// problems of at least minParallelGradient samples, the per-iteration
-	// gradient update (the OpenMP enhancement). 0 means GOMAXPROCS.
+	// Workers is the number of goroutines used for the row fills and, from
+	// 16,384 active samples up, the per-iteration gradient update (the
+	// OpenMP enhancement, solver.ActiveSet.Update). 0 means GOMAXPROCS.
 	Workers int
 	// CacheBytes is the kernel-row cache budget, read by
 	// solver.CacheBudget: 0 is its 1 GiB default, negative turns it off.
@@ -219,18 +222,14 @@ func train(x *sparse.Matrix, y []float64, cfg Config) (*Result, error) {
 	return s.result(), nil
 }
 
-// state is the mutable solver state.
+// state is the mutable solver state. The embedded set holds the labels,
+// alphas, gradients, box and active samples (Lo 0: a violator's Loc is its
+// sample index); Update compacts its Idx when shrinking and unshrinkAll
+// resets it.
 type state struct {
-	cfg    Config
-	x      *sparse.Matrix
-	y      []float64
-	alpha  []float64
-	gamma  []float64
-	active []bool
-	// activeIdx lists the active samples in ascending order: the target
-	// list of every kernel row. shrink compacts it and unshrinkAll resets
-	// it, so len(activeIdx) is the active-set size.
-	activeIdx []int
+	solver.ActiveSet
+	cfg Config
+	x   *sparse.Matrix
 
 	ev   *kernel.Evaluator
 	pool *kernel.RowPool // batched row engine, one (SubEvaluator, Scratch) per worker
@@ -244,30 +243,24 @@ type state struct {
 	warm            bool // warm-started from a non-zero dual point
 	trace           *trace.Trace
 
-	betaUp, betaLow float64
-	iUp, iLow       int
+	betaUp, betaLow float64 // the first-order betas of the last selection
 }
 
 func newState(x *sparse.Matrix, y []float64, cfg Config) *state {
 	n := x.Rows()
 	s := &state{
+		ActiveSet: solver.ActiveSet{Y: y, Alpha: make([]float64, n), Gamma: make([]float64, n), Box: cfg.BoxC, C: cfg.C},
 		cfg:       cfg,
 		x:         x,
-		y:         y,
-		alpha:     make([]float64, n),
-		gamma:     make([]float64, n),
-		active:    make([]bool, n),
-		activeIdx: make([]int, n),
 		ev:        kernel.NewEvaluator(cfg.Kernel, x),
 	}
 	for i := 0; i < n; i++ {
 		// Algorithm 1 line 1: gamma_i <- y_i*p_i, alpha_i <- 0. The
 		// classification p_i = -1 gives the historical -y_i (float
 		// negation is exact, so y*(-1) is bit-identical to -y).
-		s.gamma[i] = y[i] * s.pAt(i)
-		s.active[i] = true
-		s.activeIdx[i] = i
+		s.Gamma[i] = y[i] * s.pAt(i)
 	}
+	s.Reset()
 	s.pool = kernel.NewRowPool(s.ev, cfg.Workers)
 	s.rows = cache.NewRows(s.pool, cfg.CacheBytes, n, n)
 	if cfg.RecordTrace {
@@ -304,15 +297,6 @@ func validateInitialAlpha(alpha, y []float64, cfg *Config) error {
 	return nil
 }
 
-// boxAt returns sample i's upper bound: BoxC[i] when per-sample boxes are
-// set, the uniform C otherwise.
-func (s *state) boxAt(i int) float64 {
-	if s.cfg.BoxC != nil {
-		return s.cfg.BoxC[i]
-	}
-	return s.cfg.C
-}
-
 // pAt returns sample i's linear term, -1 (classification) when unset.
 func (s *state) pAt(i int) float64 {
 	if s.cfg.LinearTerm != nil {
@@ -333,70 +317,23 @@ func (s *state) pAt(i int) float64 {
 // prefetch instead of work the cache would repeat from scratch.
 func (s *state) warmStart(alpha0 []float64) {
 	for i, a := range alpha0 {
-		if c := s.boxAt(i); a > c {
+		if c := s.BoxAt(i); a > c {
 			a = c // tolerated rounding excess from validateInitialAlpha
 		}
-		s.alpha[i] = a
+		s.Alpha[i] = a
 	}
-	for j, a := range s.alpha {
+	for j, a := range s.Alpha {
 		if a == 0 {
 			continue // gamma already holds the cold start y_j*p_j
 		}
 		s.warm = true
 		// Everything is active, so the row is complete over all samples.
-		row := s.rows.Row(0, j, s.x.RowView(j), s.ev.Norm(j), s.activeIdx)
-		c := a * s.y[j]
+		row := s.rows.Row(0, j, s.x.RowView(j), s.ev.Norm(j), s.Idx)
+		c := a * s.Y[j]
 		for i, v := range row {
-			s.gamma[i] += c * v
+			s.Gamma[i] += c * v
 		}
 	}
-}
-
-// selectPair scans the active set for the worst KKT violators (Eq. 3).
-// The betas always come from the maximal violators (they define the
-// termination and shrinking band); with second-order selection the partner
-// i_low is re-picked afterwards by analytic gain.
-func (s *state) selectPair() {
-	s.betaUp, s.betaLow = math.Inf(1), math.Inf(-1)
-	s.iUp, s.iLow = -1, -1
-	for i := range s.alpha {
-		if !s.active[i] {
-			continue
-		}
-		if solver.InUp(s.y[i], s.alpha[i], s.boxAt(i)) && s.gamma[i] < s.betaUp {
-			s.betaUp, s.iUp = s.gamma[i], i
-		}
-		if solver.InLow(s.y[i], s.alpha[i], s.boxAt(i)) && s.gamma[i] > s.betaLow {
-			s.betaLow, s.iLow = s.gamma[i], i
-		}
-	}
-}
-
-// selectSecondOrder re-picks i_low to maximize the objective gain
-// (gamma_up - gamma_j)^2 / eta for violating partners j, given the kernel
-// row of i_up (libsvm's WSS; Fan, Chen & Lin 2005). Returns the chosen
-// index, or -1 if no partner strictly violates (termination handles it).
-func (s *state) selectSecondOrder(u int, rowU []float64) int {
-	best, bestGain := -1, math.Inf(-1)
-	gU := s.gamma[u]
-	kUU := rowU[u]
-	for j := range s.alpha {
-		if !s.active[j] || !solver.InLow(s.y[j], s.alpha[j], s.boxAt(j)) {
-			continue
-		}
-		b := s.gamma[j] - gU
-		if b <= 0 {
-			continue
-		}
-		eta := kUU + s.diag[j] - 2*rowU[j]
-		if eta <= solver.Tau {
-			eta = solver.Tau
-		}
-		if gain := b * b / eta; gain > bestGain {
-			bestGain, best = gain, j
-		}
-	}
-	return best
 }
 
 func (s *state) run() error {
@@ -413,9 +350,13 @@ func (s *state) run() error {
 		shrinkCountdown = 1
 	}
 	for {
-		s.selectPair()
-		if s.iUp < 0 || s.iLow < 0 || solver.Converged(s.betaUp, s.betaLow, s.cfg.Eps) {
-			if s.cfg.Shrinking && len(s.activeIdx) < len(s.alpha) {
+		// The betas always come from the maximal violators (they define
+		// the termination and shrinking band); with second-order selection
+		// the partner i_low is re-picked afterwards by analytic gain.
+		up, low := s.Violators()
+		s.betaUp, s.betaLow = up.Val, low.Val
+		if up.Loc < 0 || low.Loc < 0 || solver.Converged(s.betaUp, s.betaLow, s.cfg.Eps) {
+			if s.cfg.Shrinking && len(s.Idx) < len(s.Alpha) {
 				// Converged on the active set only: reconstruct the
 				// gradients of shrunk samples and re-admit everything,
 				// exactly as libsvm does before declaring convergence.
@@ -432,34 +373,41 @@ func (s *state) run() error {
 		}
 		s.iter++
 
-		u, l := s.iUp, s.iLow
+		u, l := up.Loc, low.Loc
 		var rowU, rowL []float64
 		if s.cfg.SecondOrder {
 			// The partner depends on row u: complete it before looking
 			// up row l.
-			rowU = s.rows.Row(0, u, s.x.RowView(u), s.ev.Norm(u), s.activeIdx)
-			if j := s.selectSecondOrder(u, rowU); j >= 0 {
-				l = j
+			rowU = s.rows.Row(0, u, s.x.RowView(u), s.ev.Norm(u), s.Idx)
+			if j := s.Partner(s.Gamma[u], rowU[u], rowU, s.diag); j.Loc >= 0 {
+				l = j.Loc
 			}
-			rowL = s.rows.Row(1, l, s.x.RowView(l), s.ev.Norm(l), s.activeIdx)
+			rowL = s.rows.Row(1, l, s.x.RowView(l), s.ev.Norm(l), s.Idx)
 		} else {
-			rowU, rowL = s.rows.Pair(u, l, s.x.RowView(u), s.x.RowView(l), s.ev.Norm(u), s.ev.Norm(l), s.activeIdx)
+			rowU, rowL = s.rows.Pair(u, l, s.x.RowView(u), s.x.RowView(l), s.ev.Norm(u), s.ev.Norm(l), s.Idx)
 		}
 		// Both rows are complete over the actives, u and l among them.
 		kUU, kLL, kUL := rowU[u], rowL[l], rowU[l]
 		rowL[u] = kUL // symmetric
-		st := solver.OptimizePairBox(s.gamma[u], s.gamma[l], s.y[u], s.y[l],
-			s.alpha[u], s.alpha[l], kUU, kLL, kUL, s.boxAt(u), s.boxAt(l))
-		s.alpha[u] = st.NewAlphaUp
-		s.alpha[l] = st.NewAlphaLow
+		st := solver.OptimizePairBox(s.Gamma[u], s.Gamma[l], s.Y[u], s.Y[l],
+			s.Alpha[u], s.Alpha[l], kUU, kLL, kUL, s.BoxAt(u), s.BoxAt(l))
+		s.Alpha[u] = st.NewAlphaUp
+		s.Alpha[l] = st.NewAlphaLow
 
-		s.updateGradients(st.T, rowU, rowL)
-
+		// The Eq. 9 check uses the betas of this iteration's selection.
+		shrink := false
 		if s.cfg.Shrinking {
 			shrinkCountdown--
 			if shrinkCountdown <= 0 {
-				s.shrink()
+				shrink = true
 				shrinkCountdown = s.cfg.ShrinkEvery
+			}
+		}
+		s.Update(st.T, rowU, rowL, shrink, s.betaUp, s.betaLow, s.cfg.Workers)
+		if shrink {
+			s.shrinkEvents++
+			if s.trace != nil {
+				s.trace.SetActive(s.iter, len(s.Idx))
 			}
 		}
 
@@ -485,77 +433,14 @@ func (s *state) saveCheckpoint(shrinkCountdown int64) error {
 		Iteration:       s.iter,
 		Seed:            s.cfg.CheckpointSeed,
 		Fingerprint:     s.cfg.CheckpointFingerprint,
-		N:               len(s.alpha),
-		Alpha:           append([]float64(nil), s.alpha...),
-		Gamma:           append([]float64(nil), s.gamma...),
-		Active:          append([]bool(nil), s.active...),
+		N:               len(s.Alpha),
+		Alpha:           append([]float64(nil), s.Alpha...),
+		Gamma:           append([]float64(nil), s.Gamma...),
+		Active:          append([]bool(nil), s.Active...),
 		ShrinkCountdown: shrinkCountdown,
 		ShrinkEvents:    int32(s.shrinkEvents),
 		Reconstructions: int32(s.reconstructions),
 	})
-}
-
-// minParallelGradient is the sample count below which updateGradients
-// stays on the calling goroutine, as an OpenMP if clause keeps a small
-// loop serial: under it, starting and joining the workers costs more than
-// the update they would share (BenchmarkGradientUpdate).
-const minParallelGradient = 1 << 14
-
-// updateGradients applies Eq. 2 to every active sample, splitting the range
-// across the workers when there are at least minParallelGradient samples.
-// The pair's rows are complete over the active set, so the update is pure
-// arithmetic — the kernel evaluations all happened in the row fills.
-func (s *state) updateGradients(t float64, rowU, rowL []float64) {
-	n := len(s.gamma)
-	if w := min(s.cfg.Workers, n); w > 1 && n >= minParallelGradient {
-		s.gradientFanOut(w, t, rowU, rowL)
-		return
-	}
-	s.gradientChunk(t, rowU, rowL, 0, n)
-}
-
-// gradientFanOut applies Eq. 2 in w disjoint chunks, one goroutine each,
-// and returns once all are done.
-func (s *state) gradientFanOut(w int, t float64, rowU, rowL []float64) {
-	n := len(s.gamma)
-	done := make(chan struct{}, w)
-	for k := 0; k < w; k++ {
-		lo, hi := k*n/w, (k+1)*n/w
-		go func(lo, hi int) {
-			s.gradientChunk(t, rowU, rowL, lo, hi)
-			done <- struct{}{}
-		}(lo, hi)
-	}
-	for k := 0; k < w; k++ {
-		<-done
-	}
-}
-
-func (s *state) gradientChunk(t float64, rowU, rowL []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		if !s.active[i] {
-			continue
-		}
-		s.gamma[i] += solver.GradientDelta(t, rowU[i], rowL[i])
-	}
-}
-
-// shrink applies the Eq. 9 condition using the betas of the last selection.
-func (s *state) shrink() {
-	kept := s.activeIdx[:0]
-	for _, i := range s.activeIdx {
-		set := solver.Classify(s.y[i], s.alpha[i], s.boxAt(i))
-		if solver.Shrinkable(set, s.gamma[i], s.betaUp, s.betaLow) {
-			s.active[i] = false
-			continue
-		}
-		kept = append(kept, i)
-	}
-	s.activeIdx = kept
-	s.shrinkEvents++
-	if s.trace != nil {
-		s.trace.SetActive(s.iter, len(s.activeIdx))
-	}
 }
 
 // reconstruct recomputes gamma for inactive samples from scratch:
@@ -563,14 +448,14 @@ func (s *state) shrink() {
 func (s *state) reconstruct() {
 	s.reconstructions++
 	var svs []int
-	for j, a := range s.alpha {
+	for j, a := range s.Alpha {
 		if a > 0 {
 			svs = append(svs, j)
 		}
 	}
 	var targets []int
-	for i := range s.alpha {
-		if !s.active[i] {
+	for i, a := range s.Active {
+		if !a {
 			targets = append(targets, i)
 		}
 	}
@@ -591,7 +476,7 @@ func (s *state) rebuildGradients(svs, targets []int) {
 	}
 	coef := make([]float64, len(svs))
 	for k, j := range svs {
-		coef[k] = s.alpha[j] * s.y[j]
+		coef[k] = s.Alpha[j] * s.Y[j]
 	}
 	w := s.pool.Workers()
 	if w > len(targets) {
@@ -625,16 +510,12 @@ func (s *state) reconstructChunk(ev *kernel.Evaluator, scr *kernel.Scratch, buf 
 		}
 		// g + y_i*p_i; classification's p_i = -1 keeps the historical
 		// g - y_i bit-identically (adding -y equals subtracting y).
-		s.gamma[i] = g + s.y[i]*s.pAt(i)
+		s.Gamma[i] = g + s.Y[i]*s.pAt(i)
 	}
 }
 
 func (s *state) unshrinkAll() {
-	s.activeIdx = s.activeIdx[:len(s.active)]
-	for i := range s.active {
-		s.active[i] = true
-		s.activeIdx[i] = i
-	}
+	s.Reset()
 	s.rows.NewGeneration() // rows completed over the shrunk set lack the re-admitted entries
 }
 
@@ -643,12 +524,12 @@ func (s *state) result() *Result {
 	var svIdx []int
 	var sumG float64
 	nI0 := 0
-	for i, a := range s.alpha {
+	for i, a := range s.Alpha {
 		if a > 0 {
 			svIdx = append(svIdx, i)
 		}
-		if solver.Classify(s.y[i], a, s.boxAt(i)) == solver.I0 {
-			sumG += s.gamma[i]
+		if solver.Classify(s.Y[i], a, s.BoxAt(i)) == solver.I0 {
+			sumG += s.Gamma[i]
 			nI0++
 		}
 	}
@@ -661,7 +542,7 @@ func (s *state) result() *Result {
 		s.trace.SVCount = len(svIdx)
 	}
 	res := &Result{
-		Alpha: append([]float64(nil), s.alpha...),
+		Alpha: append([]float64(nil), s.Alpha...),
 		Beta:  beta,
 		Stats: solver.Stats{
 			Iterations:      s.iter,
@@ -672,7 +553,7 @@ func (s *state) result() *Result {
 			Reconstructions: s.reconstructions,
 			ShrinkEvents:    s.shrinkEvents,
 			Converged:       s.converged,
-			Objective:       solver.DualObjectiveQP(s.alpha, s.y, s.gamma, s.cfg.LinearTerm),
+			Objective:       solver.DualObjectiveQP(s.Alpha, s.Y, s.Gamma, s.cfg.LinearTerm),
 		},
 		Trace: s.trace,
 	}
@@ -685,7 +566,7 @@ func (s *state) result() *Result {
 	}
 	coef := make([]float64, len(svIdx))
 	for k, i := range svIdx {
-		coef[k] = s.alpha[i] * s.y[i]
+		coef[k] = s.Alpha[i] * s.Y[i]
 	}
 	res.Model = &model.Model{
 		Kernel:       s.cfg.Kernel,
@@ -693,7 +574,7 @@ func (s *state) result() *Result {
 		SV:           sv,
 		Coef:         coef,
 		Beta:         beta,
-		TrainSamples: len(s.alpha),
+		TrainSamples: len(s.Alpha),
 		Iterations:   s.iter,
 	}
 	return res

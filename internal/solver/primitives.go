@@ -2,9 +2,12 @@
 // baseline (internal/smo) and the distributed solver (internal/core): the
 // Keerthi index-set predicates (Eq. 4 of the paper), the two-sample
 // analytic optimization step (Eq. 6/7), and the hyperplane threshold
-// computation. Keeping them in one place guarantees that the baseline and
-// the proposed solver perform bitwise identical updates, which is what the
-// paper's accuracy-parity claim (Table V) rests on.
+// computation. It also holds the loops that apply them, ActiveSet's
+// violator selection, Eq. 2 gradient update, Eq. 9 shrinking and
+// second-order partner, which both solvers embed. Keeping them in one
+// place guarantees that the baseline and the proposed solver perform
+// bitwise identical updates, which is what the paper's accuracy-parity
+// claim (Table V) rests on.
 package solver
 
 import "math"
